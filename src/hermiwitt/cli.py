@@ -121,9 +121,7 @@ def _cmd_classify(cfg, args):
 
 def _cmd_decompose(cfg, args):
     form = sz.form_from_json(cfg, _load_json(args.form))
-    if not hm.validate(form):
-        raise DegenerateForm("gram matrix is not eps-hermitian")
-    index, aniso = hm.witt_decompose(form)
+    index, aniso = hm.witt_decompose(form)  # diagonalize validates the form
     _emit({"witt_index": index,
            "anisotropic": [sz.quat_to_json(e) for e in aniso.entries],
            "witt_class": wc.class_of_diagonal(aniso).sorted_names()})

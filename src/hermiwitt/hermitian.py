@@ -236,72 +236,82 @@ def validate(form: HermitianForm) -> bool:
     return dmat_is_zero(dmat_sub(form.rows(), want))
 
 
+def _eliminate(G, basis, pivots, sols):
+    """The congruence b_k <- b_k - sum_t b_{pivots[t]} * sols[k][t] for each
+    k in sols, applied to the Gram matrix G as rho(E)^T (G E): a column pass
+    over the pivot rows as well, then a row pass that reads the pivot rows
+    just updated.  Every step is tracked arithmetic, so G stays honest."""
+    rest = list(sols)
+    for k, s in sols.items():
+        for q, c in zip(pivots, s):
+            basis[k] = [bk - bq * c for bk, bq in zip(basis[k], basis[q])]
+            for a in pivots + rest:
+                G[a][k] = G[a][k] - G[a][q] * c
+    for j, s in sols.items():
+        for q, c in zip(pivots, s):
+            rc = c.rho()
+            for k in rest:
+                G[j][k] = G[j][k] - rc * G[q][k]
+
+
 def diagonalize(form: HermitianForm):
     """Congruence-diagonalize: returns (T, DiagonalForm) with
     rho(T)^T M T = blockdiag(entries..., antidiag(1, eps) pairs...).
 
     The pivot is the basis vector minimizing nu_D(h(v, v)) (ties: lowest
     index).  When every diagonal candidate is indistinguishable from zero a
-    hyperbolic plane is split off from the first non-orthogonal pair."""
+    hyperbolic plane is split off from the first non-orthogonal pair.
+
+    The Gram matrix of the current basis is carried along and each step
+    updates it by a congruence M <- rho(E)^T M E, so no h(v, w) is evaluated
+    from scratch and a rank-n form costs ~n^3 quaternion multiplies."""
     if not validate(form):
         raise DegenerateForm("not an eps-hermitian Gram matrix")
     cfg, n, eps = form.cfg, form.rank, form.epsilon
     # current basis vectors as coordinate columns in the original basis
     basis = [[QuaternionElement.one(cfg) if i == j else QuaternionElement.zero(cfg)
               for i in range(n)] for j in range(n)]
-    h = lambda x, y: form.evaluate(x, y)
+    G = form.rows()  # G[i][j] = h(basis[i], basis[j])
     active = list(range(n))
     entry_cols, pair_cols, entries, pairs = [], [], [], 0
     while active:
         piv, pv = None, None
         for i in active:
-            e = h(basis[i], basis[i])
+            e = G[i][i]
             if e.is_zero():
                 continue
             v = e.nu_D()
             if pv is None or v < pv:
                 piv, pv = i, v
         if piv is not None:
-            d = h(basis[piv], basis[piv])
+            d = G[piv][piv]
             dinv = d.inv()
-            for j in active:
-                if j == piv:
-                    continue
-                c = dinv * h(basis[piv], basis[j])
-                basis[j] = [bj - bi * c for bj, bi in zip(basis[j], basis[piv])]
+            active.remove(piv)
+            _eliminate(G, basis, [piv], {k: (dinv * G[piv][k],) for k in active})
             entries.append(d)
             entry_cols.append(basis[piv])
-            active.remove(piv)
             continue
         # all diagonal candidates vanish: split a hyperbolic plane
-        pair = None
-        for ii, i in enumerate(active):
-            for j in active[ii + 1:]:
-                if not h(basis[i], basis[j]).is_zero():
-                    pair = (i, j)
-                    break
-            if pair:
-                break
+        pair = next(((i, j) for ii, i in enumerate(active)
+                     for j in active[ii + 1:] if not G[i][j].is_zero()), None)
         if pair is None:
             raise DegenerateForm("remaining block is indistinguishable from zero")
         i, j = pair
-        c = h(basis[i], basis[j]).inv()
+        c = G[i][j].inv()
         basis[j] = [bj * c for bj in basis[j]]
+        for a in active:
+            G[a][j] = G[a][j] * c
+        rc = c.rho()
+        for a in active:
+            G[j][a] = rc * G[j][a]
         # orthogonalize the rest against the plane via the 2x2 block inverse
-        blk = [[h(basis[i], basis[i]), h(basis[i], basis[j])],
-               [h(basis[j], basis[i]), h(basis[j], basis[j])]]
-        blk_inv = dmat_inv(blk)
-        for k in active:
-            if k in (i, j):
-                continue
-            rhs = [h(basis[i], basis[k]), h(basis[j], basis[k])]
-            sol = vec_apply(blk_inv, rhs)
-            basis[k] = [bk - bi * sol[0] - bj * sol[1]
-                        for bk, bi, bj in zip(basis[k], basis[i], basis[j])]
-        pair_cols.extend([basis[i], basis[j]])
-        pairs += 1
+        blk_inv = dmat_inv([[G[i][i], G[i][j]], [G[j][i], G[j][j]]])
         active.remove(i)
         active.remove(j)
+        _eliminate(G, basis, [i, j],
+                   {k: vec_apply(blk_inv, [G[i][k], G[j][k]]) for k in active})
+        pair_cols.extend([basis[i], basis[j]])
+        pairs += 1
     cols = entry_cols + pair_cols
     T = [[cols[j][i] for j in range(n)] for i in range(n)]
     return T, DiagonalForm(eps, tuple(entries), pairs)

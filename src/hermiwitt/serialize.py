@@ -1,10 +1,12 @@
 """JSON encoding of field elements, quaternions and forms.
 
 All big integers are serialized as strings.  F-elements are emitted as
-{"base": "F", "val": v, "digits": [d0, ...]} with base-p digits of the unit
-part, little-endian; a bare integer string is accepted as shorthand on
-input.  L-elements (and E-elements) are {"a": <F>, "b": <F>}, quaternions
-{"a": <L>, "b": <L>}, forms {"epsilon": e, "rank": n, "gram": [[...]]}.
+{"base": "F", "val": v, "digits": [d0, ...], "prec": k} with base-p digits
+of the unit part, little-endian, and the absolute precision k; on input k
+is capped at the configured precision and may be omitted for full
+precision, and a bare integer string is accepted as shorthand.  L-elements
+(and E-elements) are {"a": <F>, "b": <F>}, quaternions {"a": <L>, "b": <L>},
+forms {"epsilon": e, "rank": n, "gram": [[...]]}.
 """
 
 from __future__ import annotations
@@ -42,13 +44,23 @@ def f_from_json(cfg: FieldConfig, obj) -> FElement:
     val = obj.get("val")
     digits = obj.get("digits", [])
     if val is None:
-        return cfg.f_zero()
-    unit = 0
-    for i, d in enumerate(digits):
-        unit += int(d) * cfg.p**i
-    if unit % cfg.p == 0:
-        raise MalformedInput("unit part must not be divisible by p")
-    return cfg.f(unit).shift(int(val))
+        x = cfg.f_zero()
+    else:
+        unit = 0
+        for i, d in enumerate(digits):
+            unit += int(d) * cfg.p**i
+        if unit % cfg.p == 0:
+            raise MalformedInput("unit part must not be divisible by p")
+        x = cfg.f(unit).shift(int(val))
+    if "prec" not in obj:
+        return x
+    prec = obj["prec"]
+    if isinstance(prec, bool) or not isinstance(prec, int) or prec < 1:
+        raise MalformedInput(f"prec must be a positive integer, got {prec!r}")
+    if val is not None and int(val) >= prec:
+        raise MalformedInput("val must be below prec")
+    # adding O(p^prec) caps the absolute precision at prec
+    return x + cfg.f_zero().shift(prec - cfg.precision)
 
 
 def l_to_json(x: QuadExtElement) -> dict:

@@ -1,6 +1,10 @@
 import json
 
+from hermiwitt import randgen as rg
+from hermiwitt import serialize as sz
+from hermiwitt import wittclass as wc
 from hermiwitt.cli import run
+from hermiwitt.padic import FieldConfig
 
 
 def run_cli(capsys, *argv):
@@ -32,6 +36,30 @@ def test_decompose(capsys):
     assert rc == 0
     doc = json.loads(out)
     assert doc["witt_index"] == 1 and doc["witt_class"] == []
+
+
+def test_decompose_rejects_non_hermitian(capsys):
+    form = {"epsilon": 1, "rank": 2,
+            "gram": [[{"a": "1"}, {"a": "2"}], [{"a": "3"}, {"a": "1"}]]}
+    rc = run(["decompose", "--form", json.dumps(form)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("invalid:")
+
+
+def test_decompose_reduced_precision_forms(capsys):
+    """Forms that lost digits in arithmetic survive the JSON round trip:
+    each decomposes, to the Witt class of the form itself."""
+    cfg = FieldConfig(5, 32)
+    r = rg.rng(7)
+    for rank in range(1, 5):
+        for t in range(20):
+            form = rg.rand_form(cfg, r, 1 if t % 2 == 0 else -1, rank)
+            rc, out = run_cli(capsys, "decompose", "--form",
+                              json.dumps(sz.form_to_json(form)))
+            assert rc == 0, (rank, t)
+            assert json.loads(out)["witt_class"] == \
+                wc.class_of_form(form).sorted_names()
 
 
 def test_tower_and_transfer(capsys, tmp_path):

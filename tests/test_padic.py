@@ -236,6 +236,29 @@ def test_json_value_encoding(cfg5):
     assert sz.l_from_json(cfg5, sz.l_to_json(l)).same(l)
 
 
+def test_json_prec_roundtrip(cfg5):
+    """f_from_json keeps the precision that f_to_json writes, capped at the
+    configured precision, and refuses a malformed one."""
+    from hermiwitt import serialize as sz
+
+    reduced = [cfg5.f(7).shift(-2), cfg5.f(11) / cfg5.f(50),
+               cfg5.f(125) + cfg5.f_zero().shift(-10),
+               cfg5.f(3) * cfg5.f(2).shift(-7), cfg5.f_zero().shift(-5),
+               cfg5.f(3).shift(-1) - cfg5.f(3).shift(-1)]
+    for x in reduced:
+        assert x.prec < cfg5.precision
+        assert sz.f_from_json(cfg5, sz.f_to_json(x)) == x
+    one = {"base": "F", "val": 0, "digits": [1], "prec": 99}
+    assert sz.f_from_json(cfg5, one).prec == cfg5.precision
+    zero = {"base": "F", "val": None, "digits": [], "prec": 99}
+    assert sz.f_from_json(cfg5, zero).prec == cfg5.precision
+    for bad in (0, -3, 1.5, "12", True, None):
+        with pytest.raises(sz.MalformedInput):
+            sz.f_from_json(cfg5, dict(one, prec=bad))
+    with pytest.raises(sz.MalformedInput):
+        sz.f_from_json(cfg5, {"base": "F", "val": 5, "digits": [1], "prec": 5})
+
+
 def test_field_arith_dispatcher(cfg5):
     from hermiwitt.padic import field_arith
 
