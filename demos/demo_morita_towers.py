@@ -3,6 +3,7 @@
 form through the equivalence, evaluate its Witt tower at two idempotents,
 and watch the maximal anisotropic tower collapse under the trace transfer."""
 
+from hermiwitt.hermitian import dmat_is_zero, dmat_sub
 from hermiwitt.padic import FieldConfig
 from hermiwitt.quaternion import QuaternionElement as Q
 from hermiwitt import morita as mo
@@ -21,7 +22,7 @@ for gen, name in ((Q.u_elem(cfg), "E = L (unramified)"),
     ed = mo.functor_Ge(hE, data, 1)
     back = mo.functor_Fe(ed, data.e1())
     print("  F_e1 o G_e1 returns the input Gram:",
-          mo.cmat_is_zero(mo.mat_sub(back, hE)))
+          dmat_is_zero(dmat_sub(back, hE)))
 
     h, beta = mo.realize_instance(ed)
     tower = mo.witt_tower_of(h, beta)

@@ -75,8 +75,6 @@ def build_parser() -> _Parser:
     p.add_argument("--precision", type=int,
                    default=int(os.environ.get("HERMIWITT_PRECISION", "32")))
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for batch runs; outputs keep input order")
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("classify", help="Witt class of a rank-1 form <d>")
@@ -129,10 +127,8 @@ def _cmd_decompose(cfg, args):
 
 def _cmd_tower(cfg, args):
     form = sz.form_from_json(cfg, _load_json(args.form))
-    if not hm.validate(form):
-        raise DegenerateForm("gram matrix is not eps-hermitian")
     beta = sz.beta_from_json(cfg, _load_json(args.beta), form.rank)
-    tower = mo.witt_tower_of(form, beta)
+    tower = mo.witt_tower_of(form, beta)  # compute_htilde_beta validates the form
     cls = tower.class_at_e1
     _emit({"tower_class": {"rank_parity": cls.rank_parity,
                            "disc_is_norm": cls.i_is_norm,

@@ -22,7 +22,8 @@ from .quaternion import QuaternionElement
 
 
 # ---------------------------------------------------------------------------
-# small matrix helpers over D (non-commutative) and over L (commutative)
+# matrix helpers and the elimination kernel, shared by D (non-commutative)
+# and by F, L and E (commutative)
 # ---------------------------------------------------------------------------
 
 def dmat_identity(cfg: FieldConfig, n: int):
@@ -66,56 +67,69 @@ def dmat_is_zero(A) -> bool:
     return all(e.is_zero() for row in A for e in row)
 
 
-def dmat_inv(A):
-    """Inverse over the division ring D by row reduction with min-nu_D
-    pivoting.  Raises Singular when a pivot column is indistinguishable
-    from zero."""
-    n = len(A)
-    M = [row[:] for row in A]
-    cfg = M[0][0].cfg
-    I = dmat_identity(cfg, n)
-    for col in range(n):
-        piv, pv = None, None
-        for r in range(col, n):
-            e = M[r][col]
-            if e.is_zero():
-                continue
-            v = e.nu_D()
-            if pv is None or v < pv:
-                piv, pv = r, v
+def _pivot(cands):
+    """The pivot rule shared by every elimination here: the index of the
+    entry of least valuation among (index, element) pairs, skipping entries
+    indistinguishable from zero; ties go to the first.  None if all vanish."""
+    piv, pv = None, None
+    for i, e in cands:
+        if e.is_zero():
+            continue
+        v = e.valuation()
+        if pv is None or v < pv:
+            piv, pv = i, v
+    return piv
+
+
+def row_reduce(M, ncols: int, full_rank: bool = False) -> dict:
+    """Gauss-Jordan elimination, in place, of the rows of M on its first
+    ncols columns, over F, L, E or D alike.  Each column's pivot is chosen
+    by _pivot among the rows not yet used, moved up, scaled to 1 from the
+    left and cleared from every other row; whole rows are updated.  A column
+    without pivot is skipped or, when full_rank is set, raises Singular
+    before any further arithmetic.  Returns {pivot column: row}."""
+    pivots, r = {}, 0
+    for col in range(ncols):
+        piv = _pivot((i, M[i][col]) for i in range(r, len(M)))
         if piv is None:
-            raise Singular("matrix over D not invertible at tracked precision")
-        M[col], M[piv] = M[piv], M[col]
-        I[col], I[piv] = I[piv], I[col]
-        inv = M[col][col].inv()
-        M[col] = [inv * e for e in M[col]]
-        I[col] = [inv * e for e in I[col]]
-        for r in range(n):
-            if r == col or M[r][col].is_zero():
-                continue
-            c = M[r][col]
-            M[r] = [e - c * f for e, f in zip(M[r], M[col])]
-            I[r] = [e - c * f for e, f in zip(I[r], I[col])]
-    return I
+            if full_rank:
+                raise Singular("matrix not invertible at tracked precision")
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        inv = M[r][col].inv()
+        M[r] = [inv * e for e in M[r]]
+        for i in range(len(M)):
+            if i != r and not M[i][col].is_zero():
+                c = M[i][col]
+                M[i] = [e - c * f for e, f in zip(M[i], M[r])]
+        pivots[col] = r
+        r += 1
+    return pivots
+
+
+def dmat_inv(A):
+    """Inverse of a square matrix over F, L, E or D: row_reduce on [A | I].
+    Raises Singular when a column has no pivot at tracked precision."""
+    n = len(A)
+    one = A[0][0] ** 0
+    zero = one - one
+    M = [list(row) + [one if i == j else zero for j in range(n)]
+         for i, row in enumerate(A)]
+    row_reduce(M, n, full_rank=True)
+    return [row[n:] for row in M]
 
 
 def lmat_det(A):
     """Determinant of a matrix over L (or any commutative field element type
-    with the same interface), by fraction-producing Gaussian elimination with
-    min-valuation pivoting."""
+    with the same interface), by fraction-producing forward elimination with
+    the _pivot rule.  Unlike row_reduce it never normalizes the pivot row,
+    which keeps the determinant's certified digits."""
     n = len(A)
     M = [row[:] for row in A]
     det = None
     sign = 1
     for col in range(n):
-        piv, pv = None, None
-        for r in range(col, n):
-            e = M[r][col]
-            if e.is_zero():
-                continue
-            v = e.valuation()
-            if pv is None or v < pv:
-                piv, pv = r, v
+        piv = _pivot((r, M[r][col]) for r in range(col, n))
         if piv is None:
             raise Singular("matrix over L not invertible at tracked precision")
         if piv != col:
@@ -275,14 +289,7 @@ def diagonalize(form: HermitianForm):
     active = list(range(n))
     entry_cols, pair_cols, entries, pairs = [], [], [], 0
     while active:
-        piv, pv = None, None
-        for i in active:
-            e = G[i][i]
-            if e.is_zero():
-                continue
-            v = e.nu_D()
-            if pv is None or v < pv:
-                piv, pv = i, v
+        piv = _pivot((i, G[i][i]) for i in active)
         if piv is not None:
             d = G[piv][piv]
             dinv = d.inv()

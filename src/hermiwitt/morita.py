@@ -37,63 +37,28 @@ from .padic import (
     solve_norm_equation,
 )
 from .quaternion import QuaternionElement
-from .hermitian import HermitianForm, dmat_inv, dmat_mul, dmat_rho_t, vec_apply
+from .hermitian import (
+    HermitianForm,
+    dmat_add,
+    dmat_inv,
+    dmat_is_zero,
+    dmat_mul,
+    dmat_rho_t,
+    dmat_sub,
+    row_dot,
+    row_reduce,
+    validate,
+    vec_apply,
+)
 
 # rho acts on the D-basis (1, u, pi_D, u pi_D) by these signs
 _RHO_SIGNS = (1, 1, 1, -1)
 
 
-# ---------------------------------------------------------------------------
-# generic commutative matrix helpers (elements: FElement or QuadExtElement)
-# ---------------------------------------------------------------------------
-
-def cmat_mul(A, B):
-    n, m, k = len(A), len(B[0]), len(B)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            s = A[i][0] * B[0][j]
-            for t in range(1, k):
-                s = s + A[i][t] * B[t][j]
-            row.append(s)
-        out.append(row)
-    return out
-
-
 def cmat_inv(A):
-    n = len(A)
-    M = [row[:] for row in A]
-    one = A[0][0] ** 0
-    zero = one - one
-    I = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv, pv = None, None
-        for r in range(col, n):
-            e = M[r][col]
-            if e.is_zero():
-                continue
-            v = e.valuation()
-            if pv is None or v < pv:
-                piv, pv = r, v
-        if piv is None:
-            raise Singular("matrix not invertible at tracked precision")
-        M[col], M[piv] = M[piv], M[col]
-        I[col], I[piv] = I[piv], I[col]
-        inv = M[col][col].inv() if hasattr(M[col][col], "inv") else 1 / M[col][col]
-        M[col] = [inv * e for e in M[col]]
-        I[col] = [inv * e for e in I[col]]
-        for r in range(n):
-            if r == col or M[r][col].is_zero():
-                continue
-            c = M[r][col]
-            M[r] = [e - c * f for e, f in zip(M[r], M[col])]
-            I[r] = [e - c * f for e, f in zip(I[r], I[col])]
-    return I
-
-
-def cmat_is_zero(A):
-    return all(e.is_zero() for row in A for e in row)
+    """Inverse of a matrix over E or F: dmat_inv under its own name, so that
+    inverses on the E side are counted apart from those over D."""
+    return dmat_inv(A)
 
 
 def _sigma_t(A):
@@ -177,24 +142,11 @@ class SplitData:
     row_solve: tuple              # 4x4 F-matrix: first-row-of-G_x -> x
 
     # -- conversions ---------------------------------------------------------
-    def basis_images(self):
-        Gu, Gpi = [ [list(r) for r in g] for g in self.gens ]
-        return [None, Gu, Gpi, cmat_mul(Gu, Gpi)]
-
     def to_matrix(self, ten):
-        E = self.E
-        one = E.one()
-        out = [[ten[0], E.zero()], [E.zero(), ten[0]]]
-        imgs = self.basis_images()
-        for k in (1, 2, 3):
-            g = imgs[k]
-            out = [[out[i][j] + ten[k] * g[i][j] for j in range(2)] for i in range(2)]
-        return out
+        return _matrix_of_tensor(self.E, *self.gens, ten)
 
     def to_tensor(self, X):
-        flat = [X[0][0], X[0][1], X[1][0], X[1][1]]
-        M = [list(r) for r in self.mphi_inv]
-        return tuple(row_dot_e(M[i], flat) for i in range(4))
+        return _tensor_of_matrix(self.mphi_inv, X)
 
     def embed_quat(self, d: QuaternionElement):
         return self.to_matrix(tensor_from_quat(self.E, d))
@@ -206,7 +158,7 @@ class SplitData:
 
     def theta(self, X):
         u = self.u_mat
-        return cmat_mul(u, cmat_mul(_sigma_t(X), cmat_inv(u)))
+        return dmat_mul(u, dmat_mul(_sigma_t(X), cmat_inv(u)))
 
     def e1(self) -> IdempotentE:
         E = self.E
@@ -219,15 +171,15 @@ class SplitData:
     def quat_of_row(self, row) -> QuaternionElement:
         """The x in D whose matrix has the given first row (an E^2 pair)."""
         coords = [row[0].a, row[0].b, row[1].a, row[1].b]
-        sol = vec_apply_f(self.row_solve, coords)
+        sol = vec_apply(self.row_solve, coords)
         return quat_from_f_coords(self.cfg, sol)
 
     def idempotent_from_line(self, x) -> IdempotentE:
         """b-orthogonal projection onto the anisotropic line spanned by the
         row vector x."""
         u = self.u_mat
-        col = cmat_mul(u, _sigma_t([list(x)]))      # 2x1
-        q = row_dot_e(list(x), [col[0][0], col[1][0]])
+        col = dmat_mul(u, _sigma_t([list(x)]))      # 2x1
+        q = row_dot(list(x), [col[0][0], col[1][0]])
         if q.is_zero():
             raise DegenerateForm("line is isotropic for the reference form")
         qi = q.inv()
@@ -237,24 +189,24 @@ class SplitData:
 
     def validate(self) -> bool:
         E, cfg = self.E, self.cfg
-        Gu, Gpi = self.basis_images()[1], self.basis_images()[2]
+        Gu, Gpi = self.gens
         r = E.from_f(cfg.f(cfg.nonresidue_r))
         pf = E.from_f(cfg.pi())
         checks = []
-        checks.append(cmat_is_zero(mat_sub(cmat_mul(Gu, Gu), scalar_mat(E, r))))
-        checks.append(cmat_is_zero(mat_sub(cmat_mul(Gpi, Gpi), scalar_mat(E, pf))))
-        checks.append(cmat_is_zero(mat_add(cmat_mul(Gpi, Gu), cmat_mul(Gu, Gpi))))
+        checks.append(dmat_is_zero(dmat_sub(dmat_mul(Gu, Gu), scalar_mat(E, r))))
+        checks.append(dmat_is_zero(dmat_sub(dmat_mul(Gpi, Gpi), scalar_mat(E, pf))))
+        checks.append(dmat_is_zero(dmat_add(dmat_mul(Gpi, Gu), dmat_mul(Gu, Gpi))))
         # pushforward identity on the basis and involutivity of theta
         for k in (1, 2, 3):
             ten = [E.zero()] * 4
             ten[k] = E.one()
             X = self.to_matrix(tuple(ten))
-            checks.append(cmat_is_zero(
-                mat_sub(self.theta(X), self.to_matrix(tensor_theta(tuple(ten))))))
+            checks.append(dmat_is_zero(
+                dmat_sub(self.theta(X), self.to_matrix(tensor_theta(tuple(ten))))))
         checks.append(self.u1.same(self.u1) and self.u2.same(self.u2))
         e1 = self.e1().mat
-        checks.append(cmat_is_zero(mat_sub(self.theta([list(r) for r in e1]),
-                                           [list(r) for r in e1])))
+        checks.append(dmat_is_zero(dmat_sub(self.theta([list(r) for r in e1]),
+                                            [list(r) for r in e1])))
         # round trip tensor <-> matrix
         ten = tensor_from_quat(E, QuaternionElement.make(cfg, cfg.l(1, 2), cfg.l(3, 4)))
         checks.append(all((a - b).is_zero()
@@ -262,27 +214,27 @@ class SplitData:
         return all(checks)
 
 
-def row_dot_e(row, vec):
-    s = row[0] * vec[0]
-    for a, b in zip(row[1:], vec[1:]):
-        s = s + a * b
-    return s
-
-
-def vec_apply_f(A, x):
-    return [row_dot_e(list(r), x) for r in A]
-
-
-def mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def scalar_mat(E: QuadExtField, e: QuadExtElement):
     return [[e, E.zero()], [E.zero(), e]]
+
+
+def _matrix_of_tensor(E: QuadExtField, Gu, Gpi, ten):
+    """Phi in tensor coordinates: ten[0] + ten[1] Gu + ten[2] Gpi +
+    ten[3] Gu Gpi, for the images Gu, Gpi of 1 (x) u and 1 (x) pi_D."""
+    out = scalar_mat(E, ten[0])
+    for c, g in zip(ten[1:], (Gu, Gpi, dmat_mul(Gu, Gpi))):
+        out = [[out[i][j] + c * g[i][j] for j in range(2)] for i in range(2)]
+    return out
+
+
+def _tensor_of_matrix(mphi_inv, X):
+    """Phi^(-1) through the inverse of Phi's matrix on tensor coordinates."""
+    return tuple(vec_apply(mphi_inv, [X[0][0], X[0][1], X[1][0], X[1][1]]))
+
+
+def _e_form(C, x, y):
+    """sigma(x)^T C y for vectors x, y over E."""
+    return row_dot([c.sigma() for c in x], vec_apply(C, y))
 
 
 _SPLIT_CACHE: dict = {}
@@ -334,7 +286,7 @@ def _build_split(cfg: FieldConfig, delta: FElement, w_choice: int) -> SplitData:
     w, ainv = chosen[w_choice]
 
     def coords_E(z: QuaternionElement):
-        sol = vec_apply_f(ainv, quat_f_coords(z))
+        sol = vec_apply(ainv, quat_f_coords(z))
         return (QuadExtElement(E, sol[0], sol[1]), QuadExtElement(E, sol[2], sol[3]))
 
     def g0_of(d: QuaternionElement):
@@ -348,28 +300,19 @@ def _build_split(cfg: FieldConfig, delta: FElement, w_choice: int) -> SplitData:
     G0pi = g0_of(QuaternionElement.pi_D(cfg))
 
     def mphi_of(Gu, Gpi):
-        imgs = [scalar_mat(E, E.one()), Gu, Gpi, cmat_mul(Gu, Gpi)]
+        imgs = [scalar_mat(E, E.one()), Gu, Gpi, dmat_mul(Gu, Gpi)]
         cols = [[m[0][0], m[0][1], m[1][0], m[1][1]] for m in imgs]
         return [[cols[j][i] for j in range(4)] for i in range(4)]
 
     mphi0_inv = cmat_inv(mphi_of(G0u, G0pi))
 
-    def to_tensor0(X):
-        flat = [X[0][0], X[0][1], X[1][0], X[1][1]]
-        return tuple(row_dot_e(list(r), flat) for r in mphi0_inv)
-
-    def to_matrix0(ten):
-        out = scalar_mat(E, ten[0])
-        for kk, g in ((1, G0u), (2, G0pi), (3, cmat_mul(G0u, G0pi))):
-            out = [[out[i][j] + ten[kk] * g[i][j] for j in range(2)] for i in range(2)]
-        return out
-
     def psi0(X):
-        return to_matrix0(tensor_theta(to_tensor0(X)))
+        return _matrix_of_tensor(
+            E, G0u, G0pi, tensor_theta(_tensor_of_matrix(mphi0_inv, X)))
 
     # solve B * Psi0(X) = sigma(X)^T * B on the generating images
     rows, zero = [], E.zero()
-    for X in (G0u, G0pi, cmat_mul(G0u, G0pi)):
+    for X in (G0u, G0pi, dmat_mul(G0u, G0pi)):
         P = psi0(X)
         S = _sigma_t(X)
         for i in range(2):
@@ -397,25 +340,22 @@ def _build_split(cfg: FieldConfig, delta: FElement, w_choice: int) -> SplitData:
         if lam.is_zero():
             lam = E.gen()
         B = [[lam * e for e in row] for row in B]
-    if not cmat_is_zero(mat_sub(_sigma_t(B), B)):
+    if not dmat_is_zero(dmat_sub(_sigma_t(B), B)):
         raise AssertionError("could not symmetrize the involution Gram")
     C = cmat_inv(B)
     S = _e_gram_schmidt_basis(C, E)
-    u_entries = []
-    for v in S:
-        q = row_dot_e([c.sigma() for c in v], vec_apply_f(C, v))
-        u_entries.append(_fixed_to_f(q))
+    u_entries = [_fixed_to_f(_e_form(C, v, v)) for v in S]
     # S holds the orthogonal basis as column vectors; m = sigma(S^T) makes
     # m C sigma(m)^T = diag(u1, u2)
     Smat = [[S[j][i] for j in range(2)] for i in range(2)]
     m = _sigma_t(Smat)
     minv = cmat_inv(m)
-    Gu = cmat_mul(m, cmat_mul(G0u, minv))
-    Gpi = cmat_mul(m, cmat_mul(G0pi, minv))
+    Gu = dmat_mul(m, dmat_mul(G0u, minv))
+    Gpi = dmat_mul(m, dmat_mul(G0pi, minv))
     mphi_inv = cmat_inv(mphi_of(Gu, Gpi))
 
     # first-row solve: x -> first row of G_x (final Phi)
-    imgs = [scalar_mat(E, E.one()), Gu, Gpi, cmat_mul(Gu, Gpi)]
+    imgs = [scalar_mat(E, E.one()), Gu, Gpi, dmat_mul(Gu, Gpi)]
     cols = []
     for g in imgs:
         cols.append([g[0][0].a, g[0][0].b, g[0][1].a, g[0][1].b])
@@ -436,34 +376,12 @@ def _build_split(cfg: FieldConfig, delta: FElement, w_choice: int) -> SplitData:
 def _nullspace_vector(rows, E: QuadExtField):
     """One nonzero solution of a homogeneous system over E (4 unknowns)."""
     M = [row[:] for row in rows]
-    ncols = 4
-    pivots = {}
-    r = 0
-    for col in range(ncols):
-        piv, pv = None, None
-        for i in range(r, len(M)):
-            e = M[i][col]
-            if e.is_zero():
-                continue
-            v = e.valuation()
-            if pv is None or v < pv:
-                piv, pv = i, v
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = M[r][col].inv()
-        M[r] = [inv * e for e in M[r]]
-        for i in range(len(M)):
-            if i != r and not M[i][col].is_zero():
-                c = M[i][col]
-                M[i] = [e - c * f for e, f in zip(M[i], M[r])]
-        pivots[col] = r
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
+    pivots = row_reduce(M, 4)
+    free = [c for c in range(4) if c not in pivots]
     if not free:
         raise AssertionError("involution transport system has no kernel")
     f = free[0]
-    sol = [E.zero()] * ncols
+    sol = [E.zero()] * 4
     sol[f] = E.one()
     for col, rr in pivots.items():
         sol[col] = -M[rr][f]
@@ -474,7 +392,7 @@ def _e_gram_schmidt_basis(C, E: QuadExtField):
     """Orthogonal basis (list of column vectors) for the hermitian form
     sigma(x)^T C y on E^2."""
     def q(v):
-        return row_dot_e([c.sigma() for c in v], vec_apply_f(C, v))
+        return _e_form(C, v, v)
 
     basis = [[E.one(), E.zero()], [E.zero(), E.one()]]
     v1 = None
@@ -491,8 +409,7 @@ def _e_gram_schmidt_basis(C, E: QuadExtField):
     if v1 is None:
         raise DegenerateForm("reference hermitian form is degenerate")
     other = basis[1] if v1 is not basis[1] else basis[0]
-    phi = row_dot_e([c.sigma() for c in v1], vec_apply_f(C, other))
-    coef = phi / q(v1)
+    coef = _e_form(C, v1, other) / q(v1)
     v2 = [o - coef * w for o, w in zip(other, v1)]
     if q(v2).is_zero():
         raise DegenerateForm("reference hermitian form is degenerate")
@@ -513,9 +430,9 @@ class IdempotentE:
 
     def validate(self) -> bool:
         X = [list(r) for r in self.mat]
-        if not cmat_is_zero(mat_sub(cmat_mul(X, X), X)):
+        if not dmat_is_zero(dmat_sub(dmat_mul(X, X), X)):
             return False
-        if not cmat_is_zero(mat_sub(self.split.theta(X), X)):
+        if not dmat_is_zero(dmat_sub(self.split.theta(X), X)):
             return False
         tr = X[0][0] + X[1][1]
         return (tr - self.split.E.one()).is_zero()
@@ -541,7 +458,7 @@ class EDForm:
         Hs = _sigma_t(self.rows())
         if self.epsilon == -1:
             Hs = [[-e for e in row] for row in Hs]
-        if not cmat_is_zero(mat_sub(self.rows(), Hs)):
+        if not dmat_is_zero(dmat_sub(self.rows(), Hs)):
             return False
         try:
             cmat_inv(self.rows())
@@ -552,7 +469,7 @@ class EDForm:
     def value(self, X, Y):
         """h~(X, Y) as a 2x2 matrix over E, for t x 2 coordinate matrices."""
         sX = [[X[j][i].sigma() for j in range(self.t)] for i in range(2)]
-        return cmat_mul(self.split.u_mat, cmat_mul(sX, cmat_mul(self.rows(), Y)))
+        return dmat_mul(self.split.u_mat, dmat_mul(sX, dmat_mul(self.rows(), Y)))
 
     def orthogonal_sum(self, other: EDForm) -> EDForm:
         assert other.split is self.split and other.epsilon == self.epsilon
@@ -576,7 +493,7 @@ class EDForm:
             for j in range(k):
                 blk = [[self.H[2 * i][2 * j], self.H[2 * i][2 * j + 1]],
                        [self.H[2 * i + 1][2 * j], self.H[2 * i + 1][2 * j + 1]]]
-                row.append(cmat_mul(u, blk))
+                row.append(dmat_mul(u, blk))
             out.append(row)
         return out
 
@@ -628,15 +545,12 @@ def e_diagonalize(H, field: QuadExtField):
             for j in range(n)]
     M = [list(r) for r in H]
 
-    def phi(x, y):
-        return row_dot_e([c.sigma() for c in x], vec_apply_f(M, y))
-
     entries = []
     active = list(range(n))
     while active:
         piv = None
         for i in active:
-            if not phi(vecs[i], vecs[i]).is_zero():
+            if not _e_form(M, vecs[i], vecs[i]).is_zero():
                 piv = i
                 break
         if piv is None:
@@ -645,7 +559,7 @@ def e_diagonalize(H, field: QuadExtField):
                 for j in active[ii + 1:]:
                     for c in (field.one(), field.gen(), field.one() + field.gen()):
                         cand = [a + c * b for a, b in zip(vecs[i], vecs[j])]
-                        if not phi(cand, cand).is_zero():
+                        if not _e_form(M, cand, cand).is_zero():
                             vecs[i] = cand
                             piv, found = i, True
                             break
@@ -655,12 +569,12 @@ def e_diagonalize(H, field: QuadExtField):
                     break
             if not found:
                 raise DegenerateForm("hermitian form over E is degenerate")
-        q = phi(vecs[piv], vecs[piv])
+        q = _e_form(M, vecs[piv], vecs[piv])
         qinv = q.inv()
         for j in active:
             if j == piv:
                 continue
-            c = qinv * phi(vecs[piv], vecs[j])
+            c = qinv * _e_form(M, vecs[piv], vecs[j])
             vecs[j] = [b - c * a for a, b in zip(vecs[piv], vecs[j])]
         entries.append(_fixed_to_f(q))
         active.remove(piv)
@@ -705,6 +619,22 @@ def max_anisotropic_edform(data: SplitData, epsilon: int) -> EDForm:
 # the category equivalence
 # ---------------------------------------------------------------------------
 
+def _echelon_add(echelon, vec) -> bool:
+    """Reduce vec against the echelon rows, each clearing the entry at its
+    leading index; append the remainder to echelon and return True unless it
+    is indistinguishable from zero."""
+    red = vec[:]
+    for prow in echelon:
+        lead = next(i for i, x in enumerate(prow) if not x.is_zero())
+        if not red[lead].is_zero():
+            c = red[lead] / prow[lead]
+            red = [a - c * b for a, b in zip(red, prow)]
+    if all(x.is_zero() for x in red):
+        return False
+    echelon.append(red)
+    return True
+
+
 def functor_Fe(form: EDForm, idem: IdempotentE):
     """F_e: the E-valued form tr_E o h~ restricted to V e.  Returns the
     t x t Gram matrix over E.  Nondegeneracy of the output is verified on
@@ -717,21 +647,11 @@ def functor_Fe(form: EDForm, idem: IdempotentE):
         for c in range(2):
             X = [[E.zero(), E.zero()] for _ in range(t)]
             X[i][c] = E.one()
-            Xe = [list(vec) for vec in X]
-            Xe = [[row_dot_e(Xe[r], [e[0][cc], e[1][cc]]) for cc in range(2)]
-                  for r in range(t)]
-            cands.append(Xe)
+            cands.append([[row_dot(row, [e[0][cc], e[1][cc]]) for cc in range(2)]
+                          for row in X])
     basis, ech = [], []
     for X in cands:
-        flat = [X[r][c] for r in range(t) for c in range(2)]
-        red = flat[:]
-        for prow in ech:
-            lead = next(i for i, v in enumerate(prow) if not v.is_zero())
-            if not red[lead].is_zero():
-                c = red[lead] / prow[lead]
-                red = [a - c * b for a, b in zip(red, prow)]
-        if any(not v.is_zero() for v in red):
-            ech.append(red)
+        if _echelon_add(ech, [X[r][c] for r in range(t) for c in range(2)]):
             basis.append(X)
         if len(basis) == t:
             break
@@ -747,7 +667,7 @@ def functor_Fe(form: EDForm, idem: IdempotentE):
     sg = _sigma_t(gram)
     if form.epsilon == -1:
         sg = [[-x for x in r] for r in sg]
-    if not cmat_is_zero(mat_sub(gram, sg)):
+    if not dmat_is_zero(dmat_sub(gram, sg)):
         raise AssertionError("F_e output failed the hermitian check")
     try:
         cmat_inv(gram)
@@ -783,11 +703,11 @@ def similitude_scale(e: IdempotentE, f: IdempotentE):
     u = data.u_mat
 
     def b(x, y):
-        col = cmat_mul(u, _sigma_t([y]))
-        return row_dot_e(x, [col[0][0], col[1][0]])
+        col = dmat_mul(u, _sigma_t([y]))
+        return row_dot(x, [col[0][0], col[1][0]])
 
     def perp(x):
-        col = cmat_mul(u, _sigma_t([x]))
+        col = dmat_mul(u, _sigma_t([x]))
         return [col[1][0], -col[0][0]]
 
     x, y = line_of(e), line_of(f)
@@ -802,13 +722,13 @@ def similitude_scale(e: IdempotentE, f: IdempotentE):
         raise NoSimilitudeFound("norm equation for the similitude is unsolvable")
     R_from = [y, yp]
     R_to = [x, [c * v for v in xp]]
-    g = cmat_mul(cmat_inv(R_from), R_to)
+    g = dmat_mul(cmat_inv(R_from), R_to)
     # verify both similitude conditions
-    s_mat = cmat_mul(g, data.theta(g))
-    if not cmat_is_zero(mat_sub(s_mat, scalar_mat(E, E.from_f(mu)))):
+    s_mat = dmat_mul(g, data.theta(g))
+    if not dmat_is_zero(dmat_sub(s_mat, scalar_mat(E, E.from_f(mu)))):
         raise NoSimilitudeFound("similitude verification failed")
-    lhs = cmat_mul(g, cmat_mul([list(r) for r in e.mat], cmat_inv(g)))
-    if not cmat_is_zero(mat_sub(lhs, [list(r) for r in f.mat])):
+    lhs = dmat_mul(g, dmat_mul([list(r) for r in e.mat], cmat_inv(g)))
+    if not dmat_is_zero(dmat_sub(lhs, [list(r) for r in f.mat])):
         raise NoSimilitudeFound("conjugation verification failed")
     return mu, g
 
@@ -826,7 +746,7 @@ def _beta_normalize(cfg: FieldConfig, form: HermitianForm, beta):
         beta = [list(r) for r in beta]
     M = form.rows()
     adj = dmat_mul(dmat_inv(M), dmat_mul(dmat_rho_t(beta), M))
-    if not cmat_is_zero(mat_add(adj, beta)):
+    if not dmat_is_zero(dmat_add(adj, beta)):
         raise NotSkewAdjoint("beta must be skew for sigma_h")
     sq = dmat_mul(beta, beta)
     d00 = sq[0][0]
@@ -859,42 +779,42 @@ class HtildeBeta:
     frame: tuple                # E-basis g_1..g_n of V e1 (D-coordinate vectors)
 
     def pair(self, v, w):
-        """h~_beta(v, w) in tensor coordinates: 1 (x) h(v,w) +
-        beta (x) h(v, beta w)/delta."""
-        E = self.split.E
-        delta = E.delta
-        h0 = self.form.evaluate(v, w)
-        h1 = self.form.evaluate(v, vec_apply([list(r) for r in self.beta], w))
-        h1 = h1.scale_f(delta.inv())
-        t0 = tensor_from_quat(E, h0)
-        t1 = tensor_scale(E.gen(), tensor_from_quat(E, h1))
-        return tensor_add(t0, t1)
+        return _htilde_pair(self.form, self.beta, self.split.E, self.split.E.delta,
+                            v, w)
+
+
+def _htilde_pair(form: HermitianForm, beta, E: QuadExtField, delta: FElement, v, w):
+    """h~_beta(v, w) in tensor coordinates: 1 (x) h(v, w) +
+    beta (x) h(v, beta w)/delta."""
+    h0 = form.evaluate(v, w)
+    h1 = form.evaluate(v, vec_apply(beta, w)).scale_f(delta.inv())
+    return tensor_add(tensor_from_quat(E, h0),
+                      tensor_scale(E.gen(), tensor_from_quat(E, h1)))
 
 
 def compute_htilde_beta(form: HermitianForm, beta, w_choice: int = 0) -> HtildeBeta:
     """Construct h~_beta for a skew beta generating a quadratic field."""
     cfg = form.cfg
-    if not form.rank or not formvalid(form):
+    if not form.rank or not validate(form):
         raise DegenerateForm("invalid input form")
     beta, delta = _beta_normalize(cfg, form, beta)
     data = split_for_delta(cfg, delta, w_choice)
     E = data.E
     n = form.rank
 
-    def beta_apply(v):
-        return vec_apply(beta, v)
+    # the D-basis (1, u, pi_D, u pi_D) of the tensor coordinates
+    dbasis = [QuaternionElement.one(cfg), QuaternionElement.u_elem(cfg),
+              QuaternionElement.pi_D(cfg),
+              QuaternionElement.u_elem(cfg) * QuaternionElement.pi_D(cfg)]
 
     def e_action(e: QuadExtElement, v):
         av = [q.scale_f(e.a) for q in v]
-        bv = [q.scale_f(e.b) for q in beta_apply(v)]
+        bv = [q.scale_f(e.b) for q in vec_apply(beta, v)]
         return [a + b for a, b in zip(av, bv)]
 
     def tensor_op(ten, v):
-        basis = [QuaternionElement.one(cfg), QuaternionElement.u_elem(cfg),
-                 QuaternionElement.pi_D(cfg),
-                 QuaternionElement.u_elem(cfg) * QuaternionElement.pi_D(cfg)]
         out = None
-        for coeff, d in zip(ten, basis):
+        for coeff, d in zip(ten, dbasis):
             part = [q * d for q in e_action(coeff, v)]
             out = part if out is None else [a + b for a, b in zip(out, part)]
         return out
@@ -904,9 +824,6 @@ def compute_htilde_beta(form: HermitianForm, beta, w_choice: int = 0) -> HtildeB
     frame = []
     echelon: list = []
     cand_vectors = []
-    dbasis = [QuaternionElement.one(cfg), QuaternionElement.u_elem(cfg),
-              QuaternionElement.pi_D(cfg),
-              QuaternionElement.u_elem(cfg) * QuaternionElement.pi_D(cfg)]
     for i in range(n):
         for d in dbasis:
             v = [QuaternionElement.zero(cfg)] * n
@@ -916,41 +833,21 @@ def compute_htilde_beta(form: HermitianForm, beta, w_choice: int = 0) -> HtildeB
     def flat(v):
         return [c for q in v for c in quat_f_coords(q)]
 
-    def reduce_vec(fv):
-        red = fv[:]
-        for prow in echelon:
-            lead = next(i for i, x in enumerate(prow) if not x.is_zero())
-            if not red[lead].is_zero():
-                c = red[lead] / prow[lead]
-                red = [a - c * b for a, b in zip(red, prow)]
-        return red
-
     for v in cand_vectors:
         if len(frame) == n:
             break
-        red = reduce_vec(flat(v))
-        if all(x.is_zero() for x in red):
-            continue
-        frame.append(v)
-        for w in (v, e_action(E.gen(), v)):
-            red = reduce_vec(flat(w))
-            if any(not x.is_zero() for x in red):
-                echelon.append(red)
+        if _echelon_add(echelon, flat(v)):
+            frame.append(v)
+            _echelon_add(echelon, flat(e_action(E.gen(), v)))
     if len(frame) < n:
         raise DegenerateForm("frame extraction failed")
-
-    def pair(v, w):
-        h0 = form.evaluate(v, w)
-        h1 = form.evaluate(v, beta_apply(w)).scale_f(delta.inv())
-        return tensor_add(tensor_from_quat(E, h0),
-                          tensor_scale(E.gen(), tensor_from_quat(E, h1)))
 
     u1inv = data.u1.inv()
     H = []
     for gi in frame:
         row = []
         for gj in frame:
-            val = data.to_matrix(pair(list(gi), list(gj)))
+            val = data.to_matrix(_htilde_pair(form, beta, E, delta, gi, gj))
             if not (val[0][1].is_zero() and val[1][0].is_zero()
                     and val[1][1].is_zero()):
                 raise DegenerateForm("frame vectors are not e1-adapted")
@@ -961,12 +858,6 @@ def compute_htilde_beta(form: HermitianForm, beta, w_choice: int = 0) -> HtildeB
         raise DegenerateForm("h~_beta is degenerate at tracked precision")
     return HtildeBeta(form, tuple(tuple(r) for r in beta), data, ed,
                       tuple(tuple(v) for v in frame))
-
-
-def formvalid(form: HermitianForm) -> bool:
-    from .hermitian import validate as _v
-
-    return _v(form)
 
 
 def frame_rows(data: SplitData, t: int):
@@ -996,7 +887,7 @@ def trace_transfer(form: EDForm, lam_scale: FElement | None = None) -> Hermitian
             grow.append(tensor_lambda_apply(cfg, ten, lam_scale))
         gram.append(grow)
     out = HermitianForm.from_rows(form.epsilon, gram)
-    if not formvalid(out):
+    if not validate(out):
         raise DegenerateForm("trace transfer produced an invalid form")
     return out
 

@@ -156,6 +156,8 @@ class QuaternionElement:
             raise PrecisionExhausted("nu_D not certified at tracked precision")
         return v
 
+    valuation = nu_D  # so the elimination kernel treats D like F, L and E
+
     def symmetry_type(self) -> str:
         """'symmetric' iff rho(x) = x, 'skew' iff rho(x) = -x, else 'neither'."""
         if (self.rho() - self).is_zero():

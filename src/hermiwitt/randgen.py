@@ -95,6 +95,28 @@ def rand_form(cfg: FieldConfig, r: random.Random, epsilon: int, rank: int) -> He
     return HermitianForm.from_rows(epsilon, M)
 
 
+def rand_eform(data, r: random.Random, eps: int, t: int):
+    """Random eps-hermitian t x t matrix over the field E of a SplitData,
+    with F-integral entries: drawn row by row above the diagonal, the
+    diagonal sigma-fixed (eps = 1) or in F times the generator (eps = -1)."""
+    cfg, E = data.cfg, data.E
+    rows = []
+    for i in range(t):
+        row = []
+        for j in range(t):
+            if j < i:
+                x = rows[j][i].sigma()
+                row.append(x if eps == 1 else -x)
+            elif j == i:
+                d = rand_f(cfg, r, 0, 1)
+                row.append(E.from_f(d) if eps == 1 else E.gen().scale_f(d))
+            else:
+                row.append(E.el(rand_f(cfg, r, 0, 1, nonzero=False),
+                                rand_f(cfg, r, 0, 1, nonzero=False)))
+        rows.append(row)
+    return rows
+
+
 def rand_skew_adjoint(cfg: FieldConfig, r: random.Random, form: HermitianForm):
     """sigma_h-skew-adjoint X with entries of positive nu_D: X = Y - sigma_h(Y)."""
     from .hermitian import dmat_inv, dmat_mul, dmat_rho_t, dmat_sub

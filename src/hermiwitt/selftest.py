@@ -292,25 +292,6 @@ def wittclass_form_invariance(cfg: FieldConfig, seed: int, n=200):
     return _suite("wittclass_form_invariance", checks)
 
 
-def _rand_eform(data, r, eps, t):
-    cfg, E = data.cfg, data.E
-    rows = []
-    for i in range(t):
-        row = []
-        for j in range(t):
-            if j < i:
-                x = rows[j][i].sigma()
-                row.append(x if eps == 1 else -x)
-            elif j == i:
-                d = rg.rand_f(cfg, r, 0, 1)
-                row.append(E.from_f(d) if eps == 1 else E.gen().scale_f(d))
-            else:
-                row.append(E.el(rg.rand_f(cfg, r, 0, 1, nonzero=False),
-                                rg.rand_f(cfg, r, 0, 1, nonzero=False)))
-        rows.append(row)
-    return rows
-
-
 def morita_phi_relations(cfg: FieldConfig, seed: int):
     checks = []
     for gen in (QuaternionElement.u_elem(cfg), QuaternionElement.pi_D(cfg)):
@@ -328,8 +309,8 @@ def morita_fe_sums(cfg: FieldConfig, seed: int, n=100):
     for _ in range(n):
         eps = 1 if r.random() < 0.5 else -1
         t1, t2 = r.randint(1, 2), r.randint(1, 2)
-        h1 = mo.functor_Ge(_rand_eform(data, r, eps, t1), data, eps)
-        h2 = mo.functor_Ge(_rand_eform(data, r, eps, t2), data, eps)
+        h1 = mo.functor_Ge(rg.rand_eform(data, r, eps, t1), data, eps)
+        h2 = mo.functor_Ge(rg.rand_eform(data, r, eps, t2), data, eps)
         s = h1.orthogonal_sum(h2)
         c = mo.e_witt_class(mo.functor_Fe(s, data.e1()), E, eps)
         c1 = mo.e_witt_class(mo.functor_Fe(h1, data.e1()), E, eps)
@@ -346,7 +327,7 @@ def morita_independence(cfg: FieldConfig, seed: int, n=50):
     for _ in range(n):
         eps = 1 if r.random() < 0.5 else -1
         t = r.randint(1, 2)
-        H = _rand_eform(d1, r, eps, t)
+        H = rg.rand_eform(d1, r, eps, t)
         ed1 = mo.EDForm(d1, eps, tuple(tuple(x) for x in H))
         ed2 = mo.EDForm(d2, eps, tuple(tuple(x) for x in H))
         if not (ed1.validate() and ed2.validate()):
@@ -367,7 +348,7 @@ def morita_trl(cfg: FieldConfig, seed: int, n=20):
     for _ in range(n):
         eps = 1 if r.random() < 0.5 else -1
         t = r.randint(1, 2)
-        ed = mo.functor_Ge(_rand_eform(data, r, eps, t), data, eps)
+        ed = mo.functor_Ge(rg.rand_eform(data, r, eps, t), data, eps)
         base = wc.class_of_form(mo.trace_transfer(ed))
         for c in (1, 3, int(cfg.p) + 1):
             scaled = wc.class_of_form(mo.trace_transfer(ed, cfg.f(c)))

@@ -21,6 +21,20 @@ class MalformedInput(HermiwittError):
     pass
 
 
+def _int(x, what: str) -> int:
+    try:
+        return int(x)
+    except (TypeError, ValueError) as ex:
+        raise MalformedInput(f"{what} must be an integer, got {x!r}") from ex
+
+
+def _epsilon(obj: dict) -> int:
+    eps = _int(obj["epsilon"], "epsilon")
+    if eps not in (1, -1):
+        raise MalformedInput(f"epsilon must be +1 or -1, got {eps}")
+    return eps
+
+
 def f_to_json(x: FElement) -> dict:
     if x.is_zero():
         return {"base": "F", "val": None, "digits": [], "prec": x.prec}
@@ -48,16 +62,17 @@ def f_from_json(cfg: FieldConfig, obj) -> FElement:
     else:
         unit = 0
         for i, d in enumerate(digits):
-            unit += int(d) * cfg.p**i
+            unit += _int(d, "digit") * cfg.p**i
         if unit % cfg.p == 0:
             raise MalformedInput("unit part must not be divisible by p")
-        x = cfg.f(unit).shift(int(val))
+        val = _int(val, "val")
+        x = cfg.f(unit).shift(val)
     if "prec" not in obj:
         return x
     prec = obj["prec"]
     if isinstance(prec, bool) or not isinstance(prec, int) or prec < 1:
         raise MalformedInput(f"prec must be a positive integer, got {prec!r}")
-    if val is not None and int(val) >= prec:
+    if val is not None and val >= prec:
         raise MalformedInput("val must be below prec")
     # adding O(p^prec) caps the absolute precision at prec
     return x + cfg.f_zero().shift(prec - cfg.precision)
@@ -105,7 +120,7 @@ def form_to_json(form: HermitianForm) -> dict:
 def form_from_json(cfg: FieldConfig, obj) -> HermitianForm:
     if not isinstance(obj, dict) or "gram" not in obj or "epsilon" not in obj:
         raise MalformedInput("form must carry 'epsilon' and 'gram'")
-    eps = int(obj["epsilon"])
+    eps = _epsilon(obj)
     gram = obj["gram"]
     n = len(gram)
     if obj.get("rank", n) != n or any(len(r) != n for r in gram):
@@ -138,7 +153,7 @@ def edform_from_json(cfg: FieldConfig, obj):
     delta = f_from_json(cfg, obj["delta"])
     data = split_for_delta(cfg, delta)
     H = [[e_from_json(data.E, x) for x in row] for row in obj["H"]]
-    ed = EDForm(data, int(obj["epsilon"]), tuple(tuple(r) for r in H))
+    ed = EDForm(data, _epsilon(obj), tuple(tuple(r) for r in H))
     if not ed.validate():
         raise MalformedInput("H is not eps-hermitian nondegenerate over E")
     return ed

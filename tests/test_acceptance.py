@@ -11,6 +11,8 @@ from hermiwitt.hermitian import (
     DiagonalForm,
     HermitianForm,
     cayley_isometry,
+    dmat_is_zero,
+    dmat_sub,
     hL_evaluate,
     is_isometry,
     l_coordinates,
@@ -159,25 +161,6 @@ def test_criterion_6_trace_lift(cfg):
            f"{failures} failures")
 
 
-def _rand_eform(data, r, eps, t):
-    cfg, E = data.cfg, data.E
-    rows = []
-    for i in range(t):
-        row = []
-        for j in range(t):
-            if j < i:
-                x = rows[j][i].sigma()
-                row.append(x if eps == 1 else -x)
-            elif j == i:
-                d = rg.rand_f(cfg, r, 0, 1)
-                row.append(E.from_f(d) if eps == 1 else E.gen().scale_f(d))
-            else:
-                row.append(E.el(rg.rand_f(cfg, r, 0, 1, nonzero=False),
-                                rg.rand_f(cfg, r, 0, 1, nonzero=False)))
-        rows.append(row)
-    return rows
-
-
 def test_criterion_7_morita_roundtrip(cfg):
     r = rg.rng(SEED + 7)
     failures = 0
@@ -187,10 +170,10 @@ def test_criterion_7_morita_roundtrip(cfg):
         for i in range(100):
             eps = 1 if i % 2 else -1
             t = r.randint(1, 2)
-            hE = _rand_eform(data, r, eps, t)
+            hE = rg.rand_eform(data, r, eps, t)
             ed = mo.functor_Ge(hE, data, eps)
             back = mo.functor_Fe(ed, data.e1())
-            if not mo.cmat_is_zero(mo.mat_sub(back, hE)):
+            if not dmat_is_zero(dmat_sub(back, hE)):
                 failures += 1
         # scaling law on 20 idempotent pairs
         done = 0
@@ -202,7 +185,7 @@ def test_criterion_7_morita_roundtrip(cfg):
             except Exception:
                 continue
             s, g = mo.similitude_scale(data.e1(), f)
-            ed = mo.functor_Ge(_rand_eform(data, r, 1, 2), data, 1)
+            ed = mo.functor_Ge(rg.rand_eform(data, r, 1, 2), data, 1)
             c_e = mo.e_witt_class(mo.functor_Fe(ed, data.e1()), E, 1)
             c_f = mo.e_witt_class(mo.functor_Fe(ed, f), E, 1)
             if c_f != c_e.scale(s.inv()):
@@ -215,7 +198,7 @@ def test_criterion_7_morita_roundtrip(cfg):
     while done < 50:
         eps = 1 if r.random() < 0.5 else -1
         t = r.randint(1, 2)
-        H = _rand_eform(d1, r, eps, t)
+        H = rg.rand_eform(d1, r, eps, t)
         ed1 = mo.EDForm(d1, eps, tuple(tuple(x) for x in H))
         ed2 = mo.EDForm(d2, eps, tuple(tuple(x) for x in H))
         if not (ed1.validate() and ed2.validate()):
@@ -241,7 +224,7 @@ def test_criterion_8_trace_transfer_collapse(cfg):
         ma = mo.max_anisotropic_edform(data, eps)
         if not wc.class_of_form(mo.trace_transfer(ma)).is_hyperbolic():
             failures += 1
-        ed = mo.functor_Ge(_rand_eform(data, r, eps, 2), data, eps)
+        ed = mo.functor_Ge(rg.rand_eform(data, r, eps, 2), data, eps)
         c1 = wc.class_of_form(mo.trace_transfer(ed))
         c2 = wc.class_of_form(mo.trace_transfer(ed.orthogonal_sum(ma)))
         if c1 != c2:
@@ -285,7 +268,7 @@ def _build_element_level_instance(cfg, r, idx):
         E = data.E
         t = r.randint(1, min(2, budget - (n_simple - 1 - i)))
         budget -= t
-        ed = mo.functor_Ge(_rand_eform(data, r, eps, t), data, eps)
+        ed = mo.functor_Ge(rg.rand_eform(data, r, eps, t), data, eps)
         cls = mo.e_witt_class(mo.functor_Fe(ed, data.e1()), E, eps)
         # token attributes derived from the element level
         e_par, f_par = (1, 0) if not E.ramified else (0, 1)

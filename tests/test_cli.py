@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from hermiwitt import randgen as rg
 from hermiwitt import serialize as sz
@@ -60,6 +63,100 @@ def test_decompose_reduced_precision_forms(capsys):
             assert rc == 0, (rank, t)
             assert json.loads(out)["witt_class"] == \
                 wc.class_of_form(form).sorted_names()
+
+
+def test_tower_rejects_non_hermitian(capsys):
+    form = {"epsilon": 1, "rank": 2,
+            "gram": [[{"a": "1"}, {"a": "2"}], [{"a": "3"}, {"a": "1"}]]}
+    beta = {"a": "0", "b": {"a": "0", "b": "1"}}
+    rc = run(["tower", "--form", json.dumps(form), "--beta", json.dumps(beta)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("invalid:")
+
+
+def _f_elem(**kw):
+    return {"a": {"a": dict({"base": "F"}, **kw), "b": "0"}, "b": "0"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--form", json.dumps(
+        {"epsilon": 1, "gram": [[_f_elem(val=0, digits=["x"])]]})],
+    ["decompose", "--form", json.dumps(
+        {"epsilon": 1, "gram": [[_f_elem(val="x", digits=[1])]]})],
+    ["decompose", "--form", json.dumps({"epsilon": 2, "gram": [[{"a": "1"}]]})],
+    ["decompose", "--form", json.dumps({"epsilon": "x", "gram": [[{"a": "1"}]]})],
+    ["transfer", "--form", json.dumps(
+        {"epsilon": 2, "delta": "2", "t": 1, "H": [[{"a": "1", "b": "0"}]]})],
+], ids=["digit", "val", "epsilon-2", "epsilon-x", "transfer-epsilon-2"])
+def test_malformed_json_exits_1(capsys, argv):
+    rc = run(argv)
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def _l(x):
+    """An L-element x or x[0] + x[1] u as JSON."""
+    return str(x) if isinstance(x, int) else {"a": str(x[0]), "b": str(x[1])}
+
+
+def _q(a, b):
+    """The quaternion a + b pi_D as JSON."""
+    return {"a": _l(a), "b": _l(b)}
+
+
+def _e(a, b):
+    """The E-element a + b w as JSON."""
+    return {"a": str(a), "b": str(b)}
+
+
+def _args(*docs):
+    return [d if isinstance(d, str) else json.dumps(d, separators=(",", ":"))
+            for d in docs]
+
+
+# Fixed requests at (p, N) = (5, 32) and the SHA-256 of their stdout.  The
+# tower requests are h = rho(S)^T diag(d) S with beta = S^-1 (beta0 I) S;
+# they run h~_beta, F_e and the splitting, and the transfer requests run the
+# splitting's inverse matrices and its nullspace vector.
+PINNED = {
+    "decompose_sym": (_args("decompose", "--form", {"epsilon": 1, "gram": [
+        [_q((3, 1), 5), _q((1, 2), (4, 7)), _q(5, (0, 1))],
+        [_q((1, 2), (4, -7)), _q(10, 1), _q((0, 3), 10)],
+        [_q(5, (0, -1)), _q((0, 3), 10), _q((0, 1), 25)]]}),
+        "740ec112806c2a964cda6e276908094a4825e390f2f9ce8f048628aa55a96bc9"),
+    "decompose_skew": (_args("decompose", "--form", {"epsilon": -1, "gram": [
+        [_q(0, (0, 1)), _q((2, 1), (1, 3))],
+        [_q((-2, -1), (-1, 3)), _q(0, (0, 15))]]}),
+        "c681fd52f34a606379fd26bbba91d2945cd9f1645e7f03cfdfaea171856d108b"),
+    "tower_u": (_args(
+        "tower", "--form", {"epsilon": 1, "gram": [[_q(0, 1), _q(5, 1)],
+                                                   [_q(5, 1), _q(10, 8)]]},
+        "--beta", [[_q((0, 1), 0), _q(0, (0, 2))], [_q(0, 0), _q((0, 1), 0)]]),
+        "52b73dc7e28ed66884926be95795ddb7cac1ba4c6fb2b5dec6dad2dddee10ad6"),
+    "tower_upi": (_args(
+        "tower", "--form", {"epsilon": -1, "gram": [
+            [_q(0, (0, 1)), _q(-10, (-2, 2))], [_q(10, (2, 2)), _q(0, (0, 15))]]},
+        "--beta", [[_q(0, 1), _q((0, -10), (0, -2))], [_q(0, 0), _q(0, 1)]]),
+        "64c9caf6c66f307e556037da490f1bc92e2d58e4b45f08e06bc064fa8d21ddd3"),
+    "transfer_unram": (_args("transfer", "--form", {
+        "epsilon": 1, "delta": "2", "t": 2,
+        "H": [[_e(1, 0), _e(2, 1)], [_e(2, -1), _e(5, 0)]]}),
+        "0f9b13c2171c3430aeccaacf6912f5ca2e693d1c5bfc2481c934ceb8296c8392"),
+    "transfer_ram": (_args("transfer", "--form", {
+        "epsilon": -1, "delta": "5", "t": 2,
+        "H": [[_e(0, 1), _e(1, 2)], [_e(-1, 2), _e(0, 3)]]}),
+        "19fd0076f3008a392165394d36047d01ed0e21607ad2bf2a9be4c16e4d4423d1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_output(capsys, name):
+    argv, digest = PINNED[name]
+    rc, out = run_cli(capsys, "--prime", "5", "--precision", "32", *argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_tower_and_transfer(capsys, tmp_path):

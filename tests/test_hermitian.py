@@ -8,12 +8,14 @@ from hermiwitt.errors import (
     HermiwittError,
     NotSelfAdjoint,
     NotSkewAdjoint,
+    Singular,
 )
 from hermiwitt.hermitian import (
     HermitianForm,
     cayley_isometry,
     diagonalize,
     dmat_identity,
+    dmat_inv,
     dmat_is_zero,
     dmat_mul,
     dmat_rho_t,
@@ -22,12 +24,14 @@ from hermiwitt.hermitian import (
     is_isometry,
     l_coordinates,
     reduced_norm,
+    row_reduce,
     trace_lift_hL,
     twist,
     validate,
+    vec_apply,
     witt_decompose,
 )
-from hermiwitt.padic import FieldConfig
+from hermiwitt.padic import FieldConfig, QuadExtField
 from hermiwitt.quaternion import QuaternionElement as Q
 from hermiwitt import randgen as rg
 from hermiwitt import wittclass as wc
@@ -391,6 +395,48 @@ def test_reduced_norm_via_L_matches_quaternion_nrd(cfg5):
     for _ in range(30):
         x = rg.rand_quat(cfg5, r)
         assert (reduced_norm([[x]]) - x.nrd()).is_zero()
+
+
+def _ring_elements(cfg, ring):
+    """A draw of integral elements of F, L, ramified E = F(sqrt p) or D."""
+    E = QuadExtField(cfg, cfg.pi(), "E")
+    return {
+        "F": lambda r: rg.rand_f(cfg, r, 0, 2),
+        "L": lambda r: rg.rand_l(cfg, r, 0, 2),
+        "E": lambda r: E.el(rg.rand_f(cfg, r, 0, 2), rg.rand_f(cfg, r, 0, 2)),
+        "D": lambda r: rg.rand_quat(cfg, r, 0, 2),
+    }[ring]
+
+
+@pytest.mark.parametrize("ring", ["F", "L", "E", "D"])
+def test_elimination_kernel(cfg5, ring):
+    """One kernel for every ring: dmat_inv inverts, refuses a rank-deficient
+    matrix, and the pivot map of row_reduce yields a nullspace vector."""
+    draw = _ring_elements(cfg5, ring)
+    r = rg.rng(61)
+    for n in (1, 2, 3, 4):
+        A = [[draw(r) for _ in range(n)] for _ in range(n)]
+        one = A[0][0] ** 0
+        I = [[one if i == j else one - one for j in range(n)] for i in range(n)]
+        assert dmat_is_zero(dmat_sub(dmat_mul(dmat_inv(A), A), I))
+        if n > 1:
+            c = draw(r)
+            with pytest.raises(Singular):
+                dmat_inv(A[:-1] + [[c * e for e in A[0]]])
+        # a 3 x 4 system has a nonzero right kernel vector
+        M = [[draw(r) for _ in range(4)] for _ in range(3)]
+        R = [row[:] for row in M]
+        pivots = row_reduce(R, 4)
+        f = next(c for c in range(4) if c not in pivots)
+        x = [one - one] * 4
+        x[f] = one
+        for col, row in pivots.items():
+            x[col] = -R[row][f]
+        assert all(e.is_zero() for e in vec_apply(M, x))
+    if ring == "D":
+        for _ in range(10):
+            x = draw(r)
+            assert (reduced_norm([[x]]) - x.nrd()).is_zero()
 
 
 def test_form_json_roundtrip(cfg5):

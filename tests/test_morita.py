@@ -1,30 +1,17 @@
 import pytest
 
 from hermiwitt.errors import NotQuadratic, NotSkewAdjoint
-from hermiwitt.hermitian import HermitianForm, validate as form_validate, vec_apply
+from hermiwitt.hermitian import (
+    HermitianForm,
+    dmat_is_zero,
+    dmat_sub,
+    validate as form_validate,
+    vec_apply,
+)
 from hermiwitt.quaternion import QuaternionElement as Q
 from hermiwitt import morita as mo
 from hermiwitt import randgen as rg
 from hermiwitt import wittclass as wc
-
-
-def rand_eform(data, r, eps, t):
-    cfg, E = data.cfg, data.E
-    rows = []
-    for i in range(t):
-        row = []
-        for j in range(t):
-            if j < i:
-                x = rows[j][i].sigma()
-                row.append(x if eps == 1 else -x)
-            elif j == i:
-                d = rg.rand_f(cfg, r, 0, 1)
-                row.append(E.from_f(d) if eps == 1 else E.gen().scale_f(d))
-            else:
-                row.append(E.el(rg.rand_f(cfg, r, 0, 1, nonzero=False),
-                                rg.rand_f(cfg, r, 0, 1, nonzero=False)))
-        rows.append(row)
-    return rows
 
 
 def test_split_validates(cfg5):
@@ -39,7 +26,7 @@ def test_split_validates(cfg5):
 def test_phi_unital(cfg5):
     data = mo.split(cfg5, Q.u_elem(cfg5))
     one = data.embed_quat(Q.one(cfg5))
-    assert mo.cmat_is_zero(mo.mat_sub(one, mo.scalar_mat(data.E, data.E.one())))
+    assert dmat_is_zero(dmat_sub(one, mo.scalar_mat(data.E, data.E.one())))
 
 
 def test_functor_fe_rank_and_roundtrip(cfg5):
@@ -49,11 +36,11 @@ def test_functor_fe_rank_and_roundtrip(cfg5):
         for eps in (1, -1):
             for _ in range(10):
                 t = r.randint(1, 2)
-                hE = rand_eform(data, r, eps, t)
+                hE = rg.rand_eform(data, r, eps, t)
                 ed = mo.functor_Ge(hE, data, eps)
                 back = mo.functor_Fe(ed, data.e1())
                 assert len(back) == t
-                assert mo.cmat_is_zero(mo.mat_sub(back, hE))
+                assert dmat_is_zero(dmat_sub(back, hE))
 
 
 def test_ge_block_formula(cfg5):
@@ -95,7 +82,7 @@ def test_similitude_examples(cfg5):
             continue
         s, g = mo.similitude_scale(data.e1(), f)
         # scaling law on a test form
-        hE = rand_eform(data, r, 1, 2)
+        hE = rg.rand_eform(data, r, 1, 2)
         ed = mo.functor_Ge(hE, data, 1)
         c_e = mo.e_witt_class(mo.functor_Fe(ed, data.e1()), E, 1)
         c_f = mo.e_witt_class(mo.functor_Fe(ed, f), E, 1)
@@ -109,7 +96,7 @@ def test_splitting_independence(cfg5):
     for _ in range(15):
         eps = 1 if r.random() < 0.5 else -1
         t = r.randint(1, 2)
-        H = rand_eform(d1, r, eps, t)
+        H = rg.rand_eform(d1, r, eps, t)
         ed1 = mo.EDForm(d1, eps, tuple(tuple(x) for x in H))
         ed2 = mo.EDForm(d2, eps, tuple(tuple(x) for x in H))
         if not (ed1.validate() and ed2.validate()):
@@ -128,7 +115,7 @@ def test_htilde_beta_identities(cfg5):
         data = mo.split(cfg5, gen)
         E = data.E
         for eps in (1, -1):
-            hE = rand_eform(data, r, eps, 2)
+            hE = rg.rand_eform(data, r, eps, 2)
             ed = mo.functor_Ge(hE, data, eps)
             h, beta = mo.realize_instance(ed)
             assert form_validate(h)
@@ -171,7 +158,7 @@ def test_trace_transfer_collapse(cfg5):
             ma = mo.max_anisotropic_edform(data, eps)
             assert wc.class_of_form(mo.trace_transfer(ma)).is_hyperbolic()
             for _ in range(5):
-                ed = mo.functor_Ge(rand_eform(data, r, eps, 2), data, eps)
+                ed = mo.functor_Ge(rg.rand_eform(data, r, eps, 2), data, eps)
                 c1 = wc.class_of_form(mo.trace_transfer(ed))
                 c2 = wc.class_of_form(mo.trace_transfer(ed.orthogonal_sum(ma)))
                 assert c1 == c2
@@ -181,7 +168,7 @@ def test_trace_transfer_lambda_independence(cfg5):
     r = rg.rng(103)
     data = mo.split(cfg5, Q.u_elem(cfg5))
     for _ in range(10):
-        ed = mo.functor_Ge(rand_eform(data, r, 1, 2), data, 1)
+        ed = mo.functor_Ge(rg.rand_eform(data, r, 1, 2), data, 1)
         base = wc.class_of_form(mo.trace_transfer(ed))
         for c in (2, 3, 7):
             assert wc.class_of_form(mo.trace_transfer(ed, cfg5.f(c))) == base
@@ -191,7 +178,7 @@ def test_witt_tower_evaluation_consistency(cfg5):
     r = rg.rng(107)
     data = mo.split(cfg5, Q.u_elem(cfg5))
     E = data.E
-    ed = mo.functor_Ge(rand_eform(data, r, 1, 2), data, 1)
+    ed = mo.functor_Ge(rg.rand_eform(data, r, 1, 2), data, 1)
     h, beta = mo.realize_instance(ed)
     wt = mo.witt_tower_of(h, beta)
     for _ in range(5):
@@ -208,7 +195,7 @@ def test_tower_conjugation_remark(cfg5):
     # isometric h with conjugated beta gives a matching (equal) tower
     r = rg.rng(109)
     data = mo.split(cfg5, Q.u_elem(cfg5))
-    ed = mo.functor_Ge(rand_eform(data, r, 1, 1), data, 1)
+    ed = mo.functor_Ge(rg.rand_eform(data, r, 1, 1), data, 1)
     h, beta = mo.realize_instance(ed)
     X = rg.rand_skew_adjoint(cfg5, r, h)
     from hermiwitt.hermitian import cayley_isometry, dmat_inv, dmat_mul
@@ -237,10 +224,10 @@ def test_edform_json_roundtrip(cfg5):
 
     r = rg.rng(113)
     data = mo.split(cfg5, Q.pi_D(cfg5))
-    ed = mo.functor_Ge(rand_eform(data, r, 1, 2), data, 1)
+    ed = mo.functor_Ge(rg.rand_eform(data, r, 1, 2), data, 1)
     back = sz.edform_from_json(cfg5, sz.edform_to_json(ed))
     assert back.epsilon == ed.epsilon and back.t == ed.t
-    assert mo.cmat_is_zero(mo.mat_sub(back.rows(), ed.rows()))
+    assert dmat_is_zero(dmat_sub(back.rows(), ed.rows()))
 
 
 def test_trace_transfer_e_to_f(cfg5):
@@ -284,7 +271,7 @@ def test_e_witt_class_group_laws(cfg5):
     E = data.E
     for _ in range(20):
         t = r.randint(1, 2)
-        H = rand_eform(data, r, 1, t)
+        H = rg.rand_eform(data, r, 1, t)
         negH = [[-x for x in row] for row in H]
         z = E.zero()
         double = [list(row) + [z] * t for row in H]
