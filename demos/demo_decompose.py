@@ -3,7 +3,7 @@
 hyperbolic planes, certify the anisotropic kernel, and check invariance
 under a random change of basis."""
 
-from hermiwitt.hermitian import HermitianForm, dmat_mul, dmat_rho_t, witt_decompose
+from hermiwitt.hermitian import HermitianForm, congruence, witt_decompose
 from hermiwitt.padic import FieldConfig
 from hermiwitt.quaternion import QuaternionElement as Q
 from hermiwitt import randgen as rg
@@ -22,8 +22,7 @@ print(f"  witt index = {idx}, anisotropic rank = {len(aniso.entries)}, "
       f"class = {wc.class_of_diagonal(aniso)}")
 
 S = rg.rand_invertible(cfg, r, 3)
-scrambled = HermitianForm.from_rows(
-    1, dmat_mul(dmat_rho_t(S), dmat_mul(base.rows(), S)))
+scrambled = HermitianForm.from_rows(1, congruence(base.rows(), S, S))
 idx2, aniso2 = witt_decompose(scrambled)
 print("after a random congruence rho(S)^T M S:")
 print(f"  witt index = {idx2}, class = {wc.class_of_diagonal(aniso2)} "

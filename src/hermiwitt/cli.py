@@ -69,11 +69,15 @@ def _emit(obj) -> None:
     sys.stdout.write("\n")
 
 
+def _env_precision() -> int:
+    return sz._int(os.environ.get("HERMIWITT_PRECISION", "32"),
+                   "HERMIWITT_PRECISION")
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="hermiwitt", description=__doc__)
     p.add_argument("--prime", type=int, default=5)
-    p.add_argument("--precision", type=int,
-                   default=int(os.environ.get("HERMIWITT_PRECISION", "32")))
+    p.add_argument("--precision", type=int, default=_env_precision())
     p.add_argument("--seed", type=int, default=1)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -183,9 +187,8 @@ _COMMANDS = {
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         cfg = _cfg(args)
         rc = _COMMANDS[args.command](cfg, args)
         return rc or 0

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import IncomparableTokens, InfeasibleLift, InvalidParameter
+from .serialize import MalformedInput, _epsilon, _int
 from .wittclass import WittClassD
 
 DEG_D = 2  # reduced degree of D
@@ -348,10 +349,11 @@ def token_to_json(tok: EndoClassToken) -> dict:
 
 def token_from_json(d: dict) -> EndoClassToken:
     return EndoClassToken(
-        id=str(d["id"]), kind=d["kind"], degree=int(d["degree"]),
-        e_parity=int(d.get("e_parity", 0)), f_parity=int(d.get("f_parity", 0)),
+        id=str(d["id"]), kind=d["kind"], degree=_int(d["degree"], "degree"),
+        e_parity=_int(d.get("e_parity", 0), "e_parity"),
+        f_parity=_int(d.get("f_parity", 0), "f_parity"),
         min_tag=str(d.get("min_tag", "")),
-        aniso_parity=int(d.get("aniso_parity", 0)),
+        aniso_parity=_int(d.get("aniso_parity", 0), "aniso_parity"),
         wtd_odd=frozenset(d.get("wtd_odd", [])))
 
 
@@ -371,7 +373,8 @@ def witt_type_from_json(d: dict, token: EndoClassToken | None) -> WittType:
         return WittType.hyperbolic()
     if d.get("beta") == "ZERO":
         return WittType.null(tower["witt_class"])
-    return WittType.simple(token, int(tower["diman"]), int(tower.get("selector", 0)))
+    return WittType.simple(token, _int(tower["diman"], "diman"),
+                           _int(tower.get("selector", 0), "selector"))
 
 
 def parameter_to_json(fm: EndoParameter) -> dict:
@@ -386,22 +389,29 @@ def parameter_to_json(fm: EndoParameter) -> dict:
             "support": supp}
 
 
-def parameter_from_json(d: dict) -> EndoParameter:
-    eps = int(d["epsilon"])
+def _ambient_from_json(d: dict):
+    """(epsilon, m, h_class) of a parameter or lift document."""
+    eps = _epsilon(d)
     amb = d["ambient"]
-    h = WittClassD(eps, frozenset(amb["h_class"]))
+    try:
+        h = WittClassD(eps, frozenset(amb["h_class"]))
+    except ValueError as ex:
+        raise MalformedInput(str(ex)) from ex
+    return eps, _int(amb["m"], "m"), h
+
+
+def parameter_from_json(d: dict) -> EndoParameter:
+    eps, m, h = _ambient_from_json(d)
     supp = []
     for item in d["support"]:
         tok = token_from_json(item)
         f2 = witt_type_from_json(item["f2"], tok)
-        supp.append((tok, int(item["f1"]), f2))
-    return EndoParameter(eps, int(amb["m"]), h, tuple(supp))
+        supp.append((tok, _int(item["f1"], "f1"), f2))
+    return EndoParameter(eps, m, h, tuple(supp))
 
 
 def lift_from_json(d: dict):
-    eps = int(d["epsilon"])
-    amb = d["ambient"]
-    h = WittClassD(eps, frozenset(amb["h_class"]))
-    entries = [LiftEntry(token_from_json(item), int(item["f"]))
+    eps, m, h = _ambient_from_json(d)
+    entries = [LiftEntry(token_from_json(item), _int(item["f"], "f"))
                for item in d["lift"]]
-    return entries, eps, int(amb["m"]), h
+    return entries, eps, m, h

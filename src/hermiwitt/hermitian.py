@@ -5,6 +5,11 @@ Cayley isometries.
 Conventions: V is a right D-space with coordinate columns, so
 h(v, w) = rho(x)^T M y for coordinate vectors x, y, a congruence acts as
 M -> rho(S)^T M S, and the hermitian axiom reads M = eps * rho(M)^T.
+
+The form layer (involution-transpose, the eps-hermitian predicate, the
+sigma_h-adjoint, congruence, the sesquilinear evaluator and diagonalize)
+serves forms over (E, sigma_E) as well: it applies the involution through
+each element's bar(), which is rho on D and sigma on E.
 """
 
 from __future__ import annotations
@@ -26,9 +31,32 @@ from .quaternion import QuaternionElement
 # and by F, L and E (commutative)
 # ---------------------------------------------------------------------------
 
+def dmat_scalar(x, n: int):
+    """x times the n x n identity matrix, over F, L, E or D; the zeros are
+    the ring's full-precision zero."""
+    one = x ** 0
+    zero = one - one
+    return [[x if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def dmat_of(x, n: int):
+    """x as an n x n matrix over D: a quaternion stands for x times the
+    identity, a matrix is copied."""
+    if isinstance(x, QuaternionElement):
+        return dmat_scalar(x, n)
+    return [list(r) for r in x]
+
+
+def dmat_blockdiag(A, B):
+    """The block-diagonal matrix diag(A, B), over F, L, E or D."""
+    one = A[0][0] ** 0
+    zero = one - one
+    return ([list(r) + [zero] * len(B) for r in A]
+            + [[zero] * len(A) + list(r) for r in B])
+
+
 def dmat_identity(cfg: FieldConfig, n: int):
-    one, zero = QuaternionElement.one(cfg), QuaternionElement.zero(cfg)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+    return dmat_scalar(QuaternionElement.one(cfg), n)
 
 
 def dmat_mul(A, B):
@@ -53,14 +81,10 @@ def dmat_sub(A, B):
     return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
-def dmat_neg(A):
-    return [[-a for a in row] for row in A]
-
-
-def dmat_rho_t(A):
-    """Entrywise rho followed by transpose."""
+def dmat_bar_t(A):
+    """Entrywise involution (rho over D, sigma over E) followed by transpose."""
     n, m = len(A), len(A[0])
-    return [[A[j][i].rho() for j in range(n)] for i in range(m)]
+    return [[A[j][i].bar() for j in range(n)] for i in range(m)]
 
 
 def dmat_is_zero(A) -> bool:
@@ -111,10 +135,7 @@ def dmat_inv(A):
     """Inverse of a square matrix over F, L, E or D: row_reduce on [A | I].
     Raises Singular when a column has no pivot at tracked precision."""
     n = len(A)
-    one = A[0][0] ** 0
-    zero = one - one
-    M = [list(row) + [one if i == j else zero for j in range(n)]
-         for i, row in enumerate(A)]
+    M = [list(row) + e for row, e in zip(A, dmat_scalar(A[0][0] ** 0, n))]
     row_reduce(M, n, full_rank=True)
     return [row[n:] for row in M]
 
@@ -157,12 +178,47 @@ def row_dot(row, x):
 
 
 # ---------------------------------------------------------------------------
+# the form layer, shared by (D, rho) and (E, sigma_E)
+# ---------------------------------------------------------------------------
+
+def is_eps_hermitian(M, epsilon: int) -> bool:
+    """Whether M = eps * bar(M)^T at tracked precision."""
+    combine = dmat_sub if epsilon == 1 else dmat_add
+    return dmat_is_zero(combine(M, dmat_bar_t(M)))
+
+
+def sigma_h_adjoint(M, X):
+    """sigma_h(X) = M^(-1) bar(X)^T M, the adjoint of X for the form with
+    Gram matrix M."""
+    return dmat_mul(dmat_inv(M), dmat_mul(dmat_bar_t(X), M))
+
+
+def congruence(M, X, Y):
+    """bar(X)^T (M Y): the values of the form M between the columns of X and
+    those of Y; congruence(M, S, S) is the Gram matrix in the basis S."""
+    return dmat_mul(dmat_bar_t(X), dmat_mul(M, Y))
+
+
+def sesquilinear(M, x, y):
+    """bar(x)^T M y for coordinate vectors, summed term by term as
+    (bar(x_i) M_ij) y_j, i outer, j inner."""
+    s = None
+    for i, row in enumerate(M):
+        bx = x[i].bar()
+        for j, m in enumerate(row):
+            t = bx * m * y[j]
+            s = t if s is None else s + t
+    return s
+
+
+# ---------------------------------------------------------------------------
 # forms
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class HermitianForm:
-    """Nondegenerate eps-hermitian form given by its Gram matrix over D."""
+    """Nondegenerate eps-hermitian form given by its Gram matrix over D
+    (or over E, where the E-side Witt class diagonalizes one)."""
 
     epsilon: int
     gram: tuple  # tuple of tuples of QuaternionElement
@@ -205,34 +261,22 @@ class HermitianForm:
 
     def evaluate(self, x, y) -> QuaternionElement:
         """h(v, w) for coordinate vectors of quaternions."""
-        s = None
-        for i in range(self.rank):
-            rx = x[i].rho()
-            for j in range(self.rank):
-                t = rx * self.gram[i][j] * y[j]
-                s = t if s is None else s + t
-        return s
+        return sesquilinear(self.gram, x, y)
 
     def orthogonal_sum(self, other: HermitianForm) -> HermitianForm:
         if other.epsilon != self.epsilon:
             raise ValueError("epsilon mismatch in orthogonal sum")
-        zero = QuaternionElement.zero(self.cfg)
-        n, m = self.rank, other.rank
-        rows = []
-        for i in range(n):
-            rows.append(list(self.gram[i]) + [zero] * m)
-        for i in range(m):
-            rows.append([zero] * n + list(other.gram[i]))
-        return HermitianForm.from_rows(self.epsilon, rows)
+        return HermitianForm.from_rows(self.epsilon,
+                                       dmat_blockdiag(self.gram, other.gram))
 
 
 @dataclass(frozen=True)
 class DiagonalForm:
     """Diagonal entries plus split-off standard hyperbolic pairs.
 
-    Every entry is symmetric (eps = +1) or skew (eps = -1) and
-    distinguishable from zero; each hyperbolic pair stands for an
-    antidiag(1, eps) block."""
+    Every entry is symmetric (eps = +1) or skew (eps = -1) for the
+    involution and distinguishable from zero; each hyperbolic pair stands
+    for an antidiag(1, eps) block."""
 
     epsilon: int
     entries: tuple
@@ -244,15 +288,12 @@ class DiagonalForm:
 
 
 def validate(form: HermitianForm) -> bool:
-    want = dmat_rho_t(form.rows())
-    if form.epsilon == -1:
-        want = dmat_neg(want)
-    return dmat_is_zero(dmat_sub(form.rows(), want))
+    return is_eps_hermitian(form.rows(), form.epsilon)
 
 
 def _eliminate(G, basis, pivots, sols):
     """The congruence b_k <- b_k - sum_t b_{pivots[t]} * sols[k][t] for each
-    k in sols, applied to the Gram matrix G as rho(E)^T (G E): a column pass
+    k in sols, applied to the Gram matrix G as bar(E)^T (G E): a column pass
     over the pivot rows as well, then a row pass that reads the pivot rows
     just updated.  Every step is tracked arithmetic, so G stays honest."""
     rest = list(sols)
@@ -263,29 +304,30 @@ def _eliminate(G, basis, pivots, sols):
                 G[a][k] = G[a][k] - G[a][q] * c
     for j, s in sols.items():
         for q, c in zip(pivots, s):
-            rc = c.rho()
+            rc = c.bar()
             for k in rest:
                 G[j][k] = G[j][k] - rc * G[q][k]
 
 
 def diagonalize(form: HermitianForm):
     """Congruence-diagonalize: returns (T, DiagonalForm) with
-    rho(T)^T M T = blockdiag(entries..., antidiag(1, eps) pairs...).
+    bar(T)^T M T = blockdiag(entries..., antidiag(1, eps) pairs...), for a
+    Gram matrix over D or over E alike.
 
-    The pivot is the basis vector minimizing nu_D(h(v, v)) (ties: lowest
-    index).  When every diagonal candidate is indistinguishable from zero a
-    hyperbolic plane is split off from the first non-orthogonal pair.
+    The pivot is the basis vector minimizing the valuation of h(v, v)
+    (ties: lowest index).  When every diagonal candidate is
+    indistinguishable from zero a hyperbolic plane is split off from the
+    first non-orthogonal pair.
 
     The Gram matrix of the current basis is carried along and each step
-    updates it by a congruence M <- rho(E)^T M E, so no h(v, w) is evaluated
-    from scratch and a rank-n form costs ~n^3 quaternion multiplies."""
+    updates it by a congruence M <- bar(E)^T M E, so no h(v, w) is evaluated
+    from scratch and a rank-n form costs ~n^3 multiplies."""
     if not validate(form):
         raise DegenerateForm("not an eps-hermitian Gram matrix")
-    cfg, n, eps = form.cfg, form.rank, form.epsilon
-    # current basis vectors as coordinate columns in the original basis
-    basis = [[QuaternionElement.one(cfg) if i == j else QuaternionElement.zero(cfg)
-              for i in range(n)] for j in range(n)]
+    n, eps = form.rank, form.epsilon
     G = form.rows()  # G[i][j] = h(basis[i], basis[j])
+    # current basis vectors as coordinate columns in the original basis
+    basis = dmat_scalar(G[0][0] ** 0, n)
     active = list(range(n))
     entry_cols, pair_cols, entries, pairs = [], [], [], 0
     while active:
@@ -308,7 +350,7 @@ def diagonalize(form: HermitianForm):
         basis[j] = [bj * c for bj in basis[j]]
         for a in active:
             G[a][j] = G[a][j] * c
-        rc = c.rho()
+        rc = c.bar()
         for a in active:
             G[j][a] = rc * G[j][a]
         # orthogonalize the rest against the plane via the 2x2 block inverse
@@ -358,19 +400,13 @@ def witt_decompose(form: HermitianForm):
 def twist(form: HermitianForm, gamma) -> HermitianForm:
     """h^gamma(v, w) := h(v, gamma w).  gamma must be sigma_h-self-adjoint or
     skew-adjoint and invertible; epsilon flips exactly when gamma is skew."""
-    cfg, n = form.cfg, form.rank
-    if isinstance(gamma, QuaternionElement):
-        G = [[gamma if i == j else QuaternionElement.zero(cfg) for j in range(n)]
-             for i in range(n)]
-    else:
-        G = [list(r) for r in gamma]
+    G = dmat_of(gamma, form.rank)
     M = form.rows()
     try:
-        Minv = dmat_inv(M)
+        adj = sigma_h_adjoint(M, G)
         dmat_inv(G)
     except Singular:
         raise Singular("twist needs an invertible gamma and form")
-    adj = dmat_mul(Minv, dmat_mul(dmat_rho_t(G), M))
     if dmat_is_zero(dmat_sub(adj, G)):
         new_eps = form.epsilon
     elif dmat_is_zero(dmat_add(adj, G)):
@@ -462,14 +498,9 @@ def l_coordinates(vec):
 def cayley_isometry(X, form: HermitianForm):
     """g = (1 + X)(1 - X)^(-1) for sigma_h-skew-adjoint X; g is an isometry
     of the form (and has reduced norm 1)."""
-    M = form.rows()
-    n = form.rank
-    cfg = form.cfg
-    Minv = dmat_inv(M)
-    adj = dmat_mul(Minv, dmat_mul(dmat_rho_t(X), M))
-    if not dmat_is_zero(dmat_add(adj, X)):
+    if not dmat_is_zero(dmat_add(sigma_h_adjoint(form.rows(), X), X)):
         raise NotSkewAdjoint("X is not sigma_h-skew-adjoint")
-    I = dmat_identity(cfg, n)
+    I = dmat_identity(form.cfg, form.rank)
     try:
         g = dmat_mul(dmat_add(I, X), dmat_inv(dmat_sub(I, X)))
     except Singular:
@@ -479,4 +510,4 @@ def cayley_isometry(X, form: HermitianForm):
 
 def is_isometry(g, form: HermitianForm) -> bool:
     M = form.rows()
-    return dmat_is_zero(dmat_sub(dmat_mul(dmat_rho_t(g), dmat_mul(M, g)), M))
+    return dmat_is_zero(dmat_sub(congruence(M, g, g), M))

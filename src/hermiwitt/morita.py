@@ -39,14 +39,22 @@ from .padic import (
 from .quaternion import QuaternionElement
 from .hermitian import (
     HermitianForm,
+    congruence,
+    diagonalize,
     dmat_add,
+    dmat_bar_t,
+    dmat_blockdiag,
     dmat_inv,
     dmat_is_zero,
     dmat_mul,
-    dmat_rho_t,
+    dmat_of,
+    dmat_scalar,
     dmat_sub,
+    is_eps_hermitian,
     row_dot,
     row_reduce,
+    sesquilinear,
+    sigma_h_adjoint,
     validate,
     vec_apply,
 )
@@ -59,10 +67,6 @@ def cmat_inv(A):
     """Inverse of a matrix over E or F: dmat_inv under its own name, so that
     inverses on the E side are counted apart from those over D."""
     return dmat_inv(A)
-
-
-def _sigma_t(A):
-    return [[A[j][i].sigma() for j in range(len(A))] for i in range(len(A[0]))]
 
 
 def _fixed_to_f(e: QuadExtElement) -> FElement:
@@ -143,7 +147,7 @@ class SplitData:
 
     # -- conversions ---------------------------------------------------------
     def to_matrix(self, ten):
-        return _matrix_of_tensor(self.E, *self.gens, ten)
+        return _matrix_of_tensor(*self.gens, ten)
 
     def to_tensor(self, X):
         return _tensor_of_matrix(self.mphi_inv, X)
@@ -158,7 +162,7 @@ class SplitData:
 
     def theta(self, X):
         u = self.u_mat
-        return dmat_mul(u, dmat_mul(_sigma_t(X), cmat_inv(u)))
+        return dmat_mul(u, dmat_mul(dmat_bar_t(X), cmat_inv(u)))
 
     def e1(self) -> IdempotentE:
         E = self.E
@@ -178,7 +182,7 @@ class SplitData:
         """b-orthogonal projection onto the anisotropic line spanned by the
         row vector x."""
         u = self.u_mat
-        col = dmat_mul(u, _sigma_t([list(x)]))      # 2x1
+        col = dmat_mul(u, dmat_bar_t([list(x)]))      # 2x1
         q = row_dot(list(x), [col[0][0], col[1][0]])
         if q.is_zero():
             raise DegenerateForm("line is isotropic for the reference form")
@@ -193,8 +197,8 @@ class SplitData:
         r = E.from_f(cfg.f(cfg.nonresidue_r))
         pf = E.from_f(cfg.pi())
         checks = []
-        checks.append(dmat_is_zero(dmat_sub(dmat_mul(Gu, Gu), scalar_mat(E, r))))
-        checks.append(dmat_is_zero(dmat_sub(dmat_mul(Gpi, Gpi), scalar_mat(E, pf))))
+        checks.append(dmat_is_zero(dmat_sub(dmat_mul(Gu, Gu), dmat_scalar(r, 2))))
+        checks.append(dmat_is_zero(dmat_sub(dmat_mul(Gpi, Gpi), dmat_scalar(pf, 2))))
         checks.append(dmat_is_zero(dmat_add(dmat_mul(Gpi, Gu), dmat_mul(Gu, Gpi))))
         # pushforward identity on the basis and involutivity of theta
         for k in (1, 2, 3):
@@ -214,14 +218,10 @@ class SplitData:
         return all(checks)
 
 
-def scalar_mat(E: QuadExtField, e: QuadExtElement):
-    return [[e, E.zero()], [E.zero(), e]]
-
-
-def _matrix_of_tensor(E: QuadExtField, Gu, Gpi, ten):
+def _matrix_of_tensor(Gu, Gpi, ten):
     """Phi in tensor coordinates: ten[0] + ten[1] Gu + ten[2] Gpi +
     ten[3] Gu Gpi, for the images Gu, Gpi of 1 (x) u and 1 (x) pi_D."""
-    out = scalar_mat(E, ten[0])
+    out = dmat_scalar(ten[0], 2)
     for c, g in zip(ten[1:], (Gu, Gpi, dmat_mul(Gu, Gpi))):
         out = [[out[i][j] + c * g[i][j] for j in range(2)] for i in range(2)]
     return out
@@ -300,7 +300,7 @@ def _build_split(cfg: FieldConfig, delta: FElement, w_choice: int) -> SplitData:
     G0pi = g0_of(QuaternionElement.pi_D(cfg))
 
     def mphi_of(Gu, Gpi):
-        imgs = [scalar_mat(E, E.one()), Gu, Gpi, dmat_mul(Gu, Gpi)]
+        imgs = [dmat_scalar(E.one(), 2), Gu, Gpi, dmat_mul(Gu, Gpi)]
         cols = [[m[0][0], m[0][1], m[1][0], m[1][1]] for m in imgs]
         return [[cols[j][i] for j in range(4)] for i in range(4)]
 
@@ -308,13 +308,13 @@ def _build_split(cfg: FieldConfig, delta: FElement, w_choice: int) -> SplitData:
 
     def psi0(X):
         return _matrix_of_tensor(
-            E, G0u, G0pi, tensor_theta(_tensor_of_matrix(mphi0_inv, X)))
+            G0u, G0pi, tensor_theta(_tensor_of_matrix(mphi0_inv, X)))
 
     # solve B * Psi0(X) = sigma(X)^T * B on the generating images
     rows, zero = [], E.zero()
     for X in (G0u, G0pi, dmat_mul(G0u, G0pi)):
         P = psi0(X)
-        S = _sigma_t(X)
+        S = dmat_bar_t(X)
         for i in range(2):
             for j in range(2):
                 coeff = [zero, zero, zero, zero]
@@ -326,7 +326,7 @@ def _build_split(cfg: FieldConfig, delta: FElement, w_choice: int) -> SplitData:
     sol = _nullspace_vector(rows, E)
     B = [[sol[0], sol[1]], [sol[2], sol[3]]]
     # make B hermitian: sigma(B)^T = mu B with mu sigma(mu) = 1
-    Bs = _sigma_t(B)
+    Bs = dmat_bar_t(B)
     mu = None
     for i in range(2):
         for j in range(2):
@@ -340,7 +340,7 @@ def _build_split(cfg: FieldConfig, delta: FElement, w_choice: int) -> SplitData:
         if lam.is_zero():
             lam = E.gen()
         B = [[lam * e for e in row] for row in B]
-    if not dmat_is_zero(dmat_sub(_sigma_t(B), B)):
+    if not is_eps_hermitian(B, 1):
         raise AssertionError("could not symmetrize the involution Gram")
     C = cmat_inv(B)
     S = _e_gram_schmidt_basis(C, E)
@@ -348,14 +348,14 @@ def _build_split(cfg: FieldConfig, delta: FElement, w_choice: int) -> SplitData:
     # S holds the orthogonal basis as column vectors; m = sigma(S^T) makes
     # m C sigma(m)^T = diag(u1, u2)
     Smat = [[S[j][i] for j in range(2)] for i in range(2)]
-    m = _sigma_t(Smat)
+    m = dmat_bar_t(Smat)
     minv = cmat_inv(m)
     Gu = dmat_mul(m, dmat_mul(G0u, minv))
     Gpi = dmat_mul(m, dmat_mul(G0pi, minv))
     mphi_inv = cmat_inv(mphi_of(Gu, Gpi))
 
     # first-row solve: x -> first row of G_x (final Phi)
-    imgs = [scalar_mat(E, E.one()), Gu, Gpi, dmat_mul(Gu, Gpi)]
+    imgs = [dmat_scalar(E.one(), 2), Gu, Gpi, dmat_mul(Gu, Gpi)]
     cols = []
     for g in imgs:
         cols.append([g[0][0].a, g[0][0].b, g[0][1].a, g[0][1].b])
@@ -455,10 +455,7 @@ class EDForm:
         return [list(r) for r in self.H]
 
     def validate(self) -> bool:
-        Hs = _sigma_t(self.rows())
-        if self.epsilon == -1:
-            Hs = [[-e for e in row] for row in Hs]
-        if not dmat_is_zero(dmat_sub(self.rows(), Hs)):
+        if not is_eps_hermitian(self.rows(), self.epsilon):
             return False
         try:
             cmat_inv(self.rows())
@@ -468,16 +465,11 @@ class EDForm:
 
     def value(self, X, Y):
         """h~(X, Y) as a 2x2 matrix over E, for t x 2 coordinate matrices."""
-        sX = [[X[j][i].sigma() for j in range(self.t)] for i in range(2)]
-        return dmat_mul(self.split.u_mat, dmat_mul(sX, dmat_mul(self.rows(), Y)))
+        return dmat_mul(self.split.u_mat, congruence(self.rows(), X, Y))
 
     def orthogonal_sum(self, other: EDForm) -> EDForm:
         assert other.split is self.split and other.epsilon == self.epsilon
-        E = self.split.E
-        z = E.zero()
-        n, m = self.t, other.t
-        rows = [list(self.H[i]) + [z] * m for i in range(n)]
-        rows += [[z] * n + list(other.H[i]) for i in range(m)]
+        rows = dmat_blockdiag(self.H, other.H)
         return EDForm(self.split, self.epsilon, tuple(tuple(r) for r in rows))
 
     def free_gram(self):
@@ -537,65 +529,20 @@ class EWittClass:
                           self.i_is_norm == self.field.is_norm(s))
 
 
-def e_diagonalize(H, field: QuadExtField):
-    """Diagonal entries (sigma-fixed, as F-elements) of a hermitian form
-    over (E, sigma) by Gram-Schmidt with anisotropic-vector probing."""
-    n = len(H)
-    vecs = [[field.one() if i == j else field.zero() for i in range(n)]
-            for j in range(n)]
-    M = [list(r) for r in H]
-
-    entries = []
-    active = list(range(n))
-    while active:
-        piv = None
-        for i in active:
-            if not _e_form(M, vecs[i], vecs[i]).is_zero():
-                piv = i
-                break
-        if piv is None:
-            found = False
-            for ii, i in enumerate(active):
-                for j in active[ii + 1:]:
-                    for c in (field.one(), field.gen(), field.one() + field.gen()):
-                        cand = [a + c * b for a, b in zip(vecs[i], vecs[j])]
-                        if not _e_form(M, cand, cand).is_zero():
-                            vecs[i] = cand
-                            piv, found = i, True
-                            break
-                    if found:
-                        break
-                if found:
-                    break
-            if not found:
-                raise DegenerateForm("hermitian form over E is degenerate")
-        q = _e_form(M, vecs[piv], vecs[piv])
-        qinv = q.inv()
-        for j in active:
-            if j == piv:
-                continue
-            c = qinv * _e_form(M, vecs[piv], vecs[j])
-            vecs[j] = [b - c * a for a, b in zip(vecs[piv], vecs[j])]
-        entries.append(_fixed_to_f(q))
-        active.remove(piv)
-    return entries
-
-
 def e_witt_class(H, field: QuadExtField, epsilon: int) -> EWittClass:
-    """Witt class of an eps-hermitian Gram matrix over (E, sigma_E).  Skew
+    """Witt class of an eps-hermitian Gram matrix over (E, sigma_E), read off
+    its diagonalization; each hyperbolic pair counts as <1> perp <-1>.  Skew
     forms are classified through the fixed twist by the generator of E."""
-    H = [list(r) for r in H]
     if epsilon == -1:
         winv = field.gen().inv()
         H = [[winv * e for e in row] for row in H]
-    entries = e_diagonalize(H, field)
-    n = len(entries)
-    disc = entries[0]
-    for e in entries[1:]:
-        disc = disc * e
-    if (n // 2) % 2:
+    _, diag = diagonalize(HermitianForm.from_rows(1, H))
+    disc = field.cfg.f((-1) ** diag.hyperbolic_pairs)
+    for e in diag.entries:
+        disc = disc * _fixed_to_f(e)
+    if (diag.rank // 2) % 2:
         disc = -disc
-    return EWittClass(field, epsilon, n % 2, field.is_norm(disc))
+    return EWittClass(field, epsilon, diag.rank % 2, field.is_norm(disc))
 
 
 def max_anisotropic_edform(data: SplitData, epsilon: int) -> EDForm:
@@ -647,8 +594,7 @@ def functor_Fe(form: EDForm, idem: IdempotentE):
         for c in range(2):
             X = [[E.zero(), E.zero()] for _ in range(t)]
             X[i][c] = E.one()
-            cands.append([[row_dot(row, [e[0][cc], e[1][cc]]) for cc in range(2)]
-                          for row in X])
+            cands.append(dmat_mul(X, e))
     basis, ech = [], []
     for X in cands:
         if _echelon_add(ech, [X[r][c] for r in range(t) for c in range(2)]):
@@ -664,10 +610,7 @@ def functor_Fe(form: EDForm, idem: IdempotentE):
             val = form.value(X, Y)
             row.append(val[0][0] + val[1][1])
         gram.append(row)
-    sg = _sigma_t(gram)
-    if form.epsilon == -1:
-        sg = [[-x for x in r] for r in sg]
-    if not dmat_is_zero(dmat_sub(gram, sg)):
+    if not is_eps_hermitian(gram, form.epsilon):
         raise AssertionError("F_e output failed the hermitian check")
     try:
         cmat_inv(gram)
@@ -703,11 +646,11 @@ def similitude_scale(e: IdempotentE, f: IdempotentE):
     u = data.u_mat
 
     def b(x, y):
-        col = dmat_mul(u, _sigma_t([y]))
+        col = dmat_mul(u, dmat_bar_t([y]))
         return row_dot(x, [col[0][0], col[1][0]])
 
     def perp(x):
-        col = dmat_mul(u, _sigma_t([x]))
+        col = dmat_mul(u, dmat_bar_t([x]))
         return [col[1][0], -col[0][0]]
 
     x, y = line_of(e), line_of(f)
@@ -725,7 +668,7 @@ def similitude_scale(e: IdempotentE, f: IdempotentE):
     g = dmat_mul(cmat_inv(R_from), R_to)
     # verify both similitude conditions
     s_mat = dmat_mul(g, data.theta(g))
-    if not dmat_is_zero(dmat_sub(s_mat, scalar_mat(E, E.from_f(mu)))):
+    if not dmat_is_zero(dmat_sub(s_mat, dmat_scalar(E.from_f(mu), 2))):
         raise NoSimilitudeFound("similitude verification failed")
     lhs = dmat_mul(g, dmat_mul([list(r) for r in e.mat], cmat_inv(g)))
     if not dmat_is_zero(dmat_sub(lhs, [list(r) for r in f.mat])):
@@ -738,25 +681,15 @@ def similitude_scale(e: IdempotentE, f: IdempotentE):
 # ---------------------------------------------------------------------------
 
 def _beta_normalize(cfg: FieldConfig, form: HermitianForm, beta):
-    n = form.rank
-    if isinstance(beta, QuaternionElement):
-        zero = QuaternionElement.zero(cfg)
-        beta = [[beta if i == j else zero for j in range(n)] for i in range(n)]
-    else:
-        beta = [list(r) for r in beta]
-    M = form.rows()
-    adj = dmat_mul(dmat_inv(M), dmat_mul(dmat_rho_t(beta), M))
-    if not dmat_is_zero(dmat_add(adj, beta)):
+    beta = dmat_of(beta, form.rank)
+    if not dmat_is_zero(dmat_add(sigma_h_adjoint(form.rows(), beta), beta)):
         raise NotSkewAdjoint("beta must be skew for sigma_h")
     sq = dmat_mul(beta, beta)
     d00 = sq[0][0]
     if not (d00.b.is_zero() and d00.a.b.is_zero()):
         raise NotQuadratic("beta^2 must be a scalar in F")
-    for i in range(n):
-        for j in range(n):
-            want = d00 if i == j else QuaternionElement.zero(cfg)
-            if not (sq[i][j] - want).is_zero():
-                raise NotQuadratic("beta^2 must be a scalar matrix")
+    if not dmat_is_zero(dmat_sub(sq, dmat_scalar(d00, form.rank))):
+        raise NotQuadratic("beta^2 must be a scalar matrix")
     delta = d00.a.a
     k = delta.valuation() // 2
     if k:
@@ -807,38 +740,34 @@ def compute_htilde_beta(form: HermitianForm, beta, w_choice: int = 0) -> HtildeB
               QuaternionElement.pi_D(cfg),
               QuaternionElement.u_elem(cfg) * QuaternionElement.pi_D(cfg)]
 
-    def e_action(e: QuadExtElement, v):
-        av = [q.scale_f(e.a) for q in v]
-        bv = [q.scale_f(e.b) for q in vec_apply(beta, v)]
-        return [a + b for a, b in zip(av, bv)]
+    def e_action(e: QuadExtElement, v, bv):
+        """e acting on v, given bv = beta v."""
+        return [q.scale_f(e.a) + r.scale_f(e.b) for q, r in zip(v, bv)]
 
     def tensor_op(ten, v):
+        bv = vec_apply(beta, v)
         out = None
         for coeff, d in zip(ten, dbasis):
-            part = [q * d for q in e_action(coeff, v)]
+            part = [q * d for q in e_action(coeff, v, bv)]
             out = part if out is None else [a + b for a, b in zip(out, part)]
         return out
-
-    e1_tensor = data.to_tensor([list(r) for r in data.e1().mat])
-    # E-basis of V e1
-    frame = []
-    echelon: list = []
-    cand_vectors = []
-    for i in range(n):
-        for d in dbasis:
-            v = [QuaternionElement.zero(cfg)] * n
-            v[i] = d
-            cand_vectors.append(tensor_op(e1_tensor, v))
 
     def flat(v):
         return [c for q in v for c in quat_f_coords(q)]
 
-    for v in cand_vectors:
+    e1_tensor = data.to_tensor([list(r) for r in data.e1().mat])
+    zero = QuaternionElement.zero(cfg)
+    # E-basis of V e1 from the images of the vectors d e_i, built as needed
+    cands = (tensor_op(e1_tensor, [d if k == i else zero for k in range(n)])
+             for i in range(n) for d in dbasis)
+    frame, echelon = [], []
+    for v in cands:
+        if not _echelon_add(echelon, flat(v)):
+            continue
+        frame.append(v)
         if len(frame) == n:
             break
-        if _echelon_add(echelon, flat(v)):
-            frame.append(v)
-            _echelon_add(echelon, flat(e_action(E.gen(), v)))
+        _echelon_add(echelon, flat(e_action(E.gen(), v, vec_apply(beta, v))))
     if len(frame) < n:
         raise DegenerateForm("frame extraction failed")
 
@@ -896,27 +825,13 @@ def trace_transfer_e_to_f(hE, field: QuadExtField, lam_scale: FElement | None = 
     """Tr_lambda on an E-valued form: the composed F-bilinear form on the
     underlying F-space of E^t, as its 2t x 2t Gram matrix over F in the
     basis (e_1, ..., e_t, e_1 w, ..., e_t w)."""
-    cfg = field.cfg
     t = len(hE)
 
     def lam(e: QuadExtElement) -> FElement:
         return e.a if lam_scale is None else e.a * lam_scale
 
-    gen = field.gen()
-    basis = [[field.one() if i == j else field.zero() for j in range(t)]
-             for i in range(t)]
-    basis += [[gen if i == j else field.zero() for j in range(t)]
-              for i in range(t)]
-
-    def pair(x, y):
-        s = None
-        for i in range(t):
-            for j in range(t):
-                term = x[i].sigma() * hE[i][j] * y[j]
-                s = term if s is None else s + term
-        return s
-
-    return [[lam(pair(v, w)) for w in basis] for v in basis]
+    basis = dmat_scalar(field.one(), t) + dmat_scalar(field.gen(), t)
+    return [[lam(sesquilinear(hE, v, w)) for w in basis] for v in basis]
 
 
 def realize_instance(form: EDForm):
@@ -924,13 +839,9 @@ def realize_instance(form: EDForm):
     h = Tr_{lambda_beta}(form) on the standard D-frame and beta the matrix of
     the E-generator action in that frame."""
     data, t = form.split, form.t
-    cfg = data.cfg
     h = trace_transfer(form)
     gen_row = [data.E.gen(), data.E.zero()]
-    z = data.quat_of_row(gen_row)
-    zero = QuaternionElement.zero(cfg)
-    beta = [[z if i == j else zero for j in range(t)] for i in range(t)]
-    return h, beta
+    return h, dmat_scalar(data.quat_of_row(gen_row), t)
 
 
 @dataclass(frozen=True)

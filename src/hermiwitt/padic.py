@@ -519,6 +519,8 @@ class QuadExtElement:
         """The nontrivial automorphism a + bw -> a - bw (tau for E = L)."""
         return QuadExtElement(self.field, self.a, -self.b)
 
+    bar = sigma  # the involution of (E, sigma_E) that the form layer uses
+
     def norm(self) -> FElement:
         return self.a * self.a - self.field.delta * self.b * self.b
 

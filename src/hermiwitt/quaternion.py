@@ -109,6 +109,8 @@ class QuaternionElement:
         """The orthogonal anti-involution: a + b*pi_D -> a + tau(b)*pi_D."""
         return QuaternionElement(self.a, tau_conj(self.b))
 
+    bar = rho  # the involution of (D, rho) that the form layer uses
+
     def trd(self) -> FElement:
         return self.a.trace()
 

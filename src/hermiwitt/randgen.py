@@ -9,7 +9,13 @@ from __future__ import annotations
 import random
 
 from .errors import Singular
-from .hermitian import HermitianForm, dmat_inv
+from .hermitian import (
+    HermitianForm,
+    congruence,
+    dmat_inv,
+    dmat_sub,
+    sigma_h_adjoint,
+)
 from .padic import FElement, FieldConfig, QuadExtElement
 from .quaternion import QuaternionElement
 
@@ -87,12 +93,9 @@ def rand_invertible(cfg: FieldConfig, r: random.Random, n: int):
 
 def rand_form(cfg: FieldConfig, r: random.Random, epsilon: int, rank: int) -> HermitianForm:
     """Random nondegenerate form: a congruence-scrambled diagonal form."""
-    from .hermitian import dmat_mul, dmat_rho_t
-
     diag = rand_diagonal_form(cfg, r, epsilon, rank)
     S = rand_invertible(cfg, r, rank)
-    M = dmat_mul(dmat_rho_t(S), dmat_mul(diag.rows(), S))
-    return HermitianForm.from_rows(epsilon, M)
+    return HermitianForm.from_rows(epsilon, congruence(diag.rows(), S, S))
 
 
 def rand_eform(data, r: random.Random, eps: int, t: int):
@@ -119,10 +122,6 @@ def rand_eform(data, r: random.Random, eps: int, t: int):
 
 def rand_skew_adjoint(cfg: FieldConfig, r: random.Random, form: HermitianForm):
     """sigma_h-skew-adjoint X with entries of positive nu_D: X = Y - sigma_h(Y)."""
-    from .hermitian import dmat_inv, dmat_mul, dmat_rho_t, dmat_sub
-
     n = form.rank
     Y = [[rand_quat(cfg, r, 1, 2) for _ in range(n)] for _ in range(n)]
-    M = form.rows()
-    adj = dmat_mul(dmat_inv(M), dmat_mul(dmat_rho_t(Y), M))
-    return dmat_sub(Y, adj)
+    return dmat_sub(Y, sigma_h_adjoint(form.rows(), Y))

@@ -7,8 +7,7 @@ from .errors import OracleInconclusive
 from .hermitian import (
     HermitianForm,
     cayley_isometry,
-    dmat_mul,
-    dmat_rho_t,
+    congruence,
     is_isometry,
     reduced_norm,
     trace_lift_hL,
@@ -120,8 +119,7 @@ def hermitian_congruence(cfg: FieldConfig, seed: int, n=500):
         rank = r.randint(1, 3)
         diag = rg.rand_diagonal_form(cfg, r, eps, rank)
         S = rg.rand_invertible(cfg, r, rank)
-        M2 = dmat_mul(dmat_rho_t(S), dmat_mul(diag.rows(), S))
-        f2 = HermitianForm.from_rows(eps, M2)
+        f2 = HermitianForm.from_rows(eps, congruence(diag.rows(), S, S))
         i1, a1 = witt_decompose(diag)
         i2, a2 = witt_decompose(f2)
         checks.append(i1 == i2
@@ -286,8 +284,7 @@ def wittclass_form_invariance(cfg: FieldConfig, seed: int, n=200):
         rank = r.randint(1, 3)
         d = rg.rand_diagonal_form(cfg, r, eps, rank)
         S = rg.rand_invertible(cfg, r, rank)
-        f2 = HermitianForm.from_rows(
-            eps, dmat_mul(dmat_rho_t(S), dmat_mul(d.rows(), S)))
+        f2 = HermitianForm.from_rows(eps, congruence(d.rows(), S, S))
         checks.append(wc.class_of_form(d) == wc.class_of_form(f2))
     return _suite("wittclass_form_invariance", checks)
 

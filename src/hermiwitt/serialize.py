@@ -35,6 +35,18 @@ def _epsilon(obj: dict) -> int:
     return eps
 
 
+def _square(rows, what: str, n=None) -> list:
+    """rows, checked to be a non-empty square list of lists, with n rows
+    when n is given."""
+    if n is None and isinstance(rows, list):
+        n = len(rows)
+    if not (isinstance(rows, list) and rows and len(rows) == n
+            and all(isinstance(r, list) and len(r) == n for r in rows)):
+        raise MalformedInput(f"{what} must be a non-empty square matrix"
+                             " of the declared size")
+    return rows
+
+
 def f_to_json(x: FElement) -> dict:
     if x.is_zero():
         return {"base": "F", "val": None, "digits": [], "prec": x.prec}
@@ -121,10 +133,7 @@ def form_from_json(cfg: FieldConfig, obj) -> HermitianForm:
     if not isinstance(obj, dict) or "gram" not in obj or "epsilon" not in obj:
         raise MalformedInput("form must carry 'epsilon' and 'gram'")
     eps = _epsilon(obj)
-    gram = obj["gram"]
-    n = len(gram)
-    if obj.get("rank", n) != n or any(len(r) != n for r in gram):
-        raise MalformedInput("gram must be square and match 'rank'")
+    gram = _square(obj["gram"], "gram", obj.get("rank"))
     rows = [[quat_from_json(cfg, e) for e in r] for r in gram]
     return HermitianForm.from_rows(eps, rows)
 
@@ -132,9 +141,8 @@ def form_from_json(cfg: FieldConfig, obj) -> HermitianForm:
 def beta_from_json(cfg: FieldConfig, obj, rank: int):
     """A quaternion (acting diagonally) or an explicit rank x rank matrix."""
     if isinstance(obj, list):
-        if len(obj) != rank or any(len(r) != rank for r in obj):
-            raise MalformedInput("beta matrix must match the form rank")
-        return [[quat_from_json(cfg, e) for e in r] for r in obj]
+        return [[quat_from_json(cfg, e) for e in r]
+                for r in _square(obj, "beta matrix", rank)]
     return quat_from_json(cfg, obj)
 
 
@@ -152,7 +160,7 @@ def edform_from_json(cfg: FieldConfig, obj):
         raise MalformedInput("E(x)D form must carry 'delta' and 'H'")
     delta = f_from_json(cfg, obj["delta"])
     data = split_for_delta(cfg, delta)
-    H = [[e_from_json(data.E, x) for x in row] for row in obj["H"]]
+    H = [[e_from_json(data.E, x) for x in row] for row in _square(obj["H"], "H")]
     ed = EDForm(data, _epsilon(obj), tuple(tuple(r) for r in H))
     if not ed.validate():
         raise MalformedInput("H is not eps-hermitian nondegenerate over E")

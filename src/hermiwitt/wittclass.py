@@ -100,11 +100,7 @@ def class_of_form(form) -> WittClassD:
     """Diagonalize and XOR the line classes (hyperbolic pairs contribute 0)."""
     from .hermitian import diagonalize
 
-    _, diag = diagonalize(form)
-    c = WittClassD.zero(form.epsilon)
-    for d in diag.entries:
-        c = c + classify_line(d, form.epsilon)
-    return c
+    return class_of_diagonal(diagonalize(form)[1])
 
 
 def class_of_diagonal(diag) -> WittClassD:

@@ -88,7 +88,23 @@ def _f_elem(**kw):
     ["decompose", "--form", json.dumps({"epsilon": "x", "gram": [[{"a": "1"}]]})],
     ["transfer", "--form", json.dumps(
         {"epsilon": 2, "delta": "2", "t": 1, "H": [[{"a": "1", "b": "0"}]]})],
-], ids=["digit", "val", "epsilon-2", "epsilon-x", "transfer-epsilon-2"])
+    ["decompose", "--form", json.dumps({"epsilon": 1, "gram": []})],
+    ["tower", "--form", json.dumps({"epsilon": 1, "gram": []}),
+     "--beta", json.dumps({"a": "0", "b": {"a": "0", "b": "1"}})],
+    ["transfer", "--form", json.dumps({"epsilon": 1, "delta": "2", "H": []})],
+    ["transfer", "--form", json.dumps(
+        {"epsilon": 1, "delta": "2", "H": [["1", "0"], ["0"]]})],
+    ["transfer", "--form", json.dumps(
+        {"epsilon": 1, "delta": "2", "H": [["1", "0"]]})],
+    ["endo-validate", "--input", json.dumps(
+        {"epsilon": "x", "ambient": {"m": 2, "h_class": []}, "support": []})],
+    ["endo-validate", "--input", json.dumps(
+        {"epsilon": 1, "ambient": {"m": 2, "h_class": ["bogus"]}, "support": []})],
+    ["endo-count", "--input", json.dumps(
+        {"epsilon": 1, "ambient": {"m": "x", "h_class": []}, "lift": []})],
+], ids=["digit", "val", "epsilon-2", "epsilon-x", "transfer-epsilon-2",
+        "gram-empty", "tower-gram-empty", "H-empty", "H-ragged", "H-non-square",
+        "endo-epsilon-x", "endo-h-class-bogus", "endo-m-x"])
 def test_malformed_json_exits_1(capsys, argv):
     rc = run(argv)
     captured = capsys.readouterr()
@@ -232,6 +248,17 @@ def test_precision_env_override(capsys, monkeypatch):
 
     args = build_parser().parse_args(["selftest"])
     assert args.precision == 16
+
+
+def test_precision_env_read_on_every_run(capsys, monkeypatch):
+    """Each run() call takes its default precision from HERMIWITT_PRECISION
+    as it is at that call."""
+    form = json.dumps({"epsilon": 1, "gram": [["1"]]})
+    for prec in (16, 20):
+        monkeypatch.setenv("HERMIWITT_PRECISION", str(prec))
+        rc, out = run_cli(capsys, "decompose", "--form", form)
+        assert rc == 0
+        assert json.loads(out)["anisotropic"][0]["a"]["a"]["prec"] == prec
 
 
 def test_missing_at_file_is_malformed(capsys):

@@ -18,7 +18,7 @@ from hermiwitt.hermitian import (
     dmat_inv,
     dmat_is_zero,
     dmat_mul,
-    dmat_rho_t,
+    dmat_bar_t,
     dmat_sub,
     hL_evaluate,
     is_isometry,
@@ -249,7 +249,7 @@ def test_diagonalize_precision_honest(p, N):
 
 def _assert_congruence_postcondition(form, T, dg):
     cfg, n, eps = form.cfg, form.rank, form.epsilon
-    got = dmat_mul(dmat_rho_t(T), dmat_mul(form.rows(), T))
+    got = dmat_mul(dmat_bar_t(T), dmat_mul(form.rows(), T))
     want = [[Q.zero(cfg) for _ in range(n)] for _ in range(n)]
     k = len(dg.entries)
     for i, d in enumerate(dg.entries):
@@ -286,7 +286,7 @@ def test_random_congruence_class_invariance(cfg5):
     base = HermitianForm.diagonal(1, [Q.one(cfg5), alpha])
     for _ in range(10):
         S = rg.rand_invertible(cfg5, r, 2)
-        M = dmat_mul(dmat_rho_t(S), dmat_mul(base.rows(), S))
+        M = dmat_mul(dmat_bar_t(S), dmat_mul(base.rows(), S))
         f = HermitianForm.from_rows(1, M)
         assert wc.class_of_form(f) == wc.class_of_form(base)
 

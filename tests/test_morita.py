@@ -4,10 +4,12 @@ from hermiwitt.errors import NotQuadratic, NotSkewAdjoint
 from hermiwitt.hermitian import (
     HermitianForm,
     dmat_is_zero,
+    dmat_scalar,
     dmat_sub,
     validate as form_validate,
     vec_apply,
 )
+from hermiwitt.padic import FieldConfig
 from hermiwitt.quaternion import QuaternionElement as Q
 from hermiwitt import morita as mo
 from hermiwitt import randgen as rg
@@ -26,7 +28,7 @@ def test_split_validates(cfg5):
 def test_phi_unital(cfg5):
     data = mo.split(cfg5, Q.u_elem(cfg5))
     one = data.embed_quat(Q.one(cfg5))
-    assert dmat_is_zero(dmat_sub(one, mo.scalar_mat(data.E, data.E.one())))
+    assert dmat_is_zero(dmat_sub(one, dmat_scalar(data.E.one(), 2)))
 
 
 def test_functor_fe_rank_and_roundtrip(cfg5):
@@ -264,20 +266,32 @@ def test_trace_transfer_e_to_f(cfg5):
     assert (lhs.a - rhs).is_zero()
 
 
-def test_e_witt_class_group_laws(cfg5):
-    # h perp (-h) is hyperbolic and adding a split plane fixes the class
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("gen,eps", [(Q.u_elem, 1), (Q.u_elem, -1),
+                                     (Q.pi_D, 1), (Q.pi_D, -1)],
+                         ids=["u+1", "u-1", "piD+1", "piD-1"])
+def test_e_witt_class_group_laws(p, gen, eps):
+    # h perp (-h) is hyperbolic and adding a split plane fixes the class;
+    # forms with zero diagonal take diagonalize's hyperbolic-pair branch.
+    # At p = 7 the ramified E = F(pi_D) has -1 as a non-norm, so the sign
+    # that each hyperbolic pair puts into the discriminant matters.
+    cfg = FieldConfig(p, 32)
     r = rg.rng(131)
-    data = mo.split(cfg5, Q.u_elem(cfg5))
+    data = mo.split(cfg, gen(cfg))
     E = data.E
-    for _ in range(20):
-        t = r.randint(1, 2)
-        H = rg.rand_eform(data, r, 1, t)
+    z = E.zero()
+    # the eps-hermitian split plane: antidiag(1, eps) over E
+    plane = [[z, E.one()], [E.from_f(cfg.f(eps)), z]]
+    for k in range(20):
+        t = r.randint(1, 2) if k % 3 else 2
+        H = rg.rand_eform(data, r, eps, t)
+        if k % 3 == 0:
+            H[0][0] = H[1][1] = z
         negH = [[-x for x in row] for row in H]
-        z = E.zero()
         double = [list(row) + [z] * t for row in H]
         double += [[z] * t + list(row) for row in negH]
-        assert mo.e_witt_class(double, E, 1).is_hyperbolic()
-        plane = [[z, E.one()], [E.one(), z]]
+        assert mo.e_witt_class(double, E, eps).is_hyperbolic()
         padded = [list(row) + [z, z] for row in H]
-        padded += [[z] * t + list(p) for p in plane]
-        assert mo.e_witt_class(padded, E, 1) == mo.e_witt_class(H, E, 1)
+        padded += [[z] * t + list(row) for row in plane]
+        assert mo.e_witt_class(padded, E, eps) == mo.e_witt_class(H, E, eps)
+    assert mo.e_witt_class(plane, E, eps).is_hyperbolic()
