@@ -347,14 +347,25 @@ def token_to_json(tok: EndoClassToken) -> dict:
     return out
 
 
-def token_from_json(d: dict) -> EndoClassToken:
+def _witt_class(names, epsilon: int, what: str) -> WittClassD:
+    """names, a list of generator names of the epsilon Witt group, as a
+    class of that group."""
+    if not isinstance(names, list):
+        raise MalformedInput(f"{what} must be a list of generator names")
+    try:
+        return WittClassD(epsilon, frozenset(names))
+    except (TypeError, ValueError) as ex:
+        raise MalformedInput(f"{what}: {ex}") from ex
+
+
+def token_from_json(d: dict, epsilon: int) -> EndoClassToken:
     return EndoClassToken(
         id=str(d["id"]), kind=d["kind"], degree=_int(d["degree"], "degree"),
         e_parity=_int(d.get("e_parity", 0), "e_parity"),
         f_parity=_int(d.get("f_parity", 0), "f_parity"),
         min_tag=str(d.get("min_tag", "")),
         aniso_parity=_int(d.get("aniso_parity", 0), "aniso_parity"),
-        wtd_odd=frozenset(d.get("wtd_odd", [])))
+        wtd_odd=_witt_class(d.get("wtd_odd", []), epsilon, "wtd_odd").coords)
 
 
 def witt_type_to_json(f2: WittType) -> dict:
@@ -367,12 +378,14 @@ def witt_type_to_json(f2: WittType) -> dict:
     return {"beta": "token", "tower": tower}
 
 
-def witt_type_from_json(d: dict, token: EndoClassToken | None) -> WittType:
+def witt_type_from_json(d: dict, token: EndoClassToken | None,
+                        epsilon: int) -> WittType:
     tower = d["tower"]
     if tower == "HYP":
         return WittType.hyperbolic()
     if d.get("beta") == "ZERO":
-        return WittType.null(tower["witt_class"])
+        return WittType.null(
+            _witt_class(tower["witt_class"], epsilon, "witt_class").coords)
     return WittType.simple(token, _int(tower["diman"], "diman"),
                            _int(tower.get("selector", 0), "selector"))
 
@@ -393,10 +406,7 @@ def _ambient_from_json(d: dict):
     """(epsilon, m, h_class) of a parameter or lift document."""
     eps = _epsilon(d)
     amb = d["ambient"]
-    try:
-        h = WittClassD(eps, frozenset(amb["h_class"]))
-    except ValueError as ex:
-        raise MalformedInput(str(ex)) from ex
+    h = _witt_class(amb["h_class"], eps, "h_class")
     return eps, _int(amb["m"], "m"), h
 
 
@@ -404,14 +414,14 @@ def parameter_from_json(d: dict) -> EndoParameter:
     eps, m, h = _ambient_from_json(d)
     supp = []
     for item in d["support"]:
-        tok = token_from_json(item)
-        f2 = witt_type_from_json(item["f2"], tok)
+        tok = token_from_json(item, eps)
+        f2 = witt_type_from_json(item["f2"], tok, eps)
         supp.append((tok, _int(item["f1"], "f1"), f2))
     return EndoParameter(eps, m, h, tuple(supp))
 
 
 def lift_from_json(d: dict):
     eps, m, h = _ambient_from_json(d)
-    entries = [LiftEntry(token_from_json(item), _int(item["f"], "f"))
+    entries = [LiftEntry(token_from_json(item, eps), _int(item["f"], "f"))
                for item in d["lift"]]
     return entries, eps, m, h

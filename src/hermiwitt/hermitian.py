@@ -466,17 +466,11 @@ def trace_lift_hL(form: HermitianForm):
     L in the basis (e_1..e_n, e_1 pi_D .. e_n pi_D)."""
     if not validate(form):
         raise DegenerateForm("invalid hermitian form")
+    # l_embedding's blocks, with its lower block row scaled by pi_F
     n = len(form.gram)
     pf = form.cfg.pi()
-    A = [[form.gram[i][j].a for j in range(n)] for i in range(n)]
-    B = [[form.gram[i][j].b for j in range(n)] for i in range(n)]
-    rows = []
-    for i in range(n):
-        rows.append(A[i] + [B[i][j].scale_f(pf) for j in range(n)])
-    for i in range(n):
-        rows.append([tau_conj(B[i][j]).scale_f(pf) for j in range(n)]
-                    + [tau_conj(A[i][j]).scale_f(pf) for j in range(n)])
-    return rows
+    rows = l_embedding(form.gram)
+    return rows[:n] + [[x.scale_f(pf) for x in r] for r in rows[n:]]
 
 
 def hL_evaluate(hL, x, y):

@@ -472,23 +472,6 @@ class EDForm:
         rows = dmat_blockdiag(self.H, other.H)
         return EDForm(self.split, self.epsilon, tuple(tuple(r) for r in rows))
 
-    def free_gram(self):
-        """Gram over E (x) D for even t (free module of rank t/2): matrices
-        K_ij = u_mat * H[2i:2i+2, 2j:2j+2]."""
-        if self.t % 2:
-            raise ValueError("free Gram needs an even number of simple summands")
-        k = self.t // 2
-        u = self.split.u_mat
-        out = []
-        for i in range(k):
-            row = []
-            for j in range(k):
-                blk = [[self.H[2 * i][2 * j], self.H[2 * i][2 * j + 1]],
-                       [self.H[2 * i + 1][2 * j], self.H[2 * i + 1][2 * j + 1]]]
-                row.append(dmat_mul(u, blk))
-            out.append(row)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # E-side Witt machinery

@@ -5,6 +5,9 @@ Elements are tracked with an absolute precision: an element with
 worst-case precision loss; nothing is ever rounded silently.  An element all
 of whose known digits vanish is "indistinguishable from zero" and refuses to
 answer valuation or classification queries.
+
+``QuadExt`` is the one ring layer of a + b*w that the quadratic extensions
+L and E (``QuadExtElement``) and the quaternions D (``quaternion``) share.
 """
 
 from __future__ import annotations
@@ -143,7 +146,37 @@ class FieldConfig:
         return find_nonsquare_unit_L(self)
 
 
-class FElement:
+class Ring:
+    """What every element type derives from its own ``+``, negation,
+    ``*``, ``inv`` and ``_coerce`` (an operand in the same ring, or None):
+    F's ``FElement`` and the ``QuadExt`` algebras L, E and D."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        return -(self - other)
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return self.inv() ** (-n)
+        out = self._coerce(1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def same(self, other) -> bool:
+        """Indistinguishable from ``other`` at the shared precision."""
+        o = self._coerce(other)
+        return (self - o).is_zero()
+
+
+class FElement(Ring):
     """Element of F = Q_p known modulo p^prec.
 
     ``val is None`` encodes an element indistinguishable from 0 (all known
@@ -264,15 +297,6 @@ class FElement:
         return FElement(self.cfg, self.val,
                         self.cfg.ppow(self.prec - self.val) - self.unit, self.prec)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -288,6 +312,7 @@ class FElement:
                               self.val + o.val + rel)
 
     __rmul__ = __mul__
+    scale_f = __mul__  # F is its own scalar ring (see QuadExt.scale_f)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -313,14 +338,6 @@ class FElement:
     def inv(self) -> FElement:
         return 1 / self
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return (1 / self) ** (-n)
-        out = FElement.from_int(self.cfg, 1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def shift(self, k: int) -> FElement:
         """Multiply by the exact power p^k."""
         if self.val is None:
@@ -330,11 +347,6 @@ class FElement:
     def unit_part(self) -> FElement:
         """x * p^(-val); costs val digits of absolute precision for val > 0."""
         return self.shift(-self.valuation())
-
-    def same(self, other) -> bool:
-        """Indistinguishable from ``other`` at the shared precision."""
-        o = self._coerce(other)
-        return (self - o).is_zero()
 
     # -- squares -----------------------------------------------------------
     def is_square(self) -> bool:
@@ -387,7 +399,7 @@ class QuadExtField:
         elif v != 1:
             raise ValueError("delta must have valuation 0 or 1")
 
-    @property
+    @cached_property
     def ramified(self) -> bool:
         return self.delta.valuation() == 1
 
@@ -421,7 +433,95 @@ class QuadExtField:
         return legendre(x.unit_part().residue(), self.cfg.p) == 1
 
 
-class QuadExtElement:
+class QuadExt(Ring):
+    """a + b*w over a commutative base K, with w^2 = delta in F and
+    w*x = theta(x)*w.  L and E are K = F with theta = id; D is K = L with
+    theta = tau and delta = pi_F, which makes it ramified over L.
+
+    A subclass gives ``__mul__``, ``inv``, ``ramified``, ``_coerce`` (an
+    operand in the same algebra, or None) and ``_new`` (from coordinates).
+    """
+
+    __slots__ = ()
+
+    @property
+    def cfg(self) -> FieldConfig:
+        return self.a.cfg
+
+    @property
+    def prec(self) -> int:
+        """Absolute precision: the minimum over the F-coordinates."""
+        return min(self.a.prec, self.b.prec)
+
+    # -- predicates ---------------------------------------------------------
+    def is_zero(self) -> bool:
+        return self.a.is_zero() and self.b.is_zero()
+
+    def valuation_bound(self) -> int:
+        """The normalized valuation at which the known digits end: an
+        element indistinguishable from 0 has at least this valuation."""
+        r, s = (2, 1) if self.ramified else (1, 0)
+        return min(r * self.a.prec, r * self.b.prec + s)
+
+    def valuation(self) -> int:
+        """Normalized valuation (image Z): min(2 v(a), 2 v(b) + 1) when the
+        extension is ramified (w has valuation 1), min(v(a), v(b)) when not."""
+        r, s = (2, 1) if self.ramified else (1, 0)
+        a, b = self.a, self.b
+        cands = []
+        if not a.is_zero():
+            cands.append(r * a.valuation())
+        if not b.is_zero():
+            cands.append(r * b.valuation() + s)
+        if not cands:
+            raise IndistinguishableZero("element indistinguishable from 0")
+        v = min(cands)
+        if v >= self.valuation_bound():
+            raise PrecisionExhausted(
+                "valuation not certified: zeroish coordinate dominates")
+        return v
+
+    # -- arithmetic -----------------------------------------------------------
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._new(self.a + o.a, self.b + o.b)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new(-self.a, -self.b)
+
+    def __rmul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inv()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inv()
+
+    def scale_f(self, x):
+        """Multiply every F-coordinate by the F-scalar x."""
+        x = self.cfg.f(x)
+        return self._new(self.a.scale_f(x), self.b.scale_f(x))
+
+    def shift(self, k: int):
+        """Multiply by the exact power p^k."""
+        return self._new(self.a.shift(k), self.b.shift(k))
+
+
+class QuadExtElement(QuadExt):
     """a + b*w in a quadratic extension, with F-coordinate pair (a, b)."""
 
     __slots__ = ("field", "a", "b")
@@ -430,6 +530,9 @@ class QuadExtElement:
         self.field = field
         self.a = a
         self.b = b
+
+    def _new(self, a: FElement, b: FElement) -> QuadExtElement:
+        return QuadExtElement(self.field, a, b)
 
     def __eq__(self, other):
         if not isinstance(other, QuadExtElement):
@@ -440,39 +543,15 @@ class QuadExtElement:
         return hash((self.a, self.b))
 
     @property
-    def cfg(self) -> FieldConfig:
-        return self.field.cfg
-
-    @property
     def base(self) -> str:
         return self.field.name
 
-    # -- predicates ---------------------------------------------------------
-    def is_zero(self) -> bool:
-        return self.a.is_zero() and self.b.is_zero()
+    @property
+    def ramified(self) -> bool:
+        return self.field.ramified
 
-    def valuation(self) -> int:
-        """Normalized valuation (image Z; the generator w has valuation 1 in
-        the ramified case, the coordinates' min in the unramified case)."""
-        ram = self.field.ramified
-        cands, bound = [], None
-        if self.a.is_zero():
-            ka = 2 * self.a.prec if ram else self.a.prec
-            bound = ka
-        else:
-            cands.append(2 * self.a.val if ram else self.a.val)
-        if self.b.is_zero():
-            kb = 2 * self.b.prec + 1 if ram else self.b.prec
-            bound = kb if bound is None else min(bound, kb)
-        else:
-            cands.append(2 * self.b.val + 1 if ram else self.b.val)
-        if not cands:
-            raise IndistinguishableZero("element indistinguishable from 0")
-        v = min(cands)
-        if bound is not None and v >= bound:
-            raise PrecisionExhausted(
-                "valuation not certified: zeroish coordinate dominates")
-        return v
+    def in_f(self) -> bool:
+        return self.b.is_zero()
 
     # -- arithmetic -----------------------------------------------------------
     def _coerce(self, other):
@@ -484,26 +563,6 @@ class QuadExtElement:
             return self.field.from_f(self.cfg.f(other))
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadExtElement(self.field, self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadExtElement(self.field, -self.a, -self.b)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -512,8 +571,6 @@ class QuadExtElement:
         return QuadExtElement(self.field,
                               self.a * o.a + self.b * o.b * d,
                               self.a * o.b + self.b * o.a)
-
-    __rmul__ = __mul__
 
     def sigma(self) -> QuadExtElement:
         """The nontrivial automorphism a + bw -> a - bw (tau for E = L)."""
@@ -534,53 +591,19 @@ class QuadExtElement:
         s = self.sigma()
         return QuadExtElement(self.field, s.a / n, s.b / n)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inv() ** (-n)
-        out = self.field.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def scale_f(self, x) -> QuadExtElement:
-        x = self.cfg.f(x)
-        return QuadExtElement(self.field, self.a * x, self.b * x)
-
-    def same(self, other) -> bool:
-        o = self._coerce(other)
-        return (self - o).is_zero()
-
-    def in_f(self) -> bool:
-        return self.b.is_zero()
-
     # -- unit/residue structure -------------------------------------------------
     def unit_part(self) -> QuadExtElement:
         """x * w^(-valuation); the result has valuation 0."""
         v = self.valuation()
         if not self.field.ramified:
-            return QuadExtElement(self.field, self.a.shift(-v), self.b.shift(-v))
+            return self.shift(-v)
         x = self
         if v % 2:
             # divide by w once, then by delta^((v-1)/2)
             x = QuadExtElement(self.field, x.b, x.a / self.field.delta)
             v -= 1
         k = v // 2
-        d = self.field.delta ** (-k) if k else None
-        if k:
-            x = QuadExtElement(self.field, x.a * d, x.b * d)
-        return x
+        return x.scale_f(self.field.delta ** (-k)) if k else x
 
     def residue_pair(self) -> tuple[int, int]:
         """Residue coordinates of a valuation-0 element."""
@@ -623,7 +646,7 @@ class QuadExtElement:
             if k:
                 y = y.scale_f(self.field.delta ** (k // 2))
         else:
-            y = QuadExtElement(self.field, y.a.shift(k), y.b.shift(k))
+            y = y.shift(k)
         return self._normalize_sqrt_sign(y)
 
     def _sqrt_unit(self, w: QuadExtElement) -> QuadExtElement:
@@ -735,7 +758,6 @@ def solve_norm_equation(field: QuadExtField, w: FElement) -> QuadExtElement:
         return field.from_f(w.sqrt())
     # unramified: v is even; reduce to a unit target
     w0 = w.shift(-v)
-    half_shift = v // 2
     # scan residues for s^2 - delta t^2 = w0 with s != 0 mod p
     dres = field.delta.residue()
     w0res = w0.residue()
@@ -744,9 +766,5 @@ def solve_norm_equation(field: QuadExtField, w: FElement) -> QuadExtElement:
         if c != 0 and legendre(c, p) == 1:
             # Newton-lift s from s^2 = w0 + delta t^2 with t fixed
             target = w0 + field.delta * cfg.f(t) * cfg.f(t)
-            s = target.sqrt()
-            y0 = QuadExtElement(field, s, cfg.f(t))
-            break
-    else:
-        raise AssertionError("norm residue equation unsolvable; unreachable")
-    return QuadExtElement(field, y0.a.shift(half_shift), y0.b.shift(half_shift))
+            return QuadExtElement(field, target.sqrt(), cfg.f(t)).shift(v // 2)
+    raise AssertionError("norm residue equation unsolvable; unreachable")

@@ -22,6 +22,10 @@ class MalformedInput(HermiwittError):
 
 
 def _int(x, what: str) -> int:
+    """x as an int: a JSON integer or an integer string, not a bool or a
+    float, which int() would silently truncate."""
+    if isinstance(x, (bool, float)):
+        raise MalformedInput(f"{what} must be an integer, got {x!r}")
     try:
         return int(x)
     except (TypeError, ValueError) as ex:
@@ -69,6 +73,8 @@ def f_from_json(cfg: FieldConfig, obj) -> FElement:
         raise MalformedInput("expected base F")
     val = obj.get("val")
     digits = obj.get("digits", [])
+    if not isinstance(digits, list):
+        raise MalformedInput("digits must be a list")
     if val is None:
         x = cfg.f_zero()
     else:

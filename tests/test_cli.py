@@ -79,6 +79,18 @@ def _f_elem(**kw):
     return {"a": {"a": dict({"base": "F"}, **kw), "b": "0"}, "b": "0"}
 
 
+def _endo_doc(eps, wtd_odd, lift=False):
+    """A one-token endo-parameter, or lift document, whose simple non-null
+    token declares the odd-tower trace class wtd_odd."""
+    tok = {"id": "c0", "kind": "simple_nonnull", "degree": 2, "e_parity": 0,
+           "f_parity": 0, "min_tag": "m0", "aniso_parity": 1, "wtd_odd": wtd_odd}
+    doc = {"epsilon": eps, "ambient": {"m": 1, "h_class": []}}
+    if lift:
+        return json.dumps(dict(doc, lift=[dict(tok, f=1)]))
+    tower = {"beta": "token", "tower": {"diman": 1, "selector": 0}}
+    return json.dumps(dict(doc, support=[dict(tok, f1=0, f2=tower)]))
+
+
 @pytest.mark.parametrize("argv", [
     ["decompose", "--form", json.dumps(
         {"epsilon": 1, "gram": [[_f_elem(val=0, digits=["x"])]]})],
@@ -102,9 +114,28 @@ def _f_elem(**kw):
         {"epsilon": 1, "ambient": {"m": 2, "h_class": ["bogus"]}, "support": []})],
     ["endo-count", "--input", json.dumps(
         {"epsilon": 1, "ambient": {"m": "x", "h_class": []}, "lift": []})],
+    ["endo-validate", "--input", _endo_doc(1, ["bogus"])],
+    ["endo-count", "--input", _endo_doc(-1, ["g1"], lift=True)],
+    ["endo-enumerate", "--input", _endo_doc(1, "g1", lift=True)],
+    ["endo-validate", "--input", json.dumps(
+        {"epsilon": 1, "ambient": {"m": 1, "h_class": []},
+         "support": [{"id": "n", "kind": "simple_null", "degree": 1, "f1": 0,
+                      "f2": {"beta": "ZERO", "tower": {"witt_class": ["bogus"]}}}]})],
+    ["decompose", "--form", json.dumps(
+        {"epsilon": 1, "gram": [[_f_elem(val=0, digits=[1.9])]]})],
+    ["decompose", "--form", json.dumps(
+        {"epsilon": 1, "gram": [[_f_elem(val=0.5, digits=[1])]]})],
+    ["decompose", "--form", json.dumps({"epsilon": True, "gram": [[{"a": "1"}]]})],
+    ["decompose", "--form", json.dumps(
+        {"epsilon": 1, "gram": [[_f_elem(val=0, digits=[True])]]})],
+    ["decompose", "--form", json.dumps(
+        {"epsilon": 1, "gram": [[_f_elem(val=0, digits="12")]]})],
 ], ids=["digit", "val", "epsilon-2", "epsilon-x", "transfer-epsilon-2",
         "gram-empty", "tower-gram-empty", "H-empty", "H-ragged", "H-non-square",
-        "endo-epsilon-x", "endo-h-class-bogus", "endo-m-x"])
+        "endo-epsilon-x", "endo-h-class-bogus", "endo-m-x",
+        "endo-wtd-odd-bogus", "endo-wtd-odd-g1-skew", "endo-wtd-odd-string",
+        "endo-null-witt-class-bogus", "digit-float", "val-float",
+        "epsilon-true", "digit-true", "digits-string"])
 def test_malformed_json_exits_1(capsys, argv):
     rc = run(argv)
     captured = capsys.readouterr()
