@@ -8,12 +8,15 @@ answer valuation or classification queries.
 
 ``QuadExt`` is the one ring layer of a + b*w that the quadratic extensions
 L and E (``QuadExtElement``) and the quaternions D (``quaternion``) share.
+Arithmetic runs on (val, unit, prec) int triples: the ``_f_*`` kernel holds
+F's precision rules once, and ``_sc_mul`` is the one structure-constant
+product of L, E and D, which wraps objects only around its result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from .errors import (
     DivisionByIndistinguishableZero,
@@ -42,6 +45,81 @@ def _vp(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+# -- the F kernel on (val, unit, prec) int triples ---------------------------
+# FElement's precision rules, once: its arithmetic wraps these helpers, and
+# the L, E and D products run on triples and wrap only their result.
+
+def _f_zero(cfg: FieldConfig, prec: int) -> tuple:
+    if prec <= 0:
+        raise PrecisionExhausted("zero known to <= 0 digits")
+    n = cfg.precision
+    return (None, 0, prec if prec < n else n)
+
+
+def _f_make(cfg: FieldConfig, val: int, unit: int, prec: int) -> tuple:
+    n = cfg.precision
+    if prec > n:
+        prec = n
+    if prec <= 0:
+        raise PrecisionExhausted("result precision <= 0")
+    if val >= prec:
+        return _f_zero(cfg, prec)
+    unit %= cfg.ppow(prec - val)
+    if unit == 0:
+        # cannot happen for a genuine unit; guard anyway
+        return _f_zero(cfg, prec)
+    return (val, unit, prec)
+
+
+def _f_add(cfg: FieldConfig, x: tuple, y: tuple) -> tuple:
+    xv, xu, xk = x
+    yv, yu, yk = y
+    k = xk if xk < yk else yk
+    if xv is None or yv is None:
+        v, u = (yv, yu) if xv is None else (xv, xu)
+        if v is None or v >= k:
+            return _f_zero(cfg, k)
+        return _f_make(cfg, v, u, k)
+    ppow = cfg.ppow
+    if xv < yv:
+        v, s = xv, xu + yu * ppow(yv - xv)
+    else:
+        v, s = yv, yu + xu * ppow(xv - yv)
+    s %= ppow(k - v)
+    if s == 0:
+        return _f_zero(cfg, k)
+    w = _vp(s, cfg.p)
+    return _f_make(cfg, v + w, s // ppow(w) if w else s, k)
+
+
+def _f_neg(cfg: FieldConfig, x: tuple) -> tuple:
+    v, u, k = x
+    return x if v is None else (v, cfg.ppow(k - v) - u, k)
+
+
+def _f_mul(cfg: FieldConfig, x: tuple, y: tuple) -> tuple:
+    xv, xu, xk = x
+    yv, yu, yk = y
+    if xv is None:
+        return _f_zero(cfg, xk + (yk if yv is None else yv))
+    if yv is None:
+        return _f_zero(cfg, yk + xv)
+    rx, ry = xk - xv, yk - yv
+    v = xv + yv
+    return _f_make(cfg, v, xu * yu, v + (rx if rx < ry else ry))
+
+
+def _sc_mul(ops, s, t):
+    """(x + y*g)(z + w*g) = a + b*g with g^2 = delta, g*c = theta(c)*g, on
+    coordinate pairs s, t: a = x*z + (y*theta(w))*delta, b = x*w + y*theta(z)
+    in this order; ``ops`` = (mul, add, theta, scale by delta) of the base."""
+    mul, add, theta, scale = ops
+    x, y = s
+    z, w = t
+    return (add(mul(x, z), scale(mul(y, theta(w)))),
+            add(mul(x, w), mul(y, theta(z))))
 
 
 def legendre(a: int, p: int) -> int:
@@ -78,6 +156,17 @@ def sqrt_mod_p(a: int, p: int) -> int:
     return r
 
 
+class _Powers(dict):
+    """p**k by k, each computed on first use."""
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def __missing__(self, k: int) -> int:
+        v = self[k] = self.p**k
+        return v
+
+
 @dataclass(frozen=True)
 class FieldConfig:
     """Ambient data: the odd prime p and the absolute precision budget N.
@@ -104,15 +193,9 @@ class FieldConfig:
         return r
 
     @cached_property
-    def _pow_cache(self) -> dict:
-        return {}
-
-    def ppow(self, k: int) -> int:
-        c = self._pow_cache
-        v = c.get(k)
-        if v is None:
-            v = c[k] = self.p**k
-        return v
+    def ppow(self):
+        """k -> p**k, each power computed once."""
+        return _Powers(self.p).__getitem__
 
     # -- F constructors -------------------------------------------------
     def f(self, n: int | FElement) -> FElement:
@@ -126,9 +209,13 @@ class FieldConfig:
     def one(self) -> FElement:
         return self.f(1)
 
-    def pi(self) -> FElement:
-        """The fixed uniformizer of F (pi_F = p)."""
+    @cached_property
+    def _pi(self) -> FElement:
         return self.f(self.p)
+
+    def pi(self) -> FElement:
+        """The fixed uniformizer of F (pi_F = p), built once per config."""
+        return self._pi
 
     # -- L constructors --------------------------------------------------
     @cached_property
@@ -204,24 +291,17 @@ class FElement(Ring):
         return hash((self.val, self.unit, self.prec))
 
     # -- construction ----------------------------------------------------
+    @property
+    def _t(self) -> tuple:
+        return (self.val, self.unit, self.prec)
+
     @staticmethod
     def _zeroish(cfg: FieldConfig, prec: int) -> FElement:
-        if prec <= 0:
-            raise PrecisionExhausted("zero known to <= 0 digits")
-        return FElement(cfg, None, 0, min(prec, cfg.precision))
+        return FElement(cfg, *_f_zero(cfg, prec))
 
     @staticmethod
     def _make(cfg: FieldConfig, val: int, unit: int, prec: int) -> FElement:
-        prec = min(prec, cfg.precision)
-        if prec <= 0:
-            raise PrecisionExhausted("result precision <= 0")
-        if val >= prec:
-            return FElement._zeroish(cfg, prec)
-        unit %= cfg.ppow(prec - val)
-        if unit == 0:
-            # cannot happen for a genuine unit; guard anyway
-            return FElement._zeroish(cfg, prec)
-        return FElement(cfg, val, unit, prec)
+        return FElement(cfg, *_f_make(cfg, val, unit, prec))
 
     @classmethod
     def from_int(cls, cfg: FieldConfig, n: int) -> FElement:
@@ -272,44 +352,18 @@ class FElement(Ring):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        cfg, p = self.cfg, self.cfg.p
-        k = min(self.prec, o.prec)
-        if self.val is None and o.val is None:
-            return FElement._zeroish(cfg, k)
-        if self.val is None or o.val is None:
-            z, x = (self, o) if self.val is None else (o, self)
-            if x.val >= k:
-                return FElement._zeroish(cfg, k)
-            return FElement._make(cfg, x.val, x.unit, k)
-        v = min(self.val, o.val)
-        s = (self.unit * cfg.ppow(self.val - v)
-             + o.unit * cfg.ppow(o.val - v)) % cfg.ppow(k - v)
-        if s == 0:
-            return FElement._zeroish(cfg, k)
-        w = _vp(s, p)
-        return FElement._make(cfg, v + w, s // cfg.ppow(w), k)
+        return FElement(self.cfg, *_f_add(self.cfg, self._t, o._t))
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.val is None:
-            return self
-        return FElement(self.cfg, self.val,
-                        self.cfg.ppow(self.prec - self.val) - self.unit, self.prec)
+        return FElement(self.cfg, *_f_neg(self.cfg, self._t))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        cfg = self.cfg
-        if self.val is None and o.val is None:
-            return FElement._zeroish(cfg, self.prec + o.prec)
-        if self.val is None or o.val is None:
-            z, x = (self, o) if self.val is None else (o, self)
-            return FElement._zeroish(cfg, z.prec + x.val)
-        rel = min(self.rel_prec, o.rel_prec)
-        return FElement._make(cfg, self.val + o.val, self.unit * o.unit,
-                              self.val + o.val + rel)
+        return FElement(self.cfg, *_f_mul(self.cfg, self._t, o._t))
 
     __rmul__ = __mul__
     scale_f = __mul__  # F is its own scalar ring (see QuadExt.scale_f)
@@ -403,10 +457,31 @@ class QuadExtField:
     def ramified(self) -> bool:
         return self.delta.valuation() == 1
 
-    @property
-    def e_over_f(self) -> tuple[int, int]:
-        """(ramification index, inertia degree) of the extension."""
-        return (2, 1) if self.ramified else (1, 2)
+    def __getstate__(self):  # pickle without the cached kernel ops
+        return {"cfg": self.cfg, "delta": self.delta, "name": self.name}
+
+    @cached_property
+    def _ops(self) -> tuple:
+        """``_sc_mul``'s (mul, add, theta, scale) on F-triples: theta = id."""
+        cfg, d = self.cfg, self.delta._t
+        return (partial(_f_mul, cfg), partial(_f_add, cfg), lambda x: x,
+                partial(_f_mul, cfg, d))
+
+    @cached_property
+    def _twisted_ops(self) -> tuple:
+        """``_sc_mul``'s ops on this field's coordinate pairs for g^2 = pi_F,
+        g*c = sigma(c)*g: D = L[pi_D] over L."""
+        cfg, ops = self.cfg, self._ops
+        mul, add, pi = ops[0], ops[1], cfg.pi()._t
+        return (partial(_sc_mul, ops),
+                lambda x, y: (add(x[0], y[0]), add(x[1], y[1])),
+                lambda x: (x[0], _f_neg(cfg, x[1])),
+                lambda x: (mul(x[0], pi), mul(x[1], pi)))
+
+    def _of(self, t: tuple) -> QuadExtElement:
+        """The element with the coordinate pair of F-triples t."""
+        return QuadExtElement(self, FElement(self.cfg, *t[0]),
+                              FElement(self.cfg, *t[1]))
 
     def el(self, a, b=0) -> QuadExtElement:
         return QuadExtElement(self, self.cfg.f(a), self.cfg.f(b))
@@ -447,6 +522,11 @@ class QuadExt(Ring):
     @property
     def cfg(self) -> FieldConfig:
         return self.a.cfg
+
+    @property
+    def _t(self) -> tuple:
+        """The coordinates as nested (val, unit, prec) triples."""
+        return (self.a._t, self.b._t)
 
     @property
     def prec(self) -> int:
@@ -567,10 +647,7 @@ class QuadExtElement(QuadExt):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d = self.field.delta
-        return QuadExtElement(self.field,
-                              self.a * o.a + self.b * o.b * d,
-                              self.a * o.b + self.b * o.a)
+        return self.field._of(_sc_mul(self.field._ops, self._t, o._t))
 
     def sigma(self) -> QuadExtElement:
         """The nontrivial automorphism a + bw -> a - bw (tau for E = L)."""

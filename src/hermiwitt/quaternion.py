@@ -4,8 +4,9 @@ The defining relations are pi_D^2 = pi_F (= p) and pi_D * x = tau(x) * pi_D
 for x in L, so D is the quadratic extension ``padic.QuadExt`` of K = L with
 w = pi_D, w^2 = pi_F and theta = tau, ramified over L.  Its ring layer and
 its valuation nu_D (that of the ramified extension) are the shared ones;
-this module adds the twisted multiplication, the inverse, the involutions
-and the reduced trace and norm.  The orthogonal anti-involution rho fixes L
+this module adds the twisted multiplication (``padic._sc_mul`` on
+coordinate triples, with theta = tau), the inverse, the involutions and
+the reduced trace and norm.  The orthogonal anti-involution rho fixes L
 pointwise and fixes pi_D; its symmetric space is L + F*pi_D (dimension 3)
 and its skew space is the line F*u*pi_D.
 """
@@ -13,7 +14,8 @@ and its skew space is the line F*u*pi_D.
 from __future__ import annotations
 
 from .errors import PrecisionExhausted
-from .padic import FElement, FieldConfig, QuadExt, QuadExtElement, tau_conj
+from .padic import (FElement, FieldConfig, QuadExt, QuadExtElement, _sc_mul,
+                    tau_conj)
 
 
 class QuaternionElement(QuadExt):
@@ -29,7 +31,6 @@ class QuaternionElement(QuadExt):
 
     def _new(self, a: QuadExtElement, b: QuadExtElement) -> QuaternionElement:
         return QuaternionElement(a, b)
-
     # -- constructors -------------------------------------------------------
     @staticmethod
     def make(cfg: FieldConfig, a=0, b=0) -> QuaternionElement:
@@ -56,7 +57,10 @@ class QuaternionElement(QuadExt):
     def _coerce(self, other):
         if isinstance(other, QuaternionElement):
             return other
-        if isinstance(other, (int, FElement, QuadExtElement)):
+        # the product reads coordinates with L's structure constants
+        if isinstance(other, (int, FElement)) or (
+                isinstance(other, QuadExtElement)
+                and self.a._coerce(other) is not None):
             return QuaternionElement.make(self.cfg, other)
         return None
 
@@ -64,10 +68,9 @@ class QuaternionElement(QuadExt):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        pi_f = self.cfg.pi()
-        a = self.a * o.a + (self.b * tau_conj(o.b)).scale_f(pi_f)
-        b = self.a * o.b + self.b * tau_conj(o.a)
-        return QuaternionElement(a, b)
+        L = self.a.field
+        a, b = _sc_mul(L._twisted_ops, self._t, o._t)
+        return QuaternionElement(L._of(a), L._of(b))
 
     def conj(self) -> QuaternionElement:
         """Canonical (main) involution: x -> trd(x) - x."""
