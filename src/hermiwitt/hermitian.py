@@ -144,7 +144,8 @@ def lmat_det(A):
     """Determinant of a matrix over L (or any commutative field element type
     with the same interface), by fraction-producing forward elimination with
     the _pivot rule.  Unlike row_reduce it never normalizes the pivot row,
-    which keeps the determinant's certified digits."""
+    which keeps the determinant's certified digits.  Each pivot is inverted
+    once, and only the columns right of it, the ones read again, are updated."""
     n = len(A)
     M = [row[:] for row in A]
     det = None
@@ -158,11 +159,13 @@ def lmat_det(A):
             sign = -sign
         d = M[col][col]
         det = d if det is None else det * d
+        dinv = d.inv() if col + 1 < n else None
         for r in range(col + 1, n):
             if M[r][col].is_zero():
                 continue
-            c = M[r][col] / d
-            M[r] = [e - c * f for e, f in zip(M[r], M[col])]
+            c = M[r][col] * dinv
+            M[r][col + 1:] = [e - c * f for e, f in
+                              zip(M[r][col + 1:], M[col][col + 1:])]
     return det if sign == 1 else -det
 
 
@@ -199,16 +202,26 @@ def congruence(M, X, Y):
     return dmat_mul(dmat_bar_t(X), dmat_mul(M, Y))
 
 
+def _left_products(M, x):
+    """The products bar(x_i) M_ij, row by row: bar(x)^T M before any y."""
+    return [[bx * m for m in row] for bx, row in zip([xi.bar() for xi in x], M)]
+
+
+def _sum_against(P, y):
+    """sum_ij P_ij y_j, i outer, j inner: bar(x)^T M y when
+    P = _left_products(M, x)."""
+    s = None
+    for row in P:
+        for j, m in enumerate(row):
+            t = m * y[j]
+            s = t if s is None else s + t
+    return s
+
+
 def sesquilinear(M, x, y):
     """bar(x)^T M y for coordinate vectors, summed term by term as
     (bar(x_i) M_ij) y_j, i outer, j inner."""
-    s = None
-    for i, row in enumerate(M):
-        bx = x[i].bar()
-        for j, m in enumerate(row):
-            t = bx * m * y[j]
-            s = t if s is None else s + t
-    return s
+    return _sum_against(_left_products(M, x), y)
 
 
 # ---------------------------------------------------------------------------
@@ -450,14 +463,6 @@ def reduced_norm(X):
     if not det.b.is_zero():
         raise AssertionError("reduced norm computation left L \\ F")
     return det.a
-
-
-def reduced_trace(X):
-    t = None
-    for i in range(len(X)):
-        s = X[i][i].trd()
-        t = s if t is None else t + s
-    return t
 
 
 def trace_lift_hL(form: HermitianForm):

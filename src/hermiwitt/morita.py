@@ -39,6 +39,8 @@ from .padic import (
 from .quaternion import QuaternionElement
 from .hermitian import (
     HermitianForm,
+    _left_products,
+    _sum_against,
     congruence,
     diagonalize,
     dmat_add,
@@ -695,15 +697,16 @@ class HtildeBeta:
     frame: tuple                # E-basis g_1..g_n of V e1 (D-coordinate vectors)
 
     def pair(self, v, w):
-        return _htilde_pair(self.form, self.beta, self.split.E, self.split.E.delta,
-                            v, w)
+        E = self.split.E
+        return _htilde_pair(E, E.delta.inv(), _left_products(self.form.gram, v),
+                            w, vec_apply(self.beta, w))
 
 
-def _htilde_pair(form: HermitianForm, beta, E: QuadExtField, delta: FElement, v, w):
-    """h~_beta(v, w) in tensor coordinates: 1 (x) h(v, w) +
-    beta (x) h(v, beta w)/delta."""
-    h0 = form.evaluate(v, w)
-    h1 = form.evaluate(v, vec_apply(beta, w)).scale_f(delta.inv())
+def _htilde_pair(E: QuadExtField, dinv: FElement, left, w, bw):
+    """h~_beta(v, w) = 1 (x) h(v, w) + beta (x) h(v, beta w)/delta in tensor
+    coordinates, from _left_products(h, v), w, bw = beta w and 1/delta."""
+    h0 = _sum_against(left, w)
+    h1 = _sum_against(left, bw).scale_f(dinv)
     return tensor_add(tensor_from_quat(E, h0),
                       tensor_scale(E.gen(), tensor_from_quat(E, h1)))
 
@@ -747,19 +750,21 @@ def compute_htilde_beta(form: HermitianForm, beta, w_choice: int = 0) -> HtildeB
     for v in cands:
         if not _echelon_add(echelon, flat(v)):
             continue
-        frame.append(v)
+        bv = vec_apply(beta, v)
+        frame.append((v, bv))
         if len(frame) == n:
             break
-        _echelon_add(echelon, flat(e_action(E.gen(), v, vec_apply(beta, v))))
+        _echelon_add(echelon, flat(e_action(E.gen(), v, bv)))
     if len(frame) < n:
         raise DegenerateForm("frame extraction failed")
 
-    u1inv = data.u1.inv()
+    u1inv, dinv = data.u1.inv(), delta.inv()
     H = []
-    for gi in frame:
+    for gi, _ in frame:
+        left = _left_products(form.gram, gi)
         row = []
-        for gj in frame:
-            val = data.to_matrix(_htilde_pair(form, beta, E, delta, gi, gj))
+        for gj, bgj in frame:
+            val = data.to_matrix(_htilde_pair(E, dinv, left, gj, bgj))
             if not (val[0][1].is_zero() and val[1][0].is_zero()
                     and val[1][1].is_zero()):
                 raise DegenerateForm("frame vectors are not e1-adapted")
@@ -769,7 +774,7 @@ def compute_htilde_beta(form: HermitianForm, beta, w_choice: int = 0) -> HtildeB
     if not ed.validate():
         raise DegenerateForm("h~_beta is degenerate at tracked precision")
     return HtildeBeta(form, tuple(tuple(r) for r in beta), data, ed,
-                      tuple(tuple(v) for v in frame))
+                      tuple(tuple(v) for v, _ in frame))
 
 
 def frame_rows(data: SplitData, t: int):

@@ -37,10 +37,6 @@ def rand_f(cfg: FieldConfig, r: random.Random, min_val=-2, max_val=3,
     return x
 
 
-def rand_f_unit(cfg: FieldConfig, r: random.Random) -> FElement:
-    return rand_f(cfg, r, 0, 0)
-
-
 def rand_l(cfg: FieldConfig, r: random.Random, min_val=-1, max_val=2) -> QuadExtElement:
     a = rand_f(cfg, r, min_val, max_val)
     b = rand_f(cfg, r, min_val, max_val)

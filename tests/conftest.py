@@ -1,6 +1,7 @@
 import pytest
 
 from hermiwitt.padic import FieldConfig
+from hermiwitt.quaternion import QuaternionElement
 
 
 @pytest.fixture(scope="session")
@@ -16,3 +17,24 @@ def cfg3():
 @pytest.fixture(scope="session")
 def cfg7():
     return FieldConfig(7, 32)
+
+
+@pytest.fixture
+def quaternion_products(monkeypatch):
+    """count(fn, *args): how many quaternion multiplies fn(*args) makes."""
+    def count(fn, *args):
+        calls = [0]
+        mul = QuaternionElement.__mul__
+
+        def counting_mul(x, y):
+            calls[0] += 1
+            return mul(x, y)
+
+        monkeypatch.setattr(QuaternionElement, "__mul__", counting_mul)
+        try:
+            fn(*args)
+        finally:
+            monkeypatch.setattr(QuaternionElement, "__mul__", mul)
+        return calls[0]
+
+    return count

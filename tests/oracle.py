@@ -1,0 +1,143 @@
+"""Exact rational arithmetic for precision-honesty checks.
+
+An element of F, L, E or D with known coordinates in Z[1/p] is represented
+by its regular representation as a rational matrix; products, inverses and
+determinants are then computed exactly with Fractions, and a tracked result
+is honest when every coordinate it claims to prec k agrees with the exact
+value mod p^k.
+"""
+
+from fractions import Fraction
+
+from hermiwitt.padic import FElement
+
+
+def exact_rep(kind, p, r, c):
+    """The regular representation of an exact element as a rational matrix:
+    t + s*g in F[g], g^2 = d, is [[t, d*s], [s, t]], and a + b*pi_D in D is
+    [[A, p*B], [tau(B), tau(A)]] with L-blocks A, B."""
+    if kind == "F":
+        return [[c[0]]]
+    if kind != "D":
+        d = {"L": r, "E_u": r, "E_pi": p}[kind]
+        return [[c[0], d * c[1]], [c[1], c[0]]]
+    A, B = exact_rep("L", p, r, c[:2]), exact_rep("L", p, r, c[2:])
+    tA, tB = (exact_rep("L", p, r, (t[0], -t[1])) for t in (c[:2], c[2:]))
+    return [A[i] + [p * x for x in B[i]] for i in range(2)] + \
+        [tB[i] + tA[i] for i in range(2)]
+
+
+def rep_coords(kind, p, R, i=0, j=0):
+    """The coordinates of the element whose regular representation is the
+    block of R at block row i and block column j; they sit in the first
+    column of each L-block (or F-block)."""
+    k = {"F": 1, "D": 4}.get(kind, 2)
+    B = [row[k * j:k * j + k] for row in R[k * i:k * i + k]]
+    if kind == "D":
+        return (B[0][0], B[1][0], B[0][2] / p, B[1][2] / p)
+    return tuple(row[0] for row in B)
+
+
+def exact_matrix_rep(kind, p, r, C):
+    """The block matrix of exact_rep over a matrix of coordinate tuples."""
+    blocks = [[exact_rep(kind, p, r, c) for c in row] for row in C]
+    return [sum((b[t] for b in brow), []) for brow in blocks
+            for t in range(len(brow[0]))]
+
+
+def exact_mul(A, B):
+    """The product of two rational matrices."""
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)]
+            for row in A]
+
+
+def exact_inverse(A):
+    """The inverse of a rational matrix by Gauss-Jordan; None if singular."""
+    n = len(A)
+    M = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(A)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if M[i][col]), None)
+        if piv is None:
+            return None
+        M[col], M[piv] = M[piv], M[col]
+        inv = 1 / M[col][col]
+        M[col] = [inv * e for e in M[col]]
+        for i in range(n):
+            if i != col and M[i][col]:
+                c = M[i][col]
+                M[i] = [e - c * f for e, f in zip(M[i], M[col])]
+    return [row[n:] for row in M]
+
+
+def exact_l_det(A, r):
+    """The determinant of a matrix over L = Q(sqrt r), entries as exact pairs
+    (x, y) = x + y sqrt(r), by Gaussian elimination."""
+    def mul(a, b):
+        return (a[0] * b[0] + r * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+    def inv(a):
+        n = a[0] * a[0] - r * a[1] * a[1]
+        return (a[0] / n, -a[1] / n)
+
+    M = [list(row) for row in A]
+    det = (Fraction(1), Fraction(0))
+    for col in range(len(M)):
+        piv = next((i for i in range(col, len(M)) if any(M[i][col])), None)
+        if piv is None:
+            return (Fraction(0), Fraction(0))
+        if piv != col:
+            M[col], M[piv] = M[piv], M[col]
+            det = (-det[0], -det[1])
+        det = mul(det, M[col][col])
+        dinv = inv(M[col][col])
+        for row in M[col + 1:]:
+            c = mul(row[col], dinv)
+            for j in range(col, len(M)):
+                t = mul(c, M[col][j])
+                row[j] = (row[j][0] - t[0], row[j][1] - t[1])
+    return det
+
+
+def coords(x):
+    """The F-coordinates of an element, in the order of its digest."""
+    return [x] if isinstance(x, FElement) else coords(x.a) + coords(x.b)
+
+
+def lift(x, p):
+    """The exact coordinates that a tracked element truncates, each read as
+    unit * p^val with no further digits (a zeroish coordinate as 0)."""
+    return tuple(Fraction(0) if c.is_zero() else c.unit * Fraction(p) ** c.val
+                 for c in coords(x))
+
+
+def vp_q(q: Fraction, p: int) -> int:
+    v, num, den = 0, q.numerator, q.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def honest(c: FElement, q: Fraction, p: int) -> bool:
+    """The tracked F-coordinate c agrees with the exact q mod p^c.prec."""
+    diff = q if c.is_zero() else q - c.unit * Fraction(p) ** c.val
+    return not diff or vp_q(diff, p) >= c.prec
+
+
+def truncated(cfg, r):
+    """An exact coordinate in Z[1/p] and the F-element knowing it to a capped
+    precision; one in six is known to 1-2 digits only and reads as zero."""
+    p, N = cfg.p, cfg.precision
+    if r.random() < 0.17:
+        k = r.choice((1, 2))
+        q = Fraction(p ** k * r.randrange(p ** N))
+        return q, FElement._zeroish(cfg, k)
+    q = Fraction(r.randrange(1, p ** N)) * Fraction(p) ** r.randint(-1, 2)
+    k = N - r.randint(0, 3)
+    v = vp_q(q, p)
+    unit = q / Fraction(p) ** v
+    return q, FElement._make(cfg, v, unit.numerator, k)

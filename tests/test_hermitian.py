@@ -6,8 +6,10 @@ import pytest
 from hermiwitt.errors import (
     DegenerateForm,
     HermiwittError,
+    IndistinguishableZero,
     NotSelfAdjoint,
     NotSkewAdjoint,
+    PrecisionExhausted,
     Singular,
 )
 from hermiwitt.hermitian import (
@@ -31,10 +33,21 @@ from hermiwitt.hermitian import (
     vec_apply,
     witt_decompose,
 )
-from hermiwitt.padic import FieldConfig, QuadExtField
+from hermiwitt.padic import FElement, FieldConfig, QuadExtElement, QuadExtField
 from hermiwitt.quaternion import QuaternionElement as Q
 from hermiwitt import randgen as rg
 from hermiwitt import wittclass as wc
+from oracle import (
+    coords,
+    exact_inverse,
+    exact_l_det,
+    exact_matrix_rep,
+    exact_mul,
+    honest,
+    lift,
+    rep_coords,
+    truncated,
+)
 
 
 def test_validate_examples(cfg5):
@@ -262,22 +275,13 @@ def _assert_congruence_postcondition(form, T, dg):
     assert dmat_is_zero(dmat_sub(got, want))
 
 
-def test_diagonalize_multiply_count(monkeypatch):
+def test_diagonalize_multiply_count(quaternion_products):
     """Congruence updates of the Gram matrix keep diagonalize at ~n^3
     quaternion multiplies: 230 at rank 6, where re-evaluating h(v, w) from
     scratch took 3129."""
     cfg = FieldConfig(5, 32)
     form = rg.rand_form(cfg, rg.rng(6), 1, 6)
-    calls = [0]
-    mul = Q.__mul__
-
-    def counting_mul(x, y):
-        calls[0] += 1
-        return mul(x, y)
-
-    monkeypatch.setattr(Q, "__mul__", counting_mul)
-    diagonalize(form)
-    assert calls[0] <= 400
+    assert quaternion_products(diagonalize, form) <= 400
 
 
 def test_random_congruence_class_invariance(cfg5):
@@ -437,6 +441,131 @@ def test_elimination_kernel(cfg5, ring):
         for _ in range(10):
             x = draw(r)
             assert (reduced_norm([[x]]) - x.nrd()).is_zero()
+
+
+@pytest.mark.parametrize("ring", ["F", "L", "E", "D"])
+def test_row_reduce_free_column_before_pivot(cfg5, ring):
+    """Column 1 is column 0 times c, known to 12 digits only, so the pivots
+    are {0, 2, 3}, the free column comes before two pivot columns and pivot
+    rows no longer match pivot columns.  The nullspace vector read off the
+    pivot map must kill every row, and every digit the reduced free column
+    claims must agree with B^-1 A_1 in exact arithmetic, B the pivot columns
+    of the exact matrix that the input truncates."""
+    draw = _ring_elements(cfg5, ring)
+    kind = {"E": "E_pi"}.get(ring, ring)
+    p, rr = cfg5.p, cfg5.nonresidue_r
+    digits12 = FElement._make(cfg5, 0, 1, 12)
+    r = rg.rng(67)
+    for _ in range(10):
+        M = [[draw(r) for _ in range(4)] for _ in range(3)]
+        c = draw(r)
+        for row in M:
+            row[1] = (row[0] * c).scale_f(digits12)
+        R = [row[:] for row in M]
+        pivots = row_reduce(R, 4)
+        assert set(pivots) == {0, 2, 3}
+        one = M[0][0] ** 0
+        x = [one - one] * 4
+        x[1] = one
+        for col, row in pivots.items():
+            x[col] = -R[row][1]
+        assert all(e.is_zero() for e in vec_apply(M, x))
+        exact = [[lift(e, p) for e in row] for row in M]
+        B = exact_matrix_rep(kind, p, rr, [[row[j] for j in (0, 2, 3)]
+                                           for row in exact])
+        Z = exact_mul(exact_inverse(B),
+                      exact_matrix_rep(kind, p, rr, [[row[1]] for row in exact]))
+        for i, col in enumerate((0, 2, 3)):
+            assert all(honest(t, q, p) for t, q in
+                       zip(coords(R[pivots[col]][1]), rep_coords(kind, p, Z, i)))
+
+
+def test_dmat_inv_multiply_count(cfg5, quaternion_products):
+    """row_reduce updates whole rows of [A | I]: a rank-3 D inverse takes 54
+    quaternion multiplies.  Leaving the settled pivot columns stale would
+    take 36, but refusals then turn into answers while row_reduce still
+    skips rows whose pivot-column entry is indistinguishable from zero."""
+    r = rg.rng(3)
+    A = [[rg.rand_quat(cfg5, r) for _ in range(3)] for _ in range(3)]
+    assert quaternion_products(dmat_inv, A) <= 54
+
+
+def _tracked_and_exact(cfg, r, kind, n):
+    """An n x n matrix over F, L or D of truncated coordinates, with the
+    exact coordinate tuples that it truncates."""
+    width = {"F": 1, "D": 4}.get(kind, 2)
+    exact, tracked = [], []
+    for _ in range(n):
+        erow, trow = [], []
+        for _ in range(n):
+            qs, fs = zip(*(truncated(cfg, r) for _ in range(width)))
+            erow.append(qs)
+            if kind == "F":
+                trow.append(fs[0])
+            elif kind == "L":
+                trow.append(QuadExtElement(cfg.L_field, *fs))
+            else:
+                trow.append(Q(QuadExtElement(cfg.L_field, *fs[:2]),
+                              QuadExtElement(cfg.L_field, *fs[2:])))
+        exact.append(erow)
+        tracked.append(trow)
+    return exact, tracked
+
+
+_REFUSALS = (PrecisionExhausted, IndistinguishableZero, Singular)
+
+
+def _dishonest_inverses_and_norms(p, N):
+    """Each (ring, rank) of a dmat_inv result over F, L or D, or of a
+    reduced_norm result ("Nrd"), on a matrix of truncated coordinates, that
+    claims an F-coordinate to prec k differing mod p^k from the exact
+    result for the exact matrix it truncates; and the number checked."""
+    cfg = FieldConfig(p, N)
+    r = random.Random(p * 11 + N)
+    rr = cfg.nonresidue_r
+    bad, checked = [], 0
+    for n in (1, 2, 3):
+        for kind, ring in (("F", "F"), ("L", "L"), ("D", "D"), ("Nrd", "D")):
+            for _ in range(12):
+                exact, A = _tracked_and_exact(cfg, r, ring, n)
+                try:
+                    got = reduced_norm(A) if kind == "Nrd" else dmat_inv(A)
+                except _REFUSALS:
+                    continue
+                checked += 1
+                if kind == "Nrd":
+                    # l_embedding's blocks [[A, B pi_F], [tau(B), tau(A)]]
+                    top = [[(a0, a1) for a0, a1, _, _ in row]
+                           + [(p * b0, p * b1) for _, _, b0, b1 in row]
+                           for row in exact]
+                    bot = [[(b0, -b1) for _, _, b0, b1 in row]
+                           + [(a0, -a1) for a0, a1, _, _ in row]
+                           for row in exact]
+                    det = exact_l_det(top + bot, rr)
+                    ok = det[1] == 0 and honest(got, det[0], p)
+                else:
+                    X = exact_inverse(exact_matrix_rep(kind, p, rr, exact))
+                    ok = X is not None and all(
+                        honest(c, q, p) for i in range(n) for j in range(n)
+                        for c, q in zip(coords(got[i][j]),
+                                        rep_coords(kind, p, X, i, j)))
+                if not ok:
+                    bad.append((kind, n))
+    return bad, checked
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "row_reduce and lmat_det skip a row whose pivot-column entry is "
+    "indistinguishable from zero, as if it were exactly zero, and keep "
+    "digits that the exact inverse or determinant refutes"))
+def test_dmat_inv_and_reduced_norm_are_precision_honest():
+    """Every F-coordinate that dmat_inv(A) over F, L or D, or
+    reduced_norm(X), claims to prec k agrees mod p^k with exact arithmetic
+    on the exact matrix that A or X truncates, at ranks 1-3."""
+    for p, N in ((3, 10), (5, 32), (13, 128)):
+        bad, checked = _dishonest_inverses_and_norms(p, N)
+        assert checked >= 40
+        assert not bad, (p, N, bad)
 
 
 def test_form_json_roundtrip(cfg5):

@@ -1,8 +1,9 @@
 import pytest
 
-from hermiwitt.errors import NotQuadratic, NotSkewAdjoint
+from hermiwitt.errors import DegenerateForm, NotQuadratic, NotSkewAdjoint
 from hermiwitt.hermitian import (
     HermitianForm,
+    diagonalize,
     dmat_is_zero,
     dmat_scalar,
     dmat_sub,
@@ -144,6 +145,34 @@ def test_htilde_beta_identities(cfg5):
                 val = data.to_matrix(ht.pair(v, w))
                 trE = val[0][0] + val[1][1]
                 assert (trE.a - h.evaluate(v, w).trd()).is_zero()
+
+
+def test_htilde_beta_multiply_count(cfg5, quaternion_products):
+    """The h~_beta frame loop forms the left products bar(g_i) h_ij once per
+    frame vector and reuses beta g_j from the frame search: a rank-3 pair
+    takes 506 quaternion multiplies, where evaluating each h(g_i, g_j) and
+    h(g_i, beta g_j) from scratch took 713."""
+    r = rg.rng(7)
+    data = mo.split(cfg5, Q.u_elem(cfg5))
+    ed = mo.functor_Ge(rg.rand_eform(data, r, 1, 3), data, 1)
+    h, beta = mo.realize_instance(ed)
+    assert quaternion_products(mo.compute_htilde_beta, h, beta) <= 506
+
+
+def test_public_classifiers_refuse_non_hermitian_gram(cfg5):
+    """diagonalize, class_of_form and e_witt_class each refuse a Gram matrix
+    that is not eps-hermitian, at either sign for e_witt_class."""
+    one, pi = Q.one(cfg5), Q.pi_D(cfg5)
+    form = HermitianForm.from_rows(1, [[one, pi], [-pi, one]])
+    with pytest.raises(DegenerateForm):
+        diagonalize(form)
+    with pytest.raises(DegenerateForm):
+        wc.class_of_form(form)
+    E = mo.split(cfg5, Q.u_elem(cfg5)).E
+    for eps in (1, -1):
+        H = [[E.one(), E.gen()], [E.gen(), E.one()]]
+        with pytest.raises(DegenerateForm):
+            mo.e_witt_class(H, E, eps)
 
 
 def test_beta_must_be_skew(cfg5):

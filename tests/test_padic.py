@@ -1,7 +1,6 @@
 import hashlib
 import pickle
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +26,7 @@ from hermiwitt.padic import (
     tau_conj,
 )
 from hermiwitt.quaternion import QuaternionElement as Q, congruent_mod_nuD
+from oracle import coords, exact_rep, honest, rep_coords, truncated
 
 
 # -- independent residue-field oracles used to freeze expected values --------
@@ -398,60 +398,11 @@ def test_elements_pickle_after_arithmetic(cfg5):
 
 # -- precision honesty of the product -----------------------------------------
 
-def _exact_rep(kind, p, r, c):
-    """The regular representation of an exact element as a rational matrix:
-    t + s*g in F[g], g^2 = d, is [[t, d*s], [s, t]], and a + b*pi_D in D is
-    [[A, p*B], [tau(B), tau(A)]] with L-blocks A, B."""
-    if kind == "F":
-        return [[c[0]]]
-    if kind != "D":
-        d = {"L": r, "E_u": r, "E_pi": p}[kind]
-        return [[c[0], d * c[1]], [c[1], c[0]]]
-    A, B = _exact_rep("L", p, r, c[:2]), _exact_rep("L", p, r, c[2:])
-    tA, tB = (_exact_rep("L", p, r, (t[0], -t[1])) for t in (c[:2], c[2:]))
-    return [A[i] + [p * x for x in B[i]] for i in range(2)] + \
-        [tB[i] + tA[i] for i in range(2)]
-
-
 def _exact_product(kind, p, r, x, y):
-    X, Y = _exact_rep(kind, p, r, x), _exact_rep(kind, p, r, y)
+    X, Y = exact_rep(kind, p, r, x), exact_rep(kind, p, r, y)
     M = [[sum(X[i][k] * Y[k][j] for k in range(len(Y))) for j in range(len(Y))]
          for i in range(len(X))]
-    # the coordinates sit in the first column of each L-block (or F-block)
-    if kind == "D":
-        return (M[0][0], M[1][0], M[0][2] / p, M[1][2] / p)
-    return tuple(row[0] for row in M)
-
-
-def _coords(x):
-    """The F-coordinates of an element, in the order of its digest."""
-    return [x] if isinstance(x, FElement) else _coords(x.a) + _coords(x.b)
-
-
-def _vp_q(q: Fraction, p: int) -> int:
-    v, num, den = 0, q.numerator, q.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
-
-
-def _truncated(cfg, r):
-    """An exact coordinate in Z[1/p] and the F-element knowing it to a capped
-    precision; one in six is known to 1-2 digits only and reads as zero."""
-    p, N = cfg.p, cfg.precision
-    if r.random() < 0.17:
-        k = r.choice((1, 2))
-        q = Fraction(p ** k * r.randrange(p ** N))
-        return q, FElement._zeroish(cfg, k)
-    q = Fraction(r.randrange(1, p ** N)) * Fraction(p) ** r.randint(-1, 2)
-    k = N - r.randint(0, 3)
-    v = _vp_q(q, p)
-    unit = q / Fraction(p) ** v
-    return q, FElement._make(cfg, v, unit.numerator, k)
+    return rep_coords(kind, p, M)
 
 
 @pytest.mark.parametrize("p,N", [(3, 10), (5, 32), (13, 128)])
@@ -467,7 +418,7 @@ def test_product_is_precision_honest(kind, p, N):
     width = {"F": 1, "D": 4}.get(kind, 2)
 
     def element():
-        qs, fs = zip(*(_truncated(cfg, r) for _ in range(width)))
+        qs, fs = zip(*(truncated(cfg, r) for _ in range(width)))
         if kind == "F":
             return qs, fs[0]
         if kind == "D":
@@ -482,8 +433,7 @@ def test_product_is_precision_honest(kind, p, N):
             z = x * y
         except PrecisionExhausted:
             continue
-        for c, q in zip(_coords(z), _exact_product(kind, p, rr, qx, qy)):
-            diff = q if c.is_zero() else q - c.unit * Fraction(p) ** c.val
-            assert not diff or _vp_q(diff, p) >= c.prec, (x, y, c, q)
+        for c, q in zip(coords(z), _exact_product(kind, p, rr, qx, qy)):
+            assert honest(c, q, p), (x, y, c, q)
             checked += 1
     assert checked >= 75 * width
