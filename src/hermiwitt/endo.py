@@ -6,8 +6,9 @@ Tokens are opaque: a simple non-null class carries the numeric invariants
 the machinery consumes (parities for the norm criterion, a tag deciding
 comparability, the parity of its candidate anisotropic dimensions, and the
 common trace class of its two odd towers).  The element-level bridge for
-quadratic generators lives in the morita module and is used as a
-cross-check, not as the token semantics.
+quadratic generators, which derives these tokens from element data, is
+tests/test_acceptance.py::_build_element_level_instance; it is a
+cross-check, not the token semantics.
 """
 
 from __future__ import annotations
@@ -188,10 +189,6 @@ def degree(fm: EndoParameter) -> int:
         else:
             total += (2 * f1 + f2.diman() * token.div_factor) * token.degree
     return total
-
-
-def wt_d(f2: WittType, epsilon: int) -> WittClassD:
-    return f2.wt_d(epsilon)
 
 
 def validate(fm: EndoParameter) -> tuple[bool, list[str]]:

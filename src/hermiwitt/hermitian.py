@@ -109,9 +109,10 @@ def row_reduce(M, ncols: int, full_rank: bool = False) -> dict:
     """Gauss-Jordan elimination, in place, of the rows of M on its first
     ncols columns, over F, L, E or D alike.  Each column's pivot is chosen
     by _pivot among the rows not yet used, moved up, scaled to 1 from the
-    left and cleared from every other row; whole rows are updated.  A column
-    without pivot is skipped or, when full_rank is set, raises Singular
-    before any further arithmetic.  Returns {pivot column: row}."""
+    left and cleared from every other row by e - c*f on whole rows, whatever
+    c reads: an entry indistinguishable from zero is only known mod p^prec.
+    A column without pivot is skipped or, when full_rank is set, raises
+    Singular before any further arithmetic.  Returns {pivot column: row}."""
     pivots, r = {}, 0
     for col in range(ncols):
         piv = _pivot((i, M[i][col]) for i in range(r, len(M)))
@@ -123,7 +124,7 @@ def row_reduce(M, ncols: int, full_rank: bool = False) -> dict:
         inv = M[r][col].inv()
         M[r] = [inv * e for e in M[r]]
         for i in range(len(M)):
-            if i != r and not M[i][col].is_zero():
+            if i != r:
                 c = M[i][col]
                 M[i] = [e - c * f for e, f in zip(M[i], M[r])]
         pivots[col] = r
@@ -145,7 +146,8 @@ def lmat_det(A):
     with the same interface), by fraction-producing forward elimination with
     the _pivot rule.  Unlike row_reduce it never normalizes the pivot row,
     which keeps the determinant's certified digits.  Each pivot is inverted
-    once, and only the columns right of it, the ones read again, are updated."""
+    once, and every row below it is cleared on the columns right of it, the
+    ones read again."""
     n = len(A)
     M = [row[:] for row in A]
     det = None
@@ -161,8 +163,6 @@ def lmat_det(A):
         det = d if det is None else det * d
         dinv = d.inv() if col + 1 < n else None
         for r in range(col + 1, n):
-            if M[r][col].is_zero():
-                continue
             c = M[r][col] * dinv
             M[r][col + 1:] = [e - c * f for e, f in
                               zip(M[r][col + 1:], M[col][col + 1:])]
@@ -387,25 +387,19 @@ def witt_decompose(form: HermitianForm):
     from . import wittclass  # local import; wittclass builds on this module
 
     _, diag = diagonalize(form)
-    entries = list(diag.entries)
     index = diag.hyperbolic_pairs
-    classes = [wittclass.classify_line(d, form.epsilon) for d in entries]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                if classes[i] == classes[j]:
-                    for k in sorted((i, j), reverse=True):
-                        del entries[k]
-                        del classes[k]
-                    index += 1
-                    changed = True
-                    break
-            if changed:
-                break
-    rest = DiagonalForm(form.epsilon, tuple(entries), 0)
-    if entries and wittclass.is_isotropic(rest):
+    # each line cancels against the earlier unpaired line of its class
+    unpaired = []
+    for d in diag.entries:
+        c = wittclass.classify_line(d, form.epsilon)
+        mate = next((k for k, (ck, _) in enumerate(unpaired) if ck == c), None)
+        if mate is None:
+            unpaired.append((c, d))
+        else:
+            del unpaired[mate]
+            index += 1
+    rest = DiagonalForm(form.epsilon, tuple(d for _, d in unpaired), 0)
+    if rest.entries and wittclass.is_isotropic(rest):
         raise AssertionError("greedy cancellation left an isotropic part")
     return index, rest
 

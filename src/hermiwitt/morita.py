@@ -139,8 +139,6 @@ class SplitData:
 
     cfg: FieldConfig
     E: QuadExtField
-    beta0: QuaternionElement      # generator of E inside D
-    w_choice: int
     gens: tuple                   # final Phi-images of 1(x)u, 1(x)pi_D
     mphi_inv: tuple               # inverse of the tensor->matrix matrix, over E
     u1: FElement
@@ -242,29 +240,35 @@ def _e_form(C, x, y):
 _SPLIT_CACHE: dict = {}
 
 
+def _normalize_delta(cfg: FieldConfig, delta: FElement, generates_f: str):
+    """(delta pi_F^(-2k), k) with k = floor(v(delta) / 2), so that the new
+    delta has valuation 0 or 1; raises NotQuadratic(generates_f) when it is
+    a unit square, i.e. when its square root generates F."""
+    k = delta.valuation() // 2
+    if k:
+        delta = delta * cfg.pi() ** (-2 * k)
+    if delta.valuation() == 0 and delta.is_square():
+        raise NotQuadratic(generates_f)
+    return delta, k
+
+
 def split(cfg: FieldConfig, generator: QuaternionElement, w_choice: int = 0) -> SplitData:
     """Build SplitData for E = F[generator], generator a pure quaternion with
-    square in F^x (non-square unit or odd valuation)."""
+    square in F^x (non-square unit or odd valuation).  Splittings are cached
+    per normalized delta, its precision included."""
     g2 = generator * generator
     if not (g2.b.is_zero() and g2.a.b.is_zero()):
         raise NotQuadratic("generator^2 must lie in F")
-    delta = g2.a.a
-    k = delta.valuation() // 2
-    if k:
-        generator = generator.scale_f(cfg.pi() ** (-k))
-        delta = delta * cfg.pi() ** (-2 * k)
-    if delta.valuation() == 0 and delta.is_square():
-        raise NotQuadratic("generator generates F, not a quadratic extension")
-    key = (cfg, delta.val, delta.unit, w_choice)
-    if key in _SPLIT_CACHE:
-        return _SPLIT_CACHE[key]
-    data = _build_split(cfg, delta, w_choice)
-    _SPLIT_CACHE[key] = data
-    return data
+    delta, _ = _normalize_delta(
+        cfg, g2.a.a, "generator generates F, not a quadratic extension")
+    key = (cfg, delta.val, delta.unit, delta.prec, w_choice)
+    if key not in _SPLIT_CACHE:
+        _SPLIT_CACHE[key] = _build_split(cfg, delta, w_choice)
+    return _SPLIT_CACHE[key]
 
 
-def split_for_delta(cfg: FieldConfig, delta: FElement, w_choice: int = 0) -> SplitData:
-    return split(cfg, find_beta0(cfg, delta), w_choice)
+def split_for_delta(cfg: FieldConfig, delta: FElement) -> SplitData:
+    return split(cfg, find_beta0(cfg, delta))
 
 
 def _build_split(cfg: FieldConfig, delta: FElement, w_choice: int) -> SplitData:
@@ -365,7 +369,7 @@ def _build_split(cfg: FieldConfig, delta: FElement, w_choice: int) -> SplitData:
     row_solve = cmat_inv(A)
 
     data = SplitData(
-        cfg=cfg, E=E, beta0=beta0, w_choice=w_choice,
+        cfg=cfg, E=E,
         gens=(tuple(tuple(r) for r in Gu), tuple(tuple(r) for r in Gpi)),
         mphi_inv=tuple(tuple(r) for r in mphi_inv),
         u1=u_entries[0], u2=u_entries[1],
@@ -675,14 +679,10 @@ def _beta_normalize(cfg: FieldConfig, form: HermitianForm, beta):
         raise NotQuadratic("beta^2 must be a scalar in F")
     if not dmat_is_zero(dmat_sub(sq, dmat_scalar(d00, form.rank))):
         raise NotQuadratic("beta^2 must be a scalar matrix")
-    delta = d00.a.a
-    k = delta.valuation() // 2
+    delta, k = _normalize_delta(cfg, d00.a.a, "beta generates F")
     if k:
         sc = cfg.pi() ** (-k)
         beta = [[q.scale_f(sc) for q in row] for row in beta]
-        delta = delta * cfg.pi() ** (-2 * k)
-    if delta.valuation() == 0 and delta.is_square():
-        raise NotQuadratic("beta generates F")
     return beta, delta
 
 
@@ -711,13 +711,13 @@ def _htilde_pair(E: QuadExtField, dinv: FElement, left, w, bw):
                       tensor_scale(E.gen(), tensor_from_quat(E, h1)))
 
 
-def compute_htilde_beta(form: HermitianForm, beta, w_choice: int = 0) -> HtildeBeta:
+def compute_htilde_beta(form: HermitianForm, beta) -> HtildeBeta:
     """Construct h~_beta for a skew beta generating a quadratic field."""
     cfg = form.cfg
     if not form.rank or not validate(form):
         raise DegenerateForm("invalid input form")
     beta, delta = _beta_normalize(cfg, form, beta)
-    data = split_for_delta(cfg, delta, w_choice)
+    data = split_for_delta(cfg, delta)
     E = data.E
     n = form.rank
 
@@ -809,17 +809,13 @@ def trace_transfer(form: EDForm, lam_scale: FElement | None = None) -> Hermitian
     return out
 
 
-def trace_transfer_e_to_f(hE, field: QuadExtField, lam_scale: FElement | None = None):
-    """Tr_lambda on an E-valued form: the composed F-bilinear form on the
-    underlying F-space of E^t, as its 2t x 2t Gram matrix over F in the
-    basis (e_1, ..., e_t, e_1 w, ..., e_t w)."""
+def trace_transfer_e_to_f(hE, field: QuadExtField):
+    """Tr_lambda on an E-valued form, lambda = lambda_beta: the composed
+    F-bilinear form on the underlying F-space of E^t, as its 2t x 2t Gram
+    matrix over F in the basis (e_1, ..., e_t, e_1 w, ..., e_t w)."""
     t = len(hE)
-
-    def lam(e: QuadExtElement) -> FElement:
-        return e.a if lam_scale is None else e.a * lam_scale
-
     basis = dmat_scalar(field.one(), t) + dmat_scalar(field.gen(), t)
-    return [[lam(sesquilinear(hE, v, w)) for w in basis] for v in basis]
+    return [[sesquilinear(hE, v, w).a for w in basis] for v in basis]
 
 
 def realize_instance(form: EDForm):
@@ -856,8 +852,8 @@ class WittTowerValue:
         return class_of_form(trace_transfer(self.edform))
 
 
-def witt_tower_of(form: HermitianForm, beta, w_choice: int = 0) -> WittTowerValue:
-    ht = compute_htilde_beta(form, beta, w_choice)
+def witt_tower_of(form: HermitianForm, beta) -> WittTowerValue:
+    ht = compute_htilde_beta(form, beta)
     gram = functor_Fe(ht.edform, ht.split.e1())
     cls = e_witt_class(gram, ht.split.E, form.epsilon)
     return WittTowerValue(ht.split, form.epsilon, cls, ht.edform)

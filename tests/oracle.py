@@ -128,6 +128,17 @@ def honest(c: FElement, q: Fraction, p: int) -> bool:
     return not diff or vp_q(diff, p) >= c.prec
 
 
+def known_to(cfg, q, k):
+    """The F-element knowing the exact q in Z_(p)[1/p] mod p^k."""
+    p = cfg.p
+    v = vp_q(q, p) if q else k
+    if v >= k:
+        return FElement._zeroish(cfg, k)
+    u = q / Fraction(p) ** v
+    unit = u.numerator * pow(u.denominator, -1, p ** (k - v))
+    return FElement._make(cfg, v, unit, k)
+
+
 def truncated(cfg, r):
     """An exact coordinate in Z[1/p] and the F-element knowing it to a capped
     precision; one in six is known to 1-2 digits only and reads as zero."""

@@ -190,11 +190,11 @@ PINNED = {
     "transfer_unram": (_args("transfer", "--form", {
         "epsilon": 1, "delta": "2", "t": 2,
         "H": [[_e(1, 0), _e(2, 1)], [_e(2, -1), _e(5, 0)]]}),
-        "0f9b13c2171c3430aeccaacf6912f5ca2e693d1c5bfc2481c934ceb8296c8392"),
+        "b57d823a472a11223770983fa1bc8ead5fc6df0285b70517b341c591f1deb01b"),
     "transfer_ram": (_args("transfer", "--form", {
         "epsilon": -1, "delta": "5", "t": 2,
         "H": [[_e(0, 1), _e(1, 2)], [_e(-1, 2), _e(0, 3)]]}),
-        "19fd0076f3008a392165394d36047d01ed0e21607ad2bf2a9be4c16e4d4423d1"),
+        "1349674973dc1aec3e981558707cefe46ee903471dbed11b16a290a40085c195"),
 }
 
 
@@ -204,6 +204,38 @@ def test_pinned_output(capsys, name):
     rc, out = run_cli(capsys, "--prime", "5", "--precision", "32", *argv)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _f_fields(doc):
+    """Every F-element object in a JSON document."""
+    if isinstance(doc, dict):
+        if doc.get("base") == "F":
+            return [doc]
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        return [f for x in doc for f in _f_fields(x)]
+    return []
+
+
+def test_transfer_split_follows_delta_precision(capsys):
+    """The splitting is built for delta's digits and its precision: in one
+    process, a transfer with delta known to 12 digits and one with delta
+    exact print the same outputs in either order, and the first certifies
+    no nonzero coordinate beyond delta's 12 digits."""
+    H = [["1", "0"], ["0", "3"]]
+    docs = [{"epsilon": 1, "delta": "2", "t": 2, "H": H},
+            {"epsilon": 1, "t": 2, "H": H,
+             "delta": {"base": "F", "val": 0, "digits": [2], "prec": 12}}]
+    outs = []
+    for doc in docs + docs:
+        rc, out = run_cli(capsys, "--prime", "5", "--precision", "32",
+                          "transfer", "--form", json.dumps(doc))
+        assert rc == 0
+        outs.append(out)
+    assert outs[0] == outs[2] and outs[1] == outs[3]
+    full, low = (_f_fields(json.loads(o)["form"]) for o in outs[:2])
+    assert max(f["prec"] for f in full if f["val"] is not None) > 12
+    assert max(f["prec"] for f in low if f["val"] is not None) <= 12
 
 
 def test_tower_and_transfer(capsys, tmp_path):

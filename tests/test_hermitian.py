@@ -27,6 +27,7 @@ from hermiwitt.hermitian import (
     l_coordinates,
     reduced_norm,
     row_reduce,
+    sigma_h_adjoint,
     trace_lift_hL,
     twist,
     validate,
@@ -44,9 +45,11 @@ from oracle import (
     exact_matrix_rep,
     exact_mul,
     honest,
+    known_to,
     lift,
     rep_coords,
     truncated,
+    vp_q,
 )
 
 
@@ -115,19 +118,9 @@ class ExactD:
         n = a0 * a0 - self.r * a1 * a1 - self.p * (b0 * b0 - self.r * b1 * b1)
         return (a0 / n, -a1 / n, -b0 / n, -b1 / n)
 
-    def vp(self, q: Fraction) -> int:
-        v, num, den = 0, q.numerator, q.denominator
-        while num % self.p == 0:
-            num //= self.p
-            v += 1
-        while den % self.p == 0:
-            den //= self.p
-            v -= 1
-        return v
-
     def nu_D(self, x):
-        va = [2 * self.vp(c) for c in x[:2] if c]
-        vb = [2 * self.vp(c) + 1 for c in x[2:] if c]
+        va = [2 * vp_q(c, self.p) for c in x[:2] if c]
+        vb = [2 * vp_q(c, self.p) + 1 for c in x[2:] if c]
         return min(va + vb)
 
     def h(self, M, x, y):
@@ -190,16 +183,6 @@ def _to_tracked(cfg, x):
     return Q(cfg.l(f(x[0]), f(x[1])), cfg.l(f(x[2]), f(x[3])))
 
 
-def _coords(q):
-    return (q.a.a, q.a.b, q.b.a, q.b.b)
-
-
-def _honest(X: ExactD, x, q: Fraction) -> bool:
-    """The tracked F-element x agrees with the exact q mod p^prec."""
-    diff = q if x.is_zero() else q - x.unit * Fraction(X.p) ** x.val
-    return not diff or X.vp(diff) >= x.prec
-
-
 def _rand_exact_form(X: ExactD, r: random.Random, eps, n, zero_diag):
     """An exactly eps-hermitian Gram matrix: a random upper triangle, the
     lower triangle eps * rho(upper), and an eps-symmetric diagonal whose
@@ -253,8 +236,8 @@ def test_diagonalize_precision_honest(p, N):
                 pairs = list(zip(sum(T, []), sum(T_ex, [])))
                 pairs += list(zip(dg.entries, entries_ex))
                 for got, want in pairs:
-                    for x, q in zip(_coords(got), want):
-                        assert _honest(X, x, q), (p, N, n, eps, t)
+                    for x, q in zip(coords(got), want):
+                        assert honest(x, q, p), (p, N, n, eps, t)
                 _assert_congruence_postcondition(form, T, dg)
     assert hyperbolic > 0
     assert refused * 4 < forms, (refused, forms)
@@ -481,10 +464,10 @@ def test_row_reduce_free_column_before_pivot(cfg5, ring):
 
 
 def test_dmat_inv_multiply_count(cfg5, quaternion_products):
-    """row_reduce updates whole rows of [A | I]: a rank-3 D inverse takes 54
-    quaternion multiplies.  Leaving the settled pivot columns stale would
-    take 36, but refusals then turn into answers while row_reduce still
-    skips rows whose pivot-column entry is indistinguishable from zero."""
+    """row_reduce clears every other row of [A | I] in full, settled pivot
+    columns included: a rank-3 D inverse takes 54 quaternion multiplies.
+    Leaving the settled pivot columns stale would take 36; that change must
+    show that it turns no refusal into a digit exact arithmetic refutes."""
     r = rg.rng(3)
     A = [[rg.rand_quat(cfg5, r) for _ in range(3)] for _ in range(3)]
     assert quaternion_products(dmat_inv, A) <= 54
@@ -513,6 +496,14 @@ def _tracked_and_exact(cfg, r, kind, n):
 
 
 _REFUSALS = (PrecisionExhausted, IndistinguishableZero, Singular)
+
+
+def _honest_matrix(kind, p, got, R):
+    """Every F-coordinate of the tracked matrix got over F, L or D agrees
+    with the exact matrix whose block representation is R."""
+    n = len(got)
+    return all(honest(c, q, p) for i in range(n) for j in range(n)
+               for c, q in zip(coords(got[i][j]), rep_coords(kind, p, R, i, j)))
 
 
 def _dishonest_inverses_and_norms(p, N):
@@ -545,19 +536,12 @@ def _dishonest_inverses_and_norms(p, N):
                     ok = det[1] == 0 and honest(got, det[0], p)
                 else:
                     X = exact_inverse(exact_matrix_rep(kind, p, rr, exact))
-                    ok = X is not None and all(
-                        honest(c, q, p) for i in range(n) for j in range(n)
-                        for c, q in zip(coords(got[i][j]),
-                                        rep_coords(kind, p, X, i, j)))
+                    ok = X is not None and _honest_matrix(kind, p, got, X)
                 if not ok:
                     bad.append((kind, n))
     return bad, checked
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "row_reduce and lmat_det skip a row whose pivot-column entry is "
-    "indistinguishable from zero, as if it were exactly zero, and keep "
-    "digits that the exact inverse or determinant refutes"))
 def test_dmat_inv_and_reduced_norm_are_precision_honest():
     """Every F-coordinate that dmat_inv(A) over F, L or D, or
     reduced_norm(X), claims to prec k agrees mod p^k with exact arithmetic
@@ -565,6 +549,88 @@ def test_dmat_inv_and_reduced_norm_are_precision_honest():
     for p, N in ((3, 10), (5, 32), (13, 128)):
         bad, checked = _dishonest_inverses_and_norms(p, N)
         assert checked >= 40
+        assert not bad, (p, N, bad)
+
+
+def _dishonest_adjoints_and_cayleys(p, N):
+    """Each (operation, rank) of a result on an exactly eps-hermitian
+    integral form (its Gram M) that claims an F-coordinate to prec k
+    differing mod p^k from exact arithmetic: sigma_h_adjoint(M, X) for X of
+    truncated coordinates, and cayley_isometry(X, form) for X a truncation
+    of an exactly sigma_h-skew-adjoint Y - sigma_h(Y); a cayley_isometry
+    that calls such an X not skew-adjoint counts too.  And the number
+    checked."""
+    cfg = FieldConfig(p, N)
+    ex = ExactD(p, cfg.nonresidue_r)
+    r = random.Random(p * 17 + N)
+
+    def rep(C):
+        return exact_matrix_rep("D", p, ex.r, C)
+
+    def rho_t(C):
+        return [[ex.rho(C[j][i]) for j in range(len(C))] for i in range(len(C))]
+
+    def adjoint(Mrep, C):
+        Minv = exact_inverse(Mrep)
+        return Minv and exact_mul(Minv, exact_mul(rep(rho_t(C)), Mrep))
+
+    bad, checked = [], 0
+    for n in (1, 2, 3):
+        for _ in range(12):
+            eps = r.choice((1, -1))
+            exF = _rand_exact_form(ex, r, eps, n, zero_diag=False)
+            form = HermitianForm.from_rows(
+                eps, [[_to_tracked(cfg, x) for x in row] for row in exF])
+            exX, X = _tracked_and_exact(cfg, r, "D", n)
+            try:
+                got = sigma_h_adjoint(form.rows(), X)
+            except _REFUSALS:
+                pass
+            else:
+                checked += 1
+                want = adjoint(rep(exF), exX)
+                if not (want and _honest_matrix("D", p, got, want)):
+                    bad.append(("sigma_h_adjoint", n))
+            Y = [[(p * r.randrange(p ** N), p * r.randrange(p ** N),
+                   r.randrange(p ** N), r.randrange(p ** N))
+                  for _ in range(n)] for _ in range(n)]
+            adj = adjoint(rep(exF), Y)
+            if not adj:
+                continue
+            I = rep([[ex.one if i == j else ex.zero for j in range(n)]
+                     for i in range(n)])
+            Xrep = [[y - a for y, a in zip(ry, ra)]
+                    for ry, ra in zip(rep(Y), adj)]
+            exX = [[rep_coords("D", p, Xrep, i, j) for j in range(n)]
+                   for i in range(n)]
+            k = N - r.randint(0, 3)
+            X = [[Q(*(cfg.l(known_to(cfg, c[t], k), known_to(cfg, c[t + 1], k))
+                      for t in (0, 2))) for c in row] for row in exX]
+            try:
+                got = cayley_isometry(X, form)
+            except NotSkewAdjoint:
+                bad.append(("cayley_isometry rejects X", n))
+                continue
+            except _REFUSALS:
+                continue
+            checked += 1
+            inv = exact_inverse([[a - x for a, x in zip(ra, rx)]
+                                 for ra, rx in zip(I, Xrep)])
+            want = inv and exact_mul([[a + x for a, x in zip(ra, rx)]
+                                      for ra, rx in zip(I, Xrep)], inv)
+            if not (want and _honest_matrix("D", p, got, want)):
+                bad.append(("cayley_isometry", n))
+    return bad, checked
+
+
+def test_sigma_h_adjoint_and_cayley_are_precision_honest():
+    """Every F-coordinate that sigma_h_adjoint(M, X) or cayley_isometry(X,
+    form) claims to prec k agrees mod p^k with exact arithmetic on the
+    exact inputs that M, X and form truncate, at ranks 1-3; and a
+    truncation of an exactly skew-adjoint X passes cayley_isometry's check."""
+    for p, N in ((3, 10), (5, 32), (13, 128)):
+        bad, checked = _dishonest_adjoints_and_cayleys(p, N)
+        assert checked >= 40, (p, N, checked)
         assert not bad, (p, N, bad)
 
 
