@@ -47,4 +47,4 @@ from itertools import combinations
 for k in range(4):
     for names in combinations(("g1", "galpha", "gpi"), k):
         c = wc.WittClassD.of(1, *names)
-        print(f"  dim {set(names) or '{}'} = {wc.anisotropic_dim(cfg, c)}")
+        print(f"  dim {c.sorted_names()} = {wc.anisotropic_dim(cfg, c)}")

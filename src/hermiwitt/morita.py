@@ -139,7 +139,7 @@ class SplitData:
 
     cfg: FieldConfig
     E: QuadExtField
-    gens: tuple                   # final Phi-images of 1(x)u, 1(x)pi_D
+    imgs: tuple                   # Phi-images of 1(x)d, d in (1, u, pi_D, u pi_D)
     mphi_inv: tuple               # inverse of the tensor->matrix matrix, over E
     u1: FElement
     u2: FElement
@@ -147,7 +147,7 @@ class SplitData:
 
     # -- conversions ---------------------------------------------------------
     def to_matrix(self, ten):
-        return _matrix_of_tensor(*self.gens, ten)
+        return _matrix_of_tensor(self.imgs, ten)
 
     def to_tensor(self, X):
         return _tensor_of_matrix(self.mphi_inv, X)
@@ -193,7 +193,7 @@ class SplitData:
 
     def validate(self) -> bool:
         E, cfg = self.E, self.cfg
-        Gu, Gpi = self.gens
+        _, Gu, Gpi, _ = self.imgs
         r = E.from_f(cfg.f(cfg.nonresidue_r))
         pf = E.from_f(cfg.pi())
         checks = []
@@ -207,7 +207,7 @@ class SplitData:
             X = self.to_matrix(tuple(ten))
             checks.append(dmat_is_zero(
                 dmat_sub(self.theta(X), self.to_matrix(tensor_theta(tuple(ten))))))
-        checks.append(self.u1.same(self.u1) and self.u2.same(self.u2))
+        checks.append(not (self.u1.is_zero() or self.u2.is_zero()))
         e1 = self.e1().mat
         checks.append(dmat_is_zero(dmat_sub(self.theta([list(r) for r in e1]),
                                             [list(r) for r in e1])))
@@ -218,11 +218,17 @@ class SplitData:
         return all(checks)
 
 
-def _matrix_of_tensor(Gu, Gpi, ten):
+def _basis_images(E: QuadExtField, Gu, Gpi):
+    """[I, Gu, Gpi, Gu Gpi]: Phi on the D-basis (1, u, pi_D, u pi_D), from
+    the images Gu, Gpi of 1 (x) u and 1 (x) pi_D."""
+    return [dmat_scalar(E.one(), 2), Gu, Gpi, dmat_mul(Gu, Gpi)]
+
+
+def _matrix_of_tensor(imgs, ten):
     """Phi in tensor coordinates: ten[0] + ten[1] Gu + ten[2] Gpi +
-    ten[3] Gu Gpi, for the images Gu, Gpi of 1 (x) u and 1 (x) pi_D."""
+    ten[3] Gu Gpi, for imgs = _basis_images(E, Gu, Gpi)."""
     out = dmat_scalar(ten[0], 2)
-    for c, g in zip(ten[1:], (Gu, Gpi, dmat_mul(Gu, Gpi))):
+    for c, g in zip(ten[1:], imgs[1:]):
         out = [[out[i][j] + c * g[i][j] for j in range(2)] for i in range(2)]
     return out
 
@@ -287,6 +293,8 @@ def _build_split(cfg: FieldConfig, delta: FElement, w_choice: int) -> SplitData:
         except Singular:
             continue
         chosen.append((w, ainv))
+        if len(chosen) > w_choice:
+            break
     if len(chosen) <= w_choice:
         raise NotInD("no independent complement basis found")
     w, ainv = chosen[w_choice]
@@ -304,21 +312,21 @@ def _build_split(cfg: FieldConfig, delta: FElement, w_choice: int) -> SplitData:
 
     G0u = g0_of(QuaternionElement.u_elem(cfg))
     G0pi = g0_of(QuaternionElement.pi_D(cfg))
+    imgs0 = _basis_images(E, G0u, G0pi)
 
-    def mphi_of(Gu, Gpi):
-        imgs = [dmat_scalar(E.one(), 2), Gu, Gpi, dmat_mul(Gu, Gpi)]
+    def mphi_of(imgs):
         cols = [[m[0][0], m[0][1], m[1][0], m[1][1]] for m in imgs]
         return [[cols[j][i] for j in range(4)] for i in range(4)]
 
-    mphi0_inv = cmat_inv(mphi_of(G0u, G0pi))
+    mphi0_inv = cmat_inv(mphi_of(imgs0))
 
     def psi0(X):
         return _matrix_of_tensor(
-            G0u, G0pi, tensor_theta(_tensor_of_matrix(mphi0_inv, X)))
+            imgs0, tensor_theta(_tensor_of_matrix(mphi0_inv, X)))
 
     # solve B * Psi0(X) = sigma(X)^T * B on the generating images
     rows, zero = [], E.zero()
-    for X in (G0u, G0pi, dmat_mul(G0u, G0pi)):
+    for X in imgs0[1:]:
         P = psi0(X)
         S = dmat_bar_t(X)
         for i in range(2):
@@ -358,10 +366,10 @@ def _build_split(cfg: FieldConfig, delta: FElement, w_choice: int) -> SplitData:
     minv = cmat_inv(m)
     Gu = dmat_mul(m, dmat_mul(G0u, minv))
     Gpi = dmat_mul(m, dmat_mul(G0pi, minv))
-    mphi_inv = cmat_inv(mphi_of(Gu, Gpi))
+    imgs = _basis_images(E, Gu, Gpi)
+    mphi_inv = cmat_inv(mphi_of(imgs))
 
     # first-row solve: x -> first row of G_x (final Phi)
-    imgs = [dmat_scalar(E.one(), 2), Gu, Gpi, dmat_mul(Gu, Gpi)]
     cols = []
     for g in imgs:
         cols.append([g[0][0].a, g[0][0].b, g[0][1].a, g[0][1].b])
@@ -370,7 +378,7 @@ def _build_split(cfg: FieldConfig, delta: FElement, w_choice: int) -> SplitData:
 
     data = SplitData(
         cfg=cfg, E=E,
-        gens=(tuple(tuple(r) for r in Gu), tuple(tuple(r) for r in Gpi)),
+        imgs=tuple(tuple(tuple(r) for r in g) for g in imgs),
         mphi_inv=tuple(tuple(r) for r in mphi_inv),
         u1=u_entries[0], u2=u_entries[1],
         row_solve=tuple(tuple(r) for r in row_solve))
@@ -573,32 +581,20 @@ def _echelon_add(echelon, vec) -> bool:
 
 def functor_Fe(form: EDForm, idem: IdempotentE):
     """F_e: the E-valued form tr_E o h~ restricted to V e.  Returns the
-    t x t Gram matrix over E.  Nondegeneracy of the output is verified on
-    every call."""
-    data, E, t = form.split, form.split.E, form.t
-    e = [list(r) for r in idem.mat]
-    # E-basis of V e from the 2t candidate rows r_i^(c) e
-    cands = []
-    for i in range(t):
-        for c in range(2):
-            X = [[E.zero(), E.zero()] for _ in range(t)]
-            X[i][c] = E.one()
-            cands.append(dmat_mul(X, e))
-    basis, ech = [], []
-    for X in cands:
-        if _echelon_add(ech, [X[r][c] for r in range(t) for c in range(2)]):
-            basis.append(X)
-        if len(basis) == t:
-            break
-    if len(basis) < t:
+    t x t Gram matrix over E.  e has rank 1, so V e has the E-basis
+    r_i eps, eps the first row of e not indistinguishable from zero, and
+    tr_E h~(r_i eps, r_j eps) = sum_k u_k (sigma(eps_k) (H_ij eps_k)): the
+    definition u_mat sigma(X)^T (H Y) without its zero and unit factors,
+    multiplied in the same order.  Nondegeneracy of the output is verified
+    on every call."""
+    data = form.split
+    eps = next((row for row in idem.mat
+                if not (row[0].is_zero() and row[1].is_zero())), None)
+    if eps is None:
         raise DegenerateForm("V e has unexpected dimension")
-    gram = []
-    for X in basis:
-        row = []
-        for Y in basis:
-            val = form.value(X, Y)
-            row.append(val[0][0] + val[1][1])
-        gram.append(row)
+    (x1, x2), (s1, s2) = eps, (eps[0].sigma(), eps[1].sigma())
+    gram = [[(s1 * (h * x1)).scale_f(data.u1) + (s2 * (h * x2)).scale_f(data.u2)
+             for h in row] for row in form.H]
     if not is_eps_hermitian(gram, form.epsilon):
         raise AssertionError("F_e output failed the hermitian check")
     try:
@@ -777,32 +773,22 @@ def compute_htilde_beta(form: HermitianForm, beta) -> HtildeBeta:
                       tuple(tuple(v) for v, _ in frame))
 
 
-def frame_rows(data: SplitData, t: int):
-    """Standard frame row vectors r_i as t x 2 matrices."""
-    E = data.E
-    rows = []
-    for i in range(t):
-        X = [[E.zero(), E.zero()] for _ in range(t)]
-        X[i][0] = E.one()
-        rows.append(X)
-    return rows
-
-
 def trace_transfer(form: EDForm, lam_scale: FElement | None = None) -> HermitianForm:
     """Tr_lambda: the D-valued form (lambda (x) id_D) o h~ on the standard
-    D-basis of the underlying module.  lambda = lam_scale * lambda_beta
+    D-basis r_1..r_t of the underlying module, r_i having (1, 0) in row i
+    and zeros elsewhere.  h~(r_i, r_j) = [[u1 H_ij, 0], [0, 0]] has the
+    tensor coordinates c_k (u1 H_ij), c = Phi^(-1)(E_00) the first column
+    of mphi_inv, so the Gram entry is lambda(c (u1 H_ij)).
+    lambda = lam_scale * lambda_beta
     (lam_scale = None means lambda_beta itself)."""
-    data, t = form.split, form.t
+    data = form.split
     cfg = data.cfg
-    rows = frame_rows(data, t)
+    col = [r[0] for r in data.mphi_inv]
     gram = []
-    for X in rows:
-        grow = []
-        for Y in rows:
-            val = form.value(X, Y)
-            ten = data.to_tensor(val)
-            grow.append(tensor_lambda_apply(cfg, ten, lam_scale))
-        gram.append(grow)
+    for row in form.H:
+        xs = [h.scale_f(data.u1) for h in row]
+        gram.append([tensor_lambda_apply(cfg, tuple(c * x for c in col), lam_scale)
+                     for x in xs])
     out = HermitianForm.from_rows(form.epsilon, gram)
     if not validate(out):
         raise DegenerateForm("trace transfer produced an invalid form")

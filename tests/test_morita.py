@@ -1,6 +1,11 @@
 import pytest
 
-from hermiwitt.errors import DegenerateForm, NotQuadratic, NotSkewAdjoint
+from hermiwitt.errors import (
+    DegenerateForm,
+    HermiwittError,
+    NotQuadratic,
+    NotSkewAdjoint,
+)
 from hermiwitt.hermitian import (
     HermitianForm,
     diagonalize,
@@ -44,6 +49,104 @@ def test_functor_fe_rank_and_roundtrip(cfg5):
                 back = mo.functor_Fe(ed, data.e1())
                 assert len(back) == t
                 assert dmat_is_zero(dmat_sub(back, hE))
+
+
+def _rows_matrix(E, t, i, row):
+    """The t x 2 coordinate matrix whose row i is ``row``, zero elsewhere."""
+    X = [[E.zero(), E.zero()] for _ in range(t)]
+    X[i] = list(row)
+    return X
+
+
+def _agrees_and_claims_as_much(closed, defined):
+    """closed equals defined at their shared precision, coordinate by
+    coordinate, and claims at least defined's precision."""
+    return all(c.same(d) and c.prec >= d.prec for c, d in zip(closed, defined))
+
+
+def _check_closed_forms(ed, idem):
+    """functor_Fe and trace_transfer against the definition h~ = EDForm.value
+    on every frame pair where the definition answers: tr_E h~(r_i eps,
+    r_j eps) for eps the first nonzero row of e, and lambda applied to the
+    tensor coordinates of h~(r_i, r_j).  F_e may refuse only where the
+    definition's Gram is not certified nondegenerate either.  Returns how
+    many F_e entries were compared."""
+    data, E, t = ed.split, ed.split.E, ed.t
+    tr = mo.trace_transfer(ed)
+    for i in range(t):
+        for j in range(t):
+            r_i = _rows_matrix(E, t, i, (E.one(), E.zero()))
+            r_j = _rows_matrix(E, t, j, (E.one(), E.zero()))
+            lam = mo.tensor_lambda_apply(
+                data.cfg, data.to_tensor(ed.value(r_i, r_j)))
+            assert _agrees_and_claims_as_much(mo.quat_f_coords(tr.gram[i][j]),
+                                              mo.quat_f_coords(lam))
+    eps = next(row for row in idem.mat
+               if not (row[0].is_zero() and row[1].is_zero()))
+    defined = [[None] * t for _ in range(t)]
+    for i in range(t):
+        for j in range(t):
+            try:
+                v = ed.value(_rows_matrix(E, t, i, eps), _rows_matrix(E, t, j, eps))
+                defined[i][j] = v[0][0] + v[1][1]
+            except HermiwittError:
+                pass
+    try:
+        fe = mo.functor_Fe(ed, idem)
+    except HermiwittError:
+        if all(x is not None for row in defined for x in row):
+            with pytest.raises(HermiwittError):
+                mo.cmat_inv(defined)
+        return 0
+    pairs = [(fe[i][j], defined[i][j]) for i in range(t) for j in range(t)
+             if defined[i][j] is not None]
+    for f, d in pairs:
+        assert _agrees_and_claims_as_much((f.a, f.b), (d.a, d.b))
+    return len(pairs)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_closed_forms_match_the_definition(p):
+    """F_e and Tr_lambda read their Gram matrices off H; on random forms of
+    rank t <= 3 over both E, at both signs, under e1, e2 and idempotents of
+    random lines (whose entries can have negative valuation), they agree with
+    the definition wherever it answers and claim as much precision."""
+    cfg = FieldConfig(p, 32)
+    r = rg.rng(137 + p)
+    answered = 0
+    for gen in (Q.u_elem(cfg), Q.pi_D(cfg)):
+        data = mo.split(cfg, gen)
+        E = data.E
+        idems = [data.e1(), data.e2()]
+        while len(idems) < 5:
+            x = [E.el(rg.rand_f(cfg, r, -2, 3), rg.rand_f(cfg, r, -2, 3))
+                 for _ in range(2)]
+            try:
+                idems.append(data.idempotent_from_line(x))
+            except DegenerateForm:
+                continue
+        for eps in (1, -1):
+            for idem in idems:
+                t = r.randint(1, 3)
+                ed = mo.EDForm(data, eps, tuple(
+                    tuple(row) for row in rg.rand_eform(data, r, eps, t)))
+                answered += _check_closed_forms(ed, idem)
+    assert answered > 0
+
+
+def test_fe_keeps_the_definitions_multiplication_order():
+    """A line idempotent with entries p^-2 unit + O(p^2) at (3, 10), over
+    E = F(pi_D), on a skew rank-1 form: the definition answers, and so must
+    F_e.  Multiplying sum_k u_k sigma(eps_k) eps_k first and H after runs
+    out of digits on this input."""
+    cfg = FieldConfig(3, 10)
+    data = mo.split(cfg, Q.pi_D(cfg))
+    E = data.E
+    idem = data.idempotent_from_line([E.el(3 * 14731, 19976),
+                                      E.el(9 * 3272, 51322)])
+    assert {x.a.val for row in idem.mat for x in row} == {-2}
+    ed = mo.EDForm(data, -1, ((E.gen().scale_f(cfg.f(3 * 3706)),),))
+    assert _check_closed_forms(ed, idem) == 1
 
 
 def test_ge_block_formula(cfg5):
