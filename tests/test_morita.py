@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from hermiwitt.errors import (
@@ -8,8 +10,11 @@ from hermiwitt.errors import (
 )
 from hermiwitt.hermitian import (
     HermitianForm,
+    congruence,
     diagonalize,
+    dmat_inv,
     dmat_is_zero,
+    dmat_mul,
     dmat_scalar,
     dmat_sub,
     validate as form_validate,
@@ -261,6 +266,44 @@ def test_htilde_beta_multiply_count(cfg5, quaternion_products):
     ed = mo.functor_Ge(rg.rand_eform(data, r, 1, 3), data, 1)
     h, beta = mo.realize_instance(ed)
     assert quaternion_products(mo.compute_htilde_beta, h, beta) <= 542
+
+
+def _htilde_beta_batch():
+    """The (val, unit, prec) of every edform.H entry that compute_htilde_beta
+    returns, or the class of the exception it raises, on realize_instance
+    pairs over both E, both eps and t <= 3 (three of each), each also conjugated by a
+    random invertible S: h -> rho(S)^T h S, beta -> S^(-1) beta S."""
+    out = []
+    for p, N in ((3, 8), (5, 10), (7, 20), (13, 40)):
+        cfg = FieldConfig(p, N)
+        r = rg.rng(p * 1000 + N)
+        for gen in (Q.u_elem(cfg), Q.pi_D(cfg)):
+            data = mo.split(cfg, gen)
+            for eps in (1, -1):
+                for t in (1, 2, 3, 1, 2, 3, 1, 2, 3):
+                    ed = mo.functor_Ge(rg.rand_eform(data, r, eps, t), data, eps)
+                    h, beta = mo.realize_instance(ed)
+                    S = rg.rand_invertible(cfg, r, t)
+                    hS = HermitianForm.from_rows(eps, congruence(h.rows(), S, S))
+                    bS = dmat_mul(dmat_inv(S), dmat_mul(beta, S))
+                    for form, b in ((h, beta), (hS, bS)):
+                        try:
+                            H = mo.compute_htilde_beta(form, b).edform.H
+                        except HermiwittError as exc:
+                            out.append(type(exc).__name__)
+                            continue
+                        out.append(tuple((x.a._t, x.b._t) for row in H for x in row))
+    return out
+
+
+def test_htilde_beta_pinned():
+    """compute_htilde_beta keeps every digit and every refusal class on a
+    seeded batch of plain and conjugated pairs: a rewrite of the frame
+    search or of the skew test must hash to the recorded digest."""
+    out = _htilde_beta_batch()
+    assert len(out) == 288
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == \
+        "b9a0723eb875853f5f46fc44a210bba3e18c95ece359d50568359f26e890ec77"
 
 
 def test_public_classifiers_refuse_non_hermitian_gram(cfg5):
