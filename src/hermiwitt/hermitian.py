@@ -196,6 +196,14 @@ def sigma_h_adjoint(M, X):
     return dmat_mul(dmat_inv(M), dmat_mul(dmat_bar_t(X), M))
 
 
+def is_sigma_h_skew(M, X) -> bool:
+    """Whether sigma_h(X) = -X, tested as bar(X)^T M + M X = 0 with no M^(-1).
+    The two agree for invertible M only, so row_reduce certifies a copy of M
+    first, updating it as dmat_inv(M) does: a singular M raises Singular."""
+    row_reduce([list(r) for r in M], len(M), full_rank=True)
+    return dmat_is_zero(dmat_add(dmat_mul(dmat_bar_t(X), M), dmat_mul(M, X)))
+
+
 def congruence(M, X, Y):
     """bar(X)^T (M Y): the values of the form M between the columns of X and
     those of Y; congruence(M, S, S) is the Gram matrix in the basis S."""
@@ -489,9 +497,9 @@ def l_coordinates(vec):
 
 
 def cayley_isometry(X, form: HermitianForm):
-    """g = (1 + X)(1 - X)^(-1) for sigma_h-skew-adjoint X; g is an isometry
-    of the form (and has reduced norm 1)."""
-    if not dmat_is_zero(dmat_add(sigma_h_adjoint(form.rows(), X), X)):
+    """g = (1 + X)(1 - X)^(-1) for sigma_h-skew-adjoint X, checked by
+    is_sigma_h_skew; g is an isometry of the form (and has reduced norm 1)."""
+    if not is_sigma_h_skew(form.rows(), X):
         raise NotSkewAdjoint("X is not sigma_h-skew-adjoint")
     I = dmat_identity(form.cfg, form.rank)
     try:

@@ -53,10 +53,10 @@ from .hermitian import (
     dmat_scalar,
     dmat_sub,
     is_eps_hermitian,
+    is_sigma_h_skew,
     row_dot,
     row_reduce,
     sesquilinear,
-    sigma_h_adjoint,
     validate,
     vec_apply,
 )
@@ -666,8 +666,10 @@ def similitude_scale(e: IdempotentE, f: IdempotentE):
 # ---------------------------------------------------------------------------
 
 def _beta_normalize(cfg: FieldConfig, form: HermitianForm, beta):
+    """(beta, delta): beta as a matrix, skew by is_sigma_h_skew, with
+    beta^2 = delta in F, scaled by a power of pi_F to normalize delta."""
     beta = dmat_of(beta, form.rank)
-    if not dmat_is_zero(dmat_add(sigma_h_adjoint(form.rows(), beta), beta)):
+    if not is_sigma_h_skew(form.rows(), beta):
         raise NotSkewAdjoint("beta must be skew for sigma_h")
     sq = dmat_mul(beta, beta)
     d00 = sq[0][0]
@@ -708,7 +710,10 @@ def _htilde_pair(E: QuadExtField, dinv: FElement, left, w, bw):
 
 
 def compute_htilde_beta(form: HermitianForm, beta) -> HtildeBeta:
-    """Construct h~_beta for a skew beta generating a quadratic field."""
+    """Construct h~_beta for a skew beta generating a quadratic field.  The
+    E-basis g_1..g_n of V e1 is picked by an echelon search from the images
+    e1 (d e_i), d in (1, u, pi_D, u pi_D), each built in closed form, and
+    H_ij is the e1-entry of h~_beta(g_i, g_j) over u1."""
     cfg = form.cfg
     if not form.rank or not validate(form):
         raise DegenerateForm("invalid input form")
@@ -718,30 +723,23 @@ def compute_htilde_beta(form: HermitianForm, beta) -> HtildeBeta:
     n = form.rank
 
     # the D-basis (1, u, pi_D, u pi_D) of the tensor coordinates
-    dbasis = [QuaternionElement.one(cfg), QuaternionElement.u_elem(cfg),
-              QuaternionElement.pi_D(cfg),
-              QuaternionElement.u_elem(cfg) * QuaternionElement.pi_D(cfg)]
+    u, pi = QuaternionElement.u_elem(cfg), QuaternionElement.pi_D(cfg)
+    dbasis = [QuaternionElement.one(cfg), u, pi, u * pi]
 
     def e_action(e: QuadExtElement, v, bv):
         """e acting on v, given bv = beta v."""
         return [q.scale_f(e.a) + r.scale_f(e.b) for q, r in zip(v, bv)]
 
-    def tensor_op(ten, v):
-        bv = vec_apply(beta, v)
-        out = None
-        for coeff, d in zip(ten, dbasis):
-            part = [q * d for q in e_action(coeff, v, bv)]
-            out = part if out is None else [a + b for a, b in zip(out, part)]
-        return out
-
     def flat(v):
         return [c for q in v for c in quat_f_coords(q)]
 
+    # e1 = sum_k (a_k + b_k w) (x) d_k acts as v -> v A + (beta v) B, so it
+    # maps d e_i to e_i (d A) + beta_{:,i} (d B)
     e1_tensor = data.to_tensor([list(r) for r in data.e1().mat])
-    zero = QuaternionElement.zero(cfg)
-    # E-basis of V e1 from the images of the vectors d e_i, built as needed
-    cands = (tensor_op(e1_tensor, [d if k == i else zero for k in range(n)])
-             for i in range(n) for d in dbasis)
+    A = quat_from_f_coords(cfg, [c.a for c in e1_tensor])
+    B = quat_from_f_coords(cfg, [c.b for c in e1_tensor])
+    cands = ([r[i] * dB + dA if k == i else r[i] * dB for k, r in enumerate(beta)]
+             for i in range(n) for dA, dB in ((d * A, d * B) for d in dbasis))
     frame, echelon = [], []
     for v in cands:
         if not _echelon_add(echelon, flat(v)):

@@ -358,6 +358,25 @@ def test_cayley_examples(cfg5):
         cayley_isometry(dmat_identity(cfg5, n), form)
 
 
+def test_cayley_refuses_a_degenerate_gram(cfg5):
+    """X = 0 passes bar(X)^T M + M X = 0 for any M, but sigma_h is defined
+    only for an invertible M: diag(1, 0) is refused as singular."""
+    one, zero = Q.one(cfg5), Q.zero(cfg5)
+    form = HermitianForm.diagonal(1, [one, zero])
+    with pytest.raises(Singular, match="^matrix not invertible at tracked precision$"):
+        cayley_isometry([[zero, zero], [zero, zero]], form)
+
+
+def test_cayley_isometry_multiply_count(cfg5, quaternion_products):
+    """The skew test bar(X)^T M + M X = 0 certifies M by row_reduce on M
+    alone, not on [M | I]: a rank-3 Cayley isometry takes 162 quaternion
+    multiplies, where testing through sigma_h's M^(-1) took 189."""
+    r = rg.rng(11)
+    form = rg.rand_form(cfg5, r, 1, 3)
+    X = rg.rand_skew_adjoint(cfg5, r, form)
+    assert quaternion_products(cayley_isometry, X, form) <= 162
+
+
 def sum_q(items):
     s = items[0]
     for x in items[1:]:

@@ -7,6 +7,7 @@ from hermiwitt.errors import (
     HermiwittError,
     NotQuadratic,
     NotSkewAdjoint,
+    Singular,
 )
 from hermiwitt.hermitian import (
     HermitianForm,
@@ -257,53 +258,73 @@ def test_htilde_beta_identities(cfg5):
 
 def test_htilde_beta_multiply_count(cfg5, quaternion_products):
     """The h~_beta frame loop forms the left products bar(g_i) h_ij once per
-    frame vector and reuses beta g_j from the frame search: a rank-3 pair
-    takes 542 quaternion multiplies, where evaluating each h(g_i, g_j) and
-    h(g_i, beta g_j) from scratch took 713.  (506 while row_reduce skipped
-    the rows whose pivot-column entry reads as zero.)"""
+    frame vector and reuses beta g_j from the frame search; each candidate
+    e1 (d e_i) costs n + 2 multiplies in closed form, and the skew test of
+    beta needs no Gram inverse: a rank-3 pair takes 378 quaternion
+    multiplies.  Expanding each candidate through the tensor coordinates
+    and testing skewness through M^(-1) took 549."""
     r = rg.rng(7)
     data = mo.split(cfg5, Q.u_elem(cfg5))
     ed = mo.functor_Ge(rg.rand_eform(data, r, 1, 3), data, 1)
     h, beta = mo.realize_instance(ed)
-    assert quaternion_products(mo.compute_htilde_beta, h, beta) <= 542
+    assert quaternion_products(mo.compute_htilde_beta, h, beta) <= 378
 
 
-def _htilde_beta_batch():
-    """The (val, unit, prec) of every edform.H entry that compute_htilde_beta
-    returns, or the class of the exception it raises, on realize_instance
-    pairs over both E, both eps and t <= 3 (three of each), each also conjugated by a
-    random invertible S: h -> rho(S)^T h S, beta -> S^(-1) beta S."""
-    out = []
-    for p, N in ((3, 8), (5, 10), (7, 20), (13, 40)):
-        cfg = FieldConfig(p, N)
-        r = rg.rng(p * 1000 + N)
-        for gen in (Q.u_elem(cfg), Q.pi_D(cfg)):
-            data = mo.split(cfg, gen)
-            for eps in (1, -1):
-                for t in (1, 2, 3, 1, 2, 3, 1, 2, 3):
-                    ed = mo.functor_Ge(rg.rand_eform(data, r, eps, t), data, eps)
-                    h, beta = mo.realize_instance(ed)
-                    S = rg.rand_invertible(cfg, r, t)
-                    hS = HermitianForm.from_rows(eps, congruence(h.rows(), S, S))
-                    bS = dmat_mul(dmat_inv(S), dmat_mul(beta, S))
-                    for form, b in ((h, beta), (hS, bS)):
-                        try:
-                            H = mo.compute_htilde_beta(form, b).edform.H
-                        except HermiwittError as exc:
-                            out.append(type(exc).__name__)
-                            continue
-                        out.append(tuple((x.a._t, x.b._t) for row in H for x in row))
-    return out
+def _realized_pairs(p, N):
+    """Seeded realize_instance pairs (h, beta) at (p, N) over both E, both
+    eps and t <= 3 (three of each), each with its conjugate by a random
+    invertible S: h -> rho(S)^T h S, beta -> S^(-1) beta S."""
+    cfg = FieldConfig(p, N)
+    r = rg.rng(p * 1000 + N)
+    for gen in (Q.u_elem(cfg), Q.pi_D(cfg)):
+        data = mo.split(cfg, gen)
+        for eps in (1, -1):
+            for t in (1, 2, 3, 1, 2, 3, 1, 2, 3):
+                ed = mo.functor_Ge(rg.rand_eform(data, r, eps, t), data, eps)
+                h, beta = mo.realize_instance(ed)
+                S = rg.rand_invertible(cfg, r, t)
+                hS = HermitianForm.from_rows(eps, congruence(h.rows(), S, S))
+                yield h, beta, hS, dmat_mul(dmat_inv(S), dmat_mul(beta, S))
 
 
 def test_htilde_beta_pinned():
-    """compute_htilde_beta keeps every digit and every refusal class on a
-    seeded batch of plain and conjugated pairs: a rewrite of the frame
-    search or of the skew test must hash to the recorded digest."""
-    out = _htilde_beta_batch()
+    """The (val, unit, prec) of every edform.H entry that compute_htilde_beta
+    returns, or the class of the exception it raises, on the plain and
+    conjugated pairs at (3, 8), (5, 10), (7, 20) and (13, 40), hashes to
+    the recorded digest: a rewrite of the frame search or of the skew test
+    keeps every digit and every refusal class."""
+    out = []
+    for p, N in ((3, 8), (5, 10), (7, 20), (13, 40)):
+        for h, beta, hS, bS in _realized_pairs(p, N):
+            for form, b in ((h, beta), (hS, bS)):
+                try:
+                    H = mo.compute_htilde_beta(form, b).edform.H
+                except HermiwittError as exc:
+                    out.append(type(exc).__name__)
+                    continue
+                out.append(tuple((x.a._t, x.b._t) for row in H for x in row))
     assert len(out) == 288
     assert hashlib.sha256(repr(out).encode()).hexdigest() == \
-        "b9a0723eb875853f5f46fc44a210bba3e18c95ece359d50568359f26e890ec77"
+        "e9af88cf8e305af6b91de2b3624af27965a980906579dadf96561c45f823f778"
+
+
+def test_conjugated_pairs_keep_their_tower():
+    """At (3, 8), where digits run out first, a pair conjugated by S has the
+    Witt tower of the plain pair whenever both answer (over the same E,
+    whose delta may be known to fewer digits)."""
+    compared = 0
+    for h, beta, hS, bS in _realized_pairs(3, 8):
+        try:
+            t1, t2 = mo.witt_tower_of(h, beta), mo.witt_tower_of(hS, bS)
+        except HermiwittError:
+            continue
+        c1, c2 = t1.class_at_e1, t2.class_at_e1
+        assert c1.field.delta.same(c2.field.delta)
+        assert (c1.epsilon, c1.rank_parity, c1.i_is_norm) == \
+            (c2.epsilon, c2.rank_parity, c2.i_is_norm)
+        assert t1.trace_class() == t2.trace_class()
+        compared += 1
+    assert compared >= 25
 
 
 def test_public_classifiers_refuse_non_hermitian_gram(cfg5):
@@ -325,6 +346,15 @@ def test_public_classifiers_refuse_non_hermitian_gram(cfg5):
 def test_beta_must_be_skew(cfg5):
     form = HermitianForm.diagonal(1, [Q.one(cfg5)])
     with pytest.raises(NotSkewAdjoint):
+        mo.compute_htilde_beta(form, Q.u_elem(cfg5))
+
+
+def test_beta_skew_test_refuses_a_degenerate_gram(cfg5):
+    """beta = u is skew for diag(pi_D, 0) by bar(beta)^T M + M beta = 0, but
+    that test means sigma_h-skew only for an invertible M: the Gram is
+    refused as singular."""
+    form = HermitianForm.diagonal(1, [Q.pi_D(cfg5), Q.zero(cfg5)])
+    with pytest.raises(Singular, match="^matrix not invertible at tracked precision$"):
         mo.compute_htilde_beta(form, Q.u_elem(cfg5))
 
 
