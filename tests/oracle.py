@@ -99,6 +99,19 @@ def exact_l_det(A, r):
     return det
 
 
+def digest(x):
+    """(val, unit, prec) of every F-coordinate, nested like the element, and
+    a list of digests for a list or tuple; bool, int and str stay as they
+    are."""
+    if isinstance(x, FElement):
+        return (x.val, x.unit, x.prec)
+    if isinstance(x, (bool, int, str)):
+        return x
+    if isinstance(x, (list, tuple)):
+        return [digest(e) for e in x]
+    return (digest(x.a), digest(x.b))
+
+
 def coords(x):
     """The F-coordinates of an element, in the order of its digest."""
     return [x] if isinstance(x, FElement) else coords(x.a) + coords(x.b)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -40,6 +41,7 @@ from hermiwitt import randgen as rg
 from hermiwitt import wittclass as wc
 from oracle import (
     coords,
+    digest,
     exact_inverse,
     exact_l_det,
     exact_matrix_rep,
@@ -651,6 +653,129 @@ def test_sigma_h_adjoint_and_cayley_are_precision_honest():
         bad, checked = _dishonest_adjoints_and_cayleys(p, N)
         assert checked >= 40, (p, N, checked)
         assert not bad, (p, N, bad)
+
+
+def _pinned_f(cfg, r, coarse):
+    """An F-coordinate: truncated (see oracle.truncated) when coarse, else
+    integral and known to the full precision."""
+    return truncated(cfg, r)[1] if coarse else rg.rand_f(cfg, r, 0, 1)
+
+
+def _pinned_quat(cfg, r, coarse):
+    return Q(*(cfg.l(_pinned_f(cfg, r, coarse), _pinned_f(cfg, r, coarse))
+               for _ in range(2)))
+
+
+def _pinned_herm(cfg, r, eps, n, coarse, zero_diag=False):
+    """An eps-hermitian n x n Gram: a random upper triangle, the lower one
+    eps * rho(upper), the diagonal eps-symmetric (or zero)."""
+    M = [[None] * n for _ in range(n)]
+    for i in range(n):
+        c = _pinned_f(cfg, r, coarse)
+        if zero_diag:
+            M[i][i] = Q.zero(cfg)
+        elif eps == 1:
+            M[i][i] = Q(cfg.l(c, _pinned_f(cfg, r, coarse)),
+                        cfg.l(_pinned_f(cfg, r, coarse), 0))
+        else:
+            M[i][i] = Q(cfg.L_field.zero(), cfg.l(0, c))
+        for j in range(i + 1, n):
+            M[i][j] = _pinned_quat(cfg, r, coarse)
+            M[j][i] = M[i][j].rho() if eps == 1 else -M[i][j].rho()
+    return M
+
+
+def _form_layer_cases(p, N):
+    """Seeded thunks (name, fn) at (p, N), on inputs of truncated and of
+    full-precision coordinates: the sigma_h-adjoint, Cayley isometries of
+    random and of skew X = M^(-1) K, twists by random, self- and
+    skew-adjoint gamma = M^(-1) K and by scalars, diagonalize on forms that
+    split hyperbolic planes (zero diagonal, and diag + H scrambled by a
+    random invertible S), and similitude_scale between idempotents of lines
+    over both E."""
+    from hermiwitt import morita as mo
+    from hermiwitt.hermitian import congruence, dmat_blockdiag
+
+    cfg = FieldConfig(p, N)
+    r = random.Random(7 * p + N)
+    cases = []
+
+    def over_inverse(M, K):
+        try:
+            return dmat_mul(dmat_inv(M), K)
+        except HermiwittError:
+            return K
+
+    for coarse in (True, False):
+        for n in (1, 2, 3):
+            for eps in (1, -1):
+                form = HermitianForm.from_rows(
+                    eps, _pinned_herm(cfg, r, eps, n, coarse))
+                M = form.rows()
+                X = [[_pinned_quat(cfg, r, coarse) for _ in range(n)]
+                     for _ in range(n)]
+                skew = over_inverse(M, _pinned_herm(cfg, r, -eps, n, coarse))
+                gammas = [X] + [over_inverse(
+                    M, _pinned_herm(cfg, r, s * eps, n, coarse)) for s in (1, -1)]
+                gammas += [rg.rand_symmetric(cfg, r), rg.rand_skew(cfg, r)]
+                cases.append(("sigma_h_adjoint",
+                              lambda M=M, X=X: sigma_h_adjoint(M, X)))
+                for Y in (X, skew):
+                    cases.append(("cayley", lambda Y=Y, f=form: cayley_isometry(Y, f)))
+                for g in gammas:
+                    cases.append(("twist", lambda g=g, f=form: (
+                        lambda t: (t.epsilon, t.gram))(twist(f, g))))
+    for n in (2, 3, 4):
+        for eps in (1, -1):
+            forms = [_pinned_herm(cfg, r, eps, n, coarse, zero_diag=True)
+                     for coarse in (True, False)]
+            k = n - 2
+            diag = rg.rand_diagonal_form(cfg, r, eps, k).rows() if k else []
+            hyp = HermitianForm.hyperbolic_plane(cfg, eps).rows()
+            S = rg.rand_invertible(cfg, r, n)
+            forms.append(congruence(dmat_blockdiag(diag, hyp) if k else hyp, S, S))
+            for G in forms:
+                f = HermitianForm.from_rows(eps, G)
+                cases.append(("diagonalize", lambda f=f: (
+                    lambda T, d: (T, d.entries, d.hyperbolic_pairs))(*diagonalize(f))))
+    for gen in (Q.u_elem(cfg), Q.pi_D(cfg)):
+        data = mo.split(cfg, gen)
+        E = data.E
+
+        def line(coarse):
+            return [E.el(_pinned_f(cfg, r, coarse), _pinned_f(cfg, r, coarse))
+                    for _ in range(2)]
+
+        for coarse in (True, False, True, False):
+            x, y = line(coarse), line(coarse)
+
+            def sim(x=x, y=y, data=data):
+                e = data.idempotent_from_line(x)
+                return mo.similitude_scale(e, data.idempotent_from_line(y))
+
+            cases.append(("similitude", sim))
+            cases.append(("similitude", lambda y=y, data=data: mo.similitude_scale(
+                data.e1(), data.idempotent_from_line(y))))
+    return cases
+
+
+def test_form_layer_pinned():
+    """The (val, unit, prec) of every output of sigma_h_adjoint,
+    cayley_isometry, twist, diagonalize and similitude_scale on seeded
+    low-precision inputs at (3, 8), (5, 10) and (13, 40), or the class and
+    message of the exception raised, hashes to the recorded digest: a
+    rewrite of the inverses, solves and adjointness tests behind them keeps
+    every digit and every refusal."""
+    out = []
+    for p, N in ((3, 8), (5, 10), (13, 40)):
+        for name, fn in _form_layer_cases(p, N):
+            try:
+                out.append((name, digest(fn())))
+            except HermiwittError as exc:
+                out.append((name, type(exc).__name__, str(exc)))
+    assert len(out) == 3 * (12 * 8 + 18 + 16)
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == \
+        "fcdcca0d347c73068bf246f83a634f416a657659636535249310d26892a2e6b5"
 
 
 def test_form_json_roundtrip(cfg5):

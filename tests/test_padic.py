@@ -26,7 +26,7 @@ from hermiwitt.padic import (
     tau_conj,
 )
 from hermiwitt.quaternion import QuaternionElement as Q, congruent_mod_nuD
-from oracle import coords, exact_rep, honest, rep_coords, truncated
+from oracle import coords, digest, exact_rep, honest, rep_coords, truncated
 
 
 # -- independent residue-field oracles used to freeze expected values --------
@@ -301,15 +301,6 @@ def test_sqrt_at_minimal_relative_precision():
 
 # -- pinned digits of the element layer -------------------------------------
 
-def _digest(x):
-    """(val, unit, prec) of every F-coordinate, nested like the element."""
-    if isinstance(x, FElement):
-        return (x.val, x.unit, x.prec)
-    if isinstance(x, (bool, int, str)):
-        return x
-    return (_digest(x.a), _digest(x.b))
-
-
 def _pinned_f(cfg, r):
     """An F-element with a capped precision one time in three and
     indistinguishable from 0 one time in six, then often known to 1-2 digits
@@ -371,7 +362,7 @@ def _pinned_batch(pairs: int):
                 x, y = new(), new()
                 for op in _element_ops(cfg, r, kind, x, y):
                     try:
-                        out.append(_digest(op()))
+                        out.append(digest(op()))
                     except Exception as exc:
                         out.append(type(exc).__name__)
     return out
@@ -393,7 +384,7 @@ def test_elements_pickle_after_arithmetic(cfg5):
     x = Q.make(cfg5, cfg5.l(3, 4), cfg5.l(2, 7))
     y = x * x
     z = pickle.loads(pickle.dumps(y))
-    assert _digest(z) == _digest(y) and _digest(z * z) == _digest(y * y)
+    assert digest(z) == digest(y) and digest(z * z) == digest(y * y)
 
 
 # -- precision honesty of the product -----------------------------------------
