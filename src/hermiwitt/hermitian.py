@@ -132,13 +132,18 @@ def row_reduce(M, ncols: int, full_rank: bool = False) -> dict:
     return pivots
 
 
-def dmat_inv(A):
-    """Inverse of a square matrix over F, L, E or D: row_reduce on [A | I].
-    Raises Singular when a column has no pivot at tracked precision."""
+def dmat_solve(A, B):
+    """A^(-1) B for a square A over F, L, E or D by one row_reduce on [A | B].
+    Raises Singular when a column of A has no pivot at tracked precision."""
     n = len(A)
-    M = [list(row) + e for row, e in zip(A, dmat_scalar(A[0][0] ** 0, n))]
+    M = [list(a) + list(b) for a, b in zip(A, B)]
     row_reduce(M, n, full_rank=True)
     return [row[n:] for row in M]
+
+
+def dmat_inv(A):
+    """Inverse of a square matrix over F, L, E or D: dmat_solve(A, I)."""
+    return dmat_solve(A, dmat_scalar(A[0][0] ** 0, len(A)))
 
 
 def lmat_det(A):
@@ -192,16 +197,18 @@ def is_eps_hermitian(M, epsilon: int) -> bool:
 
 def sigma_h_adjoint(M, X):
     """sigma_h(X) = M^(-1) bar(X)^T M, the adjoint of X for the form with
-    Gram matrix M."""
+    Gram matrix M; a solve against bar(X)^T M refuses some inputs it answers."""
     return dmat_mul(dmat_inv(M), dmat_mul(dmat_bar_t(X), M))
 
 
-def is_sigma_h_skew(M, X) -> bool:
-    """Whether sigma_h(X) = -X, tested as bar(X)^T M + M X = 0 with no M^(-1).
-    The two agree for invertible M only, so row_reduce certifies a copy of M
-    first, updating it as dmat_inv(M) does: a singular M raises Singular."""
+def sigma_h_signs(M, X) -> set:
+    """The signs s in {+1, -1} with sigma_h(X) = s X, tested as
+    bar(X)^T M = s M X with no M^(-1).  That holds for invertible M only, so
+    row_reduce certifies a copy of M first as dmat_inv(M) would."""
     row_reduce([list(r) for r in M], len(M), full_rank=True)
-    return dmat_is_zero(dmat_add(dmat_mul(dmat_bar_t(X), M), dmat_mul(M, X)))
+    XM, MX = dmat_mul(dmat_bar_t(X), M), dmat_mul(M, X)
+    return {s for s, combine in ((1, dmat_sub), (-1, dmat_add))
+            if dmat_is_zero(combine(XM, MX))}
 
 
 def congruence(M, X, Y):
@@ -374,12 +381,13 @@ def diagonalize(form: HermitianForm):
         rc = c.bar()
         for a in active:
             G[j][a] = rc * G[j][a]
-        # orthogonalize the rest against the plane via the 2x2 block inverse
-        blk_inv = dmat_inv([[G[i][i], G[i][j]], [G[j][i], G[j][j]]])
+        # orthogonalize the rest against the plane: one solve by its 2x2 block
         active.remove(i)
         active.remove(j)
+        sol = dmat_solve([[G[i][i], G[i][j]], [G[j][i], G[j][j]]],
+                         [[G[i][k] for k in active], [G[j][k] for k in active]])
         _eliminate(G, basis, [i, j],
-                   {k: vec_apply(blk_inv, [G[i][k], G[j][k]]) for k in active})
+                   {k: (sol[0][t], sol[1][t]) for t, k in enumerate(active)})
         pair_cols.extend([basis[i], basis[j]])
         pairs += 1
     cols = entry_cols + pair_cols
@@ -413,21 +421,18 @@ def witt_decompose(form: HermitianForm):
 
 
 def twist(form: HermitianForm, gamma) -> HermitianForm:
-    """h^gamma(v, w) := h(v, gamma w).  gamma must be sigma_h-self-adjoint or
-    skew-adjoint and invertible; epsilon flips exactly when gamma is skew."""
+    """h^gamma(v, w) := h(v, gamma w).  gamma must be invertible (checked
+    first) and sigma_h-self- or skew-adjoint; epsilon flips when it is skew."""
     G = dmat_of(gamma, form.rank)
     M = form.rows()
     try:
-        adj = sigma_h_adjoint(M, G)
-        dmat_inv(G)
+        signs = sigma_h_signs(M, G)
+        row_reduce([list(r) for r in G], len(G), full_rank=True)
     except Singular:
         raise Singular("twist needs an invertible gamma and form")
-    if dmat_is_zero(dmat_sub(adj, G)):
-        new_eps = form.epsilon
-    elif dmat_is_zero(dmat_add(adj, G)):
-        new_eps = -form.epsilon
-    else:
+    if not signs:
         raise NotSelfAdjoint("gamma is neither self- nor skew-adjoint for sigma_h")
+    new_eps = form.epsilon if 1 in signs else -form.epsilon
     return HermitianForm.from_rows(new_eps, dmat_mul(M, G))
 
 
@@ -497,16 +502,15 @@ def l_coordinates(vec):
 
 
 def cayley_isometry(X, form: HermitianForm):
-    """g = (1 + X)(1 - X)^(-1) for sigma_h-skew-adjoint X, checked by
-    is_sigma_h_skew; g is an isometry of the form (and has reduced norm 1)."""
-    if not is_sigma_h_skew(form.rows(), X):
+    """g = (1 - X)^(-1)(1 + X), one solve (the factors commute), for a
+    sigma_h-skew-adjoint X; g is an isometry of the form with Nrd(g) = 1."""
+    if -1 not in sigma_h_signs(form.rows(), X):
         raise NotSkewAdjoint("X is not sigma_h-skew-adjoint")
     I = dmat_identity(form.cfg, form.rank)
     try:
-        g = dmat_mul(dmat_add(I, X), dmat_inv(dmat_sub(I, X)))
+        return dmat_solve(dmat_sub(I, X), dmat_add(I, X))
     except Singular:
         raise Singular("1 - X is not invertible")
-    return g
 
 
 def is_isometry(g, form: HermitianForm) -> bool:

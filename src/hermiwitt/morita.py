@@ -51,12 +51,13 @@ from .hermitian import (
     dmat_mul,
     dmat_of,
     dmat_scalar,
+    dmat_solve,
     dmat_sub,
     is_eps_hermitian,
-    is_sigma_h_skew,
     row_dot,
     row_reduce,
     sesquilinear,
+    sigma_h_signs,
     validate,
     vec_apply,
 )
@@ -160,9 +161,10 @@ class SplitData:
         E = self.E
         return [[E.from_f(self.u1), E.zero()], [E.zero(), E.from_f(self.u2)]]
 
-    def theta(self, X):
+    def theta_is(self, X, Y) -> bool:
+        """Whether theta(X) = Y, tested as u_mat sigma(X)^T = Y u_mat."""
         u = self.u_mat
-        return dmat_mul(u, dmat_mul(dmat_bar_t(X), cmat_inv(u)))
+        return dmat_is_zero(dmat_sub(dmat_mul(u, dmat_bar_t(X)), dmat_mul(Y, u)))
 
     def e1(self) -> IdempotentE:
         E = self.E
@@ -196,7 +198,8 @@ class SplitData:
         _, Gu, Gpi, _ = self.imgs
         r = E.from_f(cfg.f(cfg.nonresidue_r))
         pf = E.from_f(cfg.pi())
-        checks = []
+        # theta_is needs u_mat invertible
+        checks = [not (self.u1.is_zero() or self.u2.is_zero())]
         checks.append(dmat_is_zero(dmat_sub(dmat_mul(Gu, Gu), dmat_scalar(r, 2))))
         checks.append(dmat_is_zero(dmat_sub(dmat_mul(Gpi, Gpi), dmat_scalar(pf, 2))))
         checks.append(dmat_is_zero(dmat_add(dmat_mul(Gpi, Gu), dmat_mul(Gu, Gpi))))
@@ -204,13 +207,9 @@ class SplitData:
         for k in (1, 2, 3):
             ten = [E.zero()] * 4
             ten[k] = E.one()
-            X = self.to_matrix(tuple(ten))
-            checks.append(dmat_is_zero(
-                dmat_sub(self.theta(X), self.to_matrix(tensor_theta(tuple(ten))))))
-        checks.append(not (self.u1.is_zero() or self.u2.is_zero()))
-        e1 = self.e1().mat
-        checks.append(dmat_is_zero(dmat_sub(self.theta([list(r) for r in e1]),
-                                            [list(r) for r in e1])))
+            checks.append(self.theta_is(self.to_matrix(tuple(ten)),
+                                        self.to_matrix(tensor_theta(tuple(ten)))))
+        checks.append(self.theta_is(self.e1().mat, self.e1().mat))
         # round trip tensor <-> matrix
         ten = tensor_from_quat(E, QuaternionElement.make(cfg, cfg.l(1, 2), cfg.l(3, 4)))
         checks.append(all((a - b).is_zero()
@@ -442,11 +441,18 @@ class IdempotentE:
     split: SplitData
     mat: tuple
 
+    def line(self):
+        """The first row not indistinguishable from zero: it spans V e."""
+        for row in self.mat:
+            if not (row[0].is_zero() and row[1].is_zero()):
+                return list(row)
+        raise DegenerateForm("zero idempotent")
+
     def validate(self) -> bool:
         X = [list(r) for r in self.mat]
         if not dmat_is_zero(dmat_sub(dmat_mul(X, X), X)):
             return False
-        if not dmat_is_zero(dmat_sub(self.split.theta(X), X)):
+        if not self.split.theta_is(X, X):
             return False
         tr = X[0][0] + X[1][1]
         return (tr - self.split.E.one()).is_zero()
@@ -502,6 +508,14 @@ class EWittClass:
     rank_parity: int
     i_is_norm: bool
 
+    def __eq__(self, other):  # the same E whatever digits each knows of delta
+        return (isinstance(other, EWittClass) and self.field.same_field(other.field)
+                and (self.epsilon, self.rank_parity, self.i_is_norm)
+                == (other.epsilon, other.rank_parity, other.i_is_norm))
+
+    def __hash__(self):
+        return hash((self.epsilon, self.rank_parity, self.i_is_norm))
+
     def is_hyperbolic(self) -> bool:
         return self.rank_parity == 0 and self.i_is_norm
 
@@ -512,7 +526,7 @@ class EWittClass:
         return 0 if self.i_is_norm else 2
 
     def __add__(self, other: EWittClass):
-        assert self.field == other.field and self.epsilon == other.epsilon
+        assert self.field.same_field(other.field) and self.epsilon == other.epsilon
         par = self.rank_parity ^ other.rank_parity
         i = self.i_is_norm == other.i_is_norm
         if self.rank_parity and other.rank_parity:
@@ -588,11 +602,8 @@ def functor_Fe(form: EDForm, idem: IdempotentE):
     multiplied in the same order.  Nondegeneracy of the output is verified
     on every call."""
     data = form.split
-    eps = next((row for row in idem.mat
-                if not (row[0].is_zero() and row[1].is_zero())), None)
-    if eps is None:
-        raise DegenerateForm("V e has unexpected dimension")
-    (x1, x2), (s1, s2) = eps, (eps[0].sigma(), eps[1].sigma())
+    x1, x2 = idem.line()
+    s1, s2 = x1.sigma(), x2.sigma()
     gram = [[(s1 * (h * x1)).scale_f(data.u1) + (s2 * (h * x2)).scale_f(data.u2)
              for h in row] for row in form.H]
     if not is_eps_hermitian(gram, form.epsilon):
@@ -621,13 +632,6 @@ def similitude_scale(e: IdempotentE, f: IdempotentE):
     lands in the sigma-fixed subfield F).  Returns (s, g)."""
     data = e.split
     E = data.E
-
-    def line_of(idem):
-        for row in idem.mat:
-            if not (row[0].is_zero() and row[1].is_zero()):
-                return list(row)
-        raise DegenerateForm("zero idempotent")
-
     u = data.u_mat
 
     def b(x, y):
@@ -638,7 +642,7 @@ def similitude_scale(e: IdempotentE, f: IdempotentE):
         col = dmat_mul(u, dmat_bar_t([x]))
         return [col[1][0], -col[0][0]]
 
-    x, y = line_of(e), line_of(f)
+    x, y = e.line(), f.line()
     qx, qy = _fixed_to_f(b(x, x)), _fixed_to_f(b(y, y))
     xp, yp = perp(x), perp(y)
     qxp, qyp = _fixed_to_f(b(xp, xp)), _fixed_to_f(b(yp, yp))
@@ -648,15 +652,13 @@ def similitude_scale(e: IdempotentE, f: IdempotentE):
         c = solve_norm_equation(E, target)
     except NotASquare:
         raise NoSimilitudeFound("norm equation for the similitude is unsolvable")
-    R_from = [y, yp]
-    R_to = [x, [c * v for v in xp]]
-    g = dmat_mul(cmat_inv(R_from), R_to)
-    # verify both similitude conditions
-    s_mat = dmat_mul(g, data.theta(g))
-    if not dmat_is_zero(dmat_sub(s_mat, dmat_scalar(E.from_f(mu), 2))):
+    g = dmat_solve([y, yp], [x, [c * v for v in xp]])
+    # verify g u sigma(g)^T = mu u, and g e = f g for an invertible g
+    s_mat = dmat_mul(g, dmat_mul(u, dmat_bar_t(g)))
+    if not dmat_is_zero(dmat_sub(s_mat, [[E.from_f(mu) * a for a in r] for r in u])):
         raise NoSimilitudeFound("similitude verification failed")
-    lhs = dmat_mul(g, dmat_mul([list(r) for r in e.mat], cmat_inv(g)))
-    if not dmat_is_zero(dmat_sub(lhs, [list(r) for r in f.mat])):
+    row_reduce([list(r) for r in g], 2, full_rank=True)
+    if not dmat_is_zero(dmat_sub(dmat_mul(g, e.mat), dmat_mul(f.mat, g))):
         raise NoSimilitudeFound("conjugation verification failed")
     return mu, g
 
@@ -666,10 +668,10 @@ def similitude_scale(e: IdempotentE, f: IdempotentE):
 # ---------------------------------------------------------------------------
 
 def _beta_normalize(cfg: FieldConfig, form: HermitianForm, beta):
-    """(beta, delta): beta as a matrix, skew by is_sigma_h_skew, with
+    """(beta, delta): beta as a matrix, skew by sigma_h_signs, with
     beta^2 = delta in F, scaled by a power of pi_F to normalize delta."""
     beta = dmat_of(beta, form.rank)
-    if not is_sigma_h_skew(form.rows(), beta):
+    if -1 not in sigma_h_signs(form.rows(), beta):
         raise NotSkewAdjoint("beta must be skew for sigma_h")
     sq = dmat_mul(beta, beta)
     d00 = sq[0][0]

@@ -478,6 +478,10 @@ class QuadExtField:
                 lambda x: (x[0], _f_neg(cfg, x[1])),
                 lambda x: (mul(x[0], pi), mul(x[1], pi)))
 
+    def same_field(self, other: QuadExtField) -> bool:
+        """Whether other is this field: its delta agrees at the shared precision."""
+        return other is self or other.delta.same(self.delta)
+
     def _of(self, t: tuple) -> QuadExtElement:
         """The element with the coordinate pair of F-triples t."""
         return QuadExtElement(self, FElement(self.cfg, *t[0]),
@@ -636,7 +640,7 @@ class QuadExtElement(QuadExt):
     # -- arithmetic -----------------------------------------------------------
     def _coerce(self, other):
         if isinstance(other, QuadExtElement):
-            if other.field is self.field or other.field.delta.same(self.field.delta):
+            if self.field.same_field(other.field):
                 return other
             return None
         if isinstance(other, (int, FElement)):

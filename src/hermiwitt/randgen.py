@@ -12,8 +12,8 @@ from .errors import Singular
 from .hermitian import (
     HermitianForm,
     congruence,
-    dmat_inv,
     dmat_sub,
+    row_reduce,
     sigma_h_adjoint,
 )
 from .padic import FElement, FieldConfig, QuadExtElement
@@ -80,7 +80,7 @@ def rand_invertible(cfg: FieldConfig, r: random.Random, n: int):
     for _ in range(50):
         S = [[rand_quat(cfg, r, 0, 1) for _ in range(n)] for _ in range(n)]
         try:
-            dmat_inv(S)
+            row_reduce([list(row) for row in S], n, full_rank=True)
             return S
         except Singular:
             continue

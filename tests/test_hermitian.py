@@ -22,6 +22,7 @@ from hermiwitt.hermitian import (
     dmat_is_zero,
     dmat_mul,
     dmat_bar_t,
+    dmat_solve,
     dmat_sub,
     hL_evaluate,
     is_isometry,
@@ -312,6 +313,17 @@ def test_twist_examples(cfg5):
     assert sq.b.is_zero() and sq.a.in_f()
     with pytest.raises(NotSelfAdjoint):
         twist(f, Q.u_elem(cfg5) + skew)
+    # a singular gamma is refused before any sign verdict
+    zero = Q.zero(cfg5)
+    with pytest.raises(Singular):
+        twist(HermitianForm.diagonal(1, [one, one]), [[zero, one], [zero, zero]])
+    # M^(-1) has entries of valuation -4, so its product with the coordinate
+    # of gamma known mod 5^2 keeps no digit; bar(gamma)^T M = s M gamma
+    # needs no M^(-1) and shows gamma to be neither self- nor skew-adjoint
+    m = HermitianForm.from_rows(1, [[2 * one, 25 * one], [25 * one, zero]])
+    known_mod_25 = Q(cfg5.l(2, 0), cfg5.l(FElement._zeroish(cfg5, 2), 0))
+    with pytest.raises(NotSelfAdjoint):
+        twist(m, [[one, zero], [zero, known_mod_25]])
 
 
 def test_trace_lift_examples(cfg5):
@@ -371,12 +383,15 @@ def test_cayley_refuses_a_degenerate_gram(cfg5):
 
 def test_cayley_isometry_multiply_count(cfg5, quaternion_products):
     """The skew test bar(X)^T M + M X = 0 certifies M by row_reduce on M
-    alone, not on [M | I]: a rank-3 Cayley isometry takes 162 quaternion
-    multiplies, where testing through sigma_h's M^(-1) took 189."""
+    alone, not on [M | I], and g = (1 - X)^(-1)(1 + X) is one row_reduce on
+    [1 - X | 1 + X], with no inverse formed and then multiplied: a rank-3
+    Cayley isometry takes 135 quaternion multiplies (27 + 54 for the skew
+    test, 54 for the solve).  Inverting 1 - X and multiplying took 162, and
+    testing skewness through sigma_h's M^(-1) as well took 189."""
     r = rg.rng(11)
     form = rg.rand_form(cfg5, r, 1, 3)
     X = rg.rand_skew_adjoint(cfg5, r, form)
-    assert quaternion_products(cayley_isometry, X, form) <= 162
+    assert quaternion_products(cayley_isometry, X, form) <= 135
 
 
 def sum_q(items):
@@ -418,8 +433,9 @@ def _ring_elements(cfg, ring):
 
 @pytest.mark.parametrize("ring", ["F", "L", "E", "D"])
 def test_elimination_kernel(cfg5, ring):
-    """One kernel for every ring: dmat_inv inverts, refuses a rank-deficient
-    matrix, and the pivot map of row_reduce yields a nullspace vector."""
+    """One kernel for every ring: dmat_inv inverts, dmat_solve(A, B) solves
+    A Z = B for a B of another width, both refuse a rank-deficient matrix,
+    and the pivot map of row_reduce yields a nullspace vector."""
     draw = _ring_elements(cfg5, ring)
     r = rg.rng(61)
     for n in (1, 2, 3, 4):
@@ -427,10 +443,15 @@ def test_elimination_kernel(cfg5, ring):
         one = A[0][0] ** 0
         I = [[one if i == j else one - one for j in range(n)] for i in range(n)]
         assert dmat_is_zero(dmat_sub(dmat_mul(dmat_inv(A), A), I))
+        B = [[draw(r) for _ in range(n + 1)] for _ in range(n)]
+        assert dmat_is_zero(dmat_sub(dmat_mul(A, dmat_solve(A, B)), B))
         if n > 1:
             c = draw(r)
+            deficient = A[:-1] + [[c * e for e in A[0]]]
             with pytest.raises(Singular):
-                dmat_inv(A[:-1] + [[c * e for e in A[0]]])
+                dmat_inv(deficient)
+            with pytest.raises(Singular):
+                dmat_solve(deficient, B)
         # a 3 x 4 system has a nonzero right kernel vector
         M = [[draw(r) for _ in range(4)] for _ in range(3)]
         R = [row[:] for row in M]
@@ -775,7 +796,7 @@ def test_form_layer_pinned():
                 out.append((name, type(exc).__name__, str(exc)))
     assert len(out) == 3 * (12 * 8 + 18 + 16)
     assert hashlib.sha256(repr(out).encode()).hexdigest() == \
-        "fcdcca0d347c73068bf246f83a634f416a657659636535249310d26892a2e6b5"
+        "6877ee62fae9d3e9ced6a9b5e0ccaccf24d50382c83dbcf2a514268df1e49f74"
 
 
 def test_form_json_roundtrip(cfg5):
