@@ -1,8 +1,14 @@
 import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
+from hermiwitt import cli
+from hermiwitt import errors as er
 from hermiwitt import randgen as rg
 from hermiwitt import serialize as sz
 from hermiwitt import wittclass as wc
@@ -282,7 +288,38 @@ def test_endo_commands(capsys):
     assert "degree" in json.loads(out)["diagnostics"]
 
 
-def test_exit_codes(capsys):
+# The exit code and stderr prefix of every library error class.
+VERDICTS = {sz.MalformedInput: (1, "error")}
+VERDICTS.update({cls: (3, "inconclusive") for cls in (
+    er.PrecisionExhausted, er.OracleInconclusive, er.NoSimilitudeFound)})
+VERDICTS.update({cls: (2, "invalid") for cls in (
+    er.DegenerateForm, er.EpsilonMismatch, er.IndistinguishableZero,
+    er.InvalidParameter, er.InfeasibleLift, er.IncomparableTokens,
+    er.NotASquare, er.NotQuadratic, er.NotSkewAdjoint, er.Singular,
+    er.WrongSymmetryType, er.DivisionByIndistinguishableZero)})
+VERDICTS.update({cls: (2, "error") for cls in (
+    er.WrongBase, er.NotSelfAdjoint, er.NotInD)})
+
+
+def _error_classes(base=er.HermiwittError):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from _error_classes(cls)
+
+
+def test_exit_codes(capsys, monkeypatch):
+    # every concrete error class has its verdict in the table
+    assert {c for c in _error_classes() if not c.__subclasses__()} <= set(VERDICTS)
+    for cls, (code, label) in VERDICTS.items():
+        def fail(cfg, args, cls=cls):
+            raise cls("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "classify", fail)
+        rc = run(["classify", "--epsilon", "1", "--element", "1"])
+        captured = capsys.readouterr()
+        assert (rc, captured.out, captured.err) == (code, "", f"{label}: boom\n"), cls
+    monkeypatch.undo()
+
     rc, _ = run_cli(capsys, "classify", "--epsilon", "1", "--element", "garbage")
     assert rc == 1
     rc, _ = run_cli(capsys, "classify", "--epsilon", "1", "--element",
@@ -328,3 +365,99 @@ def test_missing_at_file_is_malformed(capsys):
     rc, _ = run_cli(capsys, "classify", "--epsilon", "1", "--element",
                     "@/nonexistent/path.json")
     assert rc == 1
+
+
+# One well-formed document per subcommand, for the fuzz below.
+_TOKENS = [{"id": f"c{i}", "kind": "simple_nonnull", "degree": 2,
+            "e_parity": i % 2, "f_parity": 0, "min_tag": "m",
+            "aniso_parity": 1, "wtd_odd": [g]} for i, g in ((1, "g1"), (2, "gpi"))]
+_NULL = {"id": "n", "kind": "simple_null", "degree": 1}
+_LIFT = {"epsilon": 1, "ambient": {"m": 4, "h_class": ["g1", "gpi"]},
+         "lift": [dict(_TOKENS[0], f=1), dict(_TOKENS[1], f=1), dict(_NULL, f=4)]}
+FUZZ_SEEDS = {
+    "classify": ("--epsilon", "1", "--element", _q((3, 2), 5)),
+    "decompose": ("--form", {"epsilon": 1, "rank": 2, "gram": [
+        [_q(1, 0), _q((1, 2), (4, 7))], [_q((1, 2), (4, -7)), _q(-1, 0)]]}),
+    "tower": ("--form", {"epsilon": 1, "rank": 1, "gram": [[_q(1, 0)]]},
+              "--beta", _q(0, (0, 1))),
+    "transfer": ("--form", {"epsilon": 1, "delta": "2", "t": 2, "H": [
+        [_e(0, 0), {"a": {"base": "F", "val": 0, "digits": [1], "prec": 12},
+                    "b": "0"}],
+        [_e(1, 0), _e(0, 0)]]}),
+    "endo-validate": ("--input", {
+        "epsilon": 1, "ambient": {"m": 3, "h_class": ["g1", "gpi", "galpha"]},
+        "support": [
+            dict(_TOKENS[0], f1=0, f2={"beta": "token",
+                                       "tower": {"diman": 1, "selector": 0}}),
+            dict(_TOKENS[1], f1=0, f2={"beta": "token",
+                                       "tower": {"diman": 1, "selector": 1}}),
+            dict(_NULL, f1=0, f2={"beta": "ZERO",
+                                  "tower": {"witt_class": ["galpha"]}})]}),
+    "endo-enumerate": ("--input", _LIFT),
+    "endo-count": ("--input", _LIFT),
+}
+_ATOMS = (None, True, False, 0, 1, -1, 2, 10**6, -10**6, 1.5, "", "x", "1",
+          "-3", [], {}, [1], {"a": 1}, "HYP", "ZERO", "token")
+
+
+def _mutate(x, r):
+    """x with random damage: each node is replaced by an atom or wrapped,
+    with probability 1/8; each key of an object is deleted with probability
+    0.15; each element of a list is dropped or repeated with probability 0.1."""
+    if r.random() < 1 / 8:
+        if r.random() < 0.5:
+            return r.choice(_ATOMS)
+        return r.choice(([x], {"a": x}, [x, x]))
+    if isinstance(x, dict):
+        return {k: _mutate(v, r) for k, v in x.items() if r.random() >= 0.15}
+    if isinstance(x, list):
+        out = []
+        for v in x:
+            u = r.random()
+            if u >= 0.05:
+                out.append(_mutate(v, r))
+            if u < 0.1:
+                out.append(_mutate(v, r))
+        return out
+    return x
+
+
+def _outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = run(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_fuzz_seed_documents_are_answered():
+    for cmd, args in FUZZ_SEEDS.items():
+        rc, out, err = _outcome(["--prime", "5", "--precision", "16", cmd,
+                                 *_args(*args)])
+        assert (rc, err) == (0, ""), (cmd, err)
+
+
+STDERR_PREFIXES = {1: ("error:",), 2: ("error:", "invalid:"),
+                   3: ("inconclusive:",)}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(hs.sampled_from(sorted(FUZZ_SEEDS)), hs.randoms(use_true_random=False))
+def test_fuzz_malformed_documents(cmd, r):
+    """Damaged documents never raise out of run(): each gets an exit code
+    in {0, 1, 2, 3}, at most one JSON line on stdout, the stderr prefix of
+    its exit code, and the same outcome when run again."""
+    args = FUZZ_SEEDS[cmd]
+    argv = ["--prime", "5", "--precision", "16", cmd,
+            *_args(*args[:-1], _mutate(args[-1], r))]
+    rc, out, err = _outcome(argv)
+    assert rc in (0, 1, 2, 3)
+    assert out == "" or "\n" not in out[:-1] and out.endswith("\n")
+    if rc == 0:
+        json.loads(out)
+        assert err == ""
+    elif out:
+        assert rc == 2 and cmd == "endo-validate"
+        assert json.loads(out)["valid"] is False and err == ""
+    else:
+        assert err.startswith(STDERR_PREFIXES[rc]), err
+    assert _outcome(argv) == (rc, out, err)
