@@ -3,11 +3,12 @@
 hyperbolic planes, certify the anisotropic kernel, and check invariance
 under a random change of basis."""
 
-from hermiwitt.hermitian import HermitianForm, congruence, witt_decompose
+from hermiwitt.hermitian import HermitianForm, congruence
 from hermiwitt.padic import FieldConfig
 from hermiwitt.quaternion import QuaternionElement as Q
 from hermiwitt import randgen as rg
 from hermiwitt import wittclass as wc
+from hermiwitt.wittclass import witt_decompose
 
 cfg = FieldConfig(7, 32)
 r = rg.rng(42)

@@ -7,6 +7,7 @@ import json
 
 from hermiwitt.wittclass import WittClassD
 from hermiwitt import endo as en
+from hermiwitt import serialize as sz
 
 t1 = en.EndoClassToken("c1", "simple_nonnull", 2, e_parity=1, f_parity=0,
                        min_tag="unram", aniso_parity=1,
@@ -35,8 +36,8 @@ for i, p in enumerate(out):
     for tok, f1, f2 in p.support:
         if tok.kind != "simple_nonnull":
             continue
-        towers.append(f"{tok.id}:{en.witt_type_to_json(f2)['tower']}")
+        towers.append(f"{tok.id}:{sz.witt_type_to_json(f2)['tower']}")
     print(f"  #{i}: " + "  ".join(towers))
 
 print("\nfirst parameter as JSON:")
-print(json.dumps(en.parameter_to_json(out[0]), indent=1, sort_keys=True))
+print(json.dumps(sz.parameter_to_json(out[0]), indent=1, sort_keys=True))

@@ -23,7 +23,6 @@ from .hermitian import (
     trace_lift_hL,
     twist,
     validate,
-    witt_decompose,
 )
 from .wittclass import (
     WittClassD,
@@ -33,6 +32,7 @@ from .wittclass import (
     equivalence_oracle,
     is_isotropic,
     witt_add,
+    witt_decompose,
 )
 from .morita import (
     EDForm,

@@ -1,8 +1,9 @@
 """Command-line front end with JSON I/O.
 
 Exit codes: 0 success, 1 malformed input, 2 validation failure,
-3 precision or oracle inconclusiveness.  Identical (config, seed, input)
-produces byte-identical output.
+3 precision or oracle inconclusiveness.  The error class decides the code
+and the stderr label (errors.py); serialize reads every JSON document.
+Identical (config, seed, input) produces byte-identical output.
 """
 
 from __future__ import annotations
@@ -12,43 +13,19 @@ import json
 import os
 import sys
 
-from .errors import (
-    DegenerateForm,
-    EpsilonMismatch,
-    HermiwittError,
-    IncomparableTokens,
-    IndistinguishableZero,
-    InfeasibleLift,
-    InvalidParameter,
-    NoSimilitudeFound,
-    NotASquare,
-    NotQuadratic,
-    NotSkewAdjoint,
-    OracleInconclusive,
-    PrecisionExhausted,
-    Singular,
-    WrongSymmetryType,
-)
+from .errors import HermiwittError, MalformedInput
 from .padic import FieldConfig
 from . import endo as en
-from . import hermitian as hm
 from . import morita as mo
 from . import selftest as st
 from . import serialize as sz
 from . import wittclass as wc
 
-VALIDATION_ERRORS = (
-    DegenerateForm, EpsilonMismatch, IndistinguishableZero, InvalidParameter,
-    InfeasibleLift, IncomparableTokens, NotASquare, NotQuadratic,
-    NotSkewAdjoint, Singular, WrongSymmetryType,
-)
-INCONCLUSIVE_ERRORS = (PrecisionExhausted, OracleInconclusive, NoSimilitudeFound)
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # malformed command line counts as malformed input, not exit 2
-        raise sz.MalformedInput(message)
+        raise MalformedInput(message)
 
 
 def _load_json(text: str):
@@ -57,11 +34,11 @@ def _load_json(text: str):
             with open(text[1:], "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as ex:
-            raise sz.MalformedInput(f"cannot read {text[1:]!r}: {ex}") from ex
+            raise MalformedInput(f"cannot read {text[1:]!r}: {ex}") from ex
     try:
         return json.loads(text)
     except json.JSONDecodeError as ex:
-        raise sz.MalformedInput(f"bad JSON: {ex}") from ex
+        raise MalformedInput(f"bad JSON: {ex}") from ex
 
 
 def _emit(obj) -> None:
@@ -105,13 +82,13 @@ def build_parser() -> _Parser:
 
 def _cfg(args) -> FieldConfig:
     if args.prime < 3:
-        raise sz.MalformedInput("--prime must be an odd prime >= 3")
+        raise MalformedInput("--prime must be an odd prime >= 3")
     if args.precision < 8:
-        raise sz.MalformedInput("--precision must be at least 8")
+        raise MalformedInput("--precision must be at least 8")
     try:
         return FieldConfig(args.prime, args.precision)
     except ValueError as ex:
-        raise sz.MalformedInput(str(ex)) from ex
+        raise MalformedInput(str(ex)) from ex
 
 
 def _cmd_classify(cfg, args):
@@ -123,7 +100,7 @@ def _cmd_classify(cfg, args):
 
 def _cmd_decompose(cfg, args):
     form = sz.form_from_json(cfg, _load_json(args.form))
-    index, aniso = hm.witt_decompose(form)  # diagonalize validates the form
+    index, aniso = wc.witt_decompose(form)  # diagonalize validates the form
     _emit({"witt_index": index,
            "anisotropic": [sz.quat_to_json(e) for e in aniso.entries],
            "witt_class": wc.class_of_diagonal(aniso).sorted_names()})
@@ -148,7 +125,7 @@ def _cmd_transfer(cfg, args):
 
 
 def _cmd_endo_validate(cfg, args):
-    fm = en.parameter_from_json(_load_json(args.input))
+    fm = sz.parameter_from_json(_load_json(args.input))
     ok, diags = en.validate(fm)
     _emit({"valid": ok, "diagnostics": diags,
            "degree": en.degree(fm), "lift": en.lift(fm)})
@@ -156,14 +133,14 @@ def _cmd_endo_validate(cfg, args):
 
 
 def _cmd_endo_enumerate(cfg, args):
-    entries, eps, m, h = en.lift_from_json(_load_json(args.input))
+    entries, eps, m, h = sz.lift_from_json(_load_json(args.input))
     out = en.enumerate_parameters(entries, eps, m, h)
     _emit({"count": len(out),
-           "parameters": [en.parameter_to_json(fm) for fm in out]})
+           "parameters": [sz.parameter_to_json(fm) for fm in out]})
 
 
 def _cmd_endo_count(cfg, args):
-    entries, eps, m, h = en.lift_from_json(_load_json(args.input))
+    entries, eps, m, h = sz.lift_from_json(_load_json(args.input))
     _emit({"count": en.count_parameters(entries, eps, m, h)})
 
 
@@ -192,18 +169,9 @@ def run(argv) -> int:
         cfg = _cfg(args)
         rc = _COMMANDS[args.command](cfg, args)
         return rc or 0
-    except (sz.MalformedInput, KeyError, TypeError) as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 1
-    except INCONCLUSIVE_ERRORS as ex:
-        print(f"inconclusive: {ex}", file=sys.stderr)
-        return 3
-    except VALIDATION_ERRORS as ex:
-        print(f"invalid: {ex}", file=sys.stderr)
-        return 2
     except HermiwittError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
+        print(f"{ex.label}: {ex}", file=sys.stderr)
+        return ex.exit_code
 
 
 def main() -> None:

@@ -8,16 +8,17 @@ comparability, the parity of its candidate anisotropic dimensions, and the
 common trace class of its two odd towers).  The element-level bridge for
 quadratic generators, which derives these tokens from element data, is
 tests/test_acceptance.py::_build_element_level_instance; it is a
-cross-check, not the token semantics.
+cross-check, not the token semantics.  The JSON form of tokens, parameters
+and lifts lives in serialize.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import IncomparableTokens, InfeasibleLift, InvalidParameter
-from .serialize import MalformedInput, _epsilon, _int
 from .wittclass import WittClassD
 
 DEG_D = 2  # reduced degree of D
@@ -267,8 +268,6 @@ def enumerate_parameters(entries, epsilon: int, m: int,
         else:
             choices.append([("null", tok, f)])
     out = []
-    import itertools
-
     for combo in itertools.product(*choices):
         support = []
         used = WittClassD.zero(epsilon)
@@ -329,96 +328,3 @@ def closed_form_count(entries) -> int:
     i0 = sum(1 for e in entries if e.token.kind in ("simple_nonnull", "simple_null"))
     has_null = any(e.token.kind == "simple_null" for e in entries)
     return 2 ** (i0 - (1 if has_null else 0))
-
-
-# ---------------------------------------------------------------------------
-# JSON encoding
-# ---------------------------------------------------------------------------
-
-def token_to_json(tok: EndoClassToken) -> dict:
-    out = {"id": tok.id, "kind": tok.kind, "degree": tok.degree}
-    if tok.kind == "simple_nonnull":
-        out.update({"e_parity": tok.e_parity, "f_parity": tok.f_parity,
-                    "min_tag": tok.min_tag, "aniso_parity": tok.aniso_parity,
-                    "wtd_odd": sorted(tok.wtd_odd)})
-    return out
-
-
-def _witt_class(names, epsilon: int, what: str) -> WittClassD:
-    """names, a list of generator names of the epsilon Witt group, as a
-    class of that group."""
-    if not isinstance(names, list):
-        raise MalformedInput(f"{what} must be a list of generator names")
-    try:
-        return WittClassD(epsilon, frozenset(names))
-    except (TypeError, ValueError) as ex:
-        raise MalformedInput(f"{what}: {ex}") from ex
-
-
-def token_from_json(d: dict, epsilon: int) -> EndoClassToken:
-    return EndoClassToken(
-        id=str(d["id"]), kind=d["kind"], degree=_int(d["degree"], "degree"),
-        e_parity=_int(d.get("e_parity", 0), "e_parity"),
-        f_parity=_int(d.get("f_parity", 0), "f_parity"),
-        min_tag=str(d.get("min_tag", "")),
-        aniso_parity=_int(d.get("aniso_parity", 0), "aniso_parity"),
-        wtd_odd=_witt_class(d.get("wtd_odd", []), epsilon, "wtd_odd").coords)
-
-
-def witt_type_to_json(f2: WittType) -> dict:
-    if f2.is_hyp:
-        return {"beta": "ZERO" if f2.beta is None else "token", "tower": "HYP"}
-    if isinstance(f2.tower, frozenset):
-        return {"beta": "ZERO", "tower": {"witt_class": sorted(f2.tower)}}
-    d, s = f2.tower
-    tower = {"diman": d} if d == 2 else {"diman": d, "selector": s}
-    return {"beta": "token", "tower": tower}
-
-
-def witt_type_from_json(d: dict, token: EndoClassToken | None,
-                        epsilon: int) -> WittType:
-    tower = d["tower"]
-    if tower == "HYP":
-        return WittType.hyperbolic()
-    if d.get("beta") == "ZERO":
-        return WittType.null(
-            _witt_class(tower["witt_class"], epsilon, "witt_class").coords)
-    return WittType.simple(token, _int(tower["diman"], "diman"),
-                           _int(tower.get("selector", 0), "selector"))
-
-
-def parameter_to_json(fm: EndoParameter) -> dict:
-    supp = []
-    for token, f1, f2 in fm.support:
-        item = token_to_json(token)
-        item["f1"] = f1
-        item["f2"] = witt_type_to_json(f2)
-        supp.append(item)
-    return {"epsilon": fm.epsilon,
-            "ambient": {"m": fm.m, "h_class": fm.h_class.sorted_names()},
-            "support": supp}
-
-
-def _ambient_from_json(d: dict):
-    """(epsilon, m, h_class) of a parameter or lift document."""
-    eps = _epsilon(d)
-    amb = d["ambient"]
-    h = _witt_class(amb["h_class"], eps, "h_class")
-    return eps, _int(amb["m"], "m"), h
-
-
-def parameter_from_json(d: dict) -> EndoParameter:
-    eps, m, h = _ambient_from_json(d)
-    supp = []
-    for item in d["support"]:
-        tok = token_from_json(item, eps)
-        f2 = witt_type_from_json(item["f2"], tok, eps)
-        supp.append((tok, _int(item["f1"], "f1"), f2))
-    return EndoParameter(eps, m, h, tuple(supp))
-
-
-def lift_from_json(d: dict):
-    eps, m, h = _ambient_from_json(d)
-    entries = [LiftEntry(token_from_json(item, eps), _int(item["f"], "f"))
-               for item in d["lift"]]
-    return entries, eps, m, h

@@ -1,15 +1,39 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules.  Each class carries its CLI
+verdict, an exit code and a stderr label: Invalid exits 2, Inconclusive 3,
+MalformedInput 1, and any other library error 2."""
 
 
 class HermiwittError(Exception):
     """Base class for all library errors."""
 
+    exit_code = 2
+    label = "error"
 
-class PrecisionExhausted(HermiwittError):
+
+class Invalid(HermiwittError):
+    """The input is well-formed but fails a validation."""
+
+    label = "invalid"
+
+
+class Inconclusive(HermiwittError):
+    """The digits or the search budget ran out before a verdict."""
+
+    exit_code = 3
+    label = "inconclusive"
+
+
+class MalformedInput(HermiwittError):
+    """Unreadable input: bad JSON, a missing or ill-typed field."""
+
+    exit_code = 1
+
+
+class PrecisionExhausted(Inconclusive):
     """A result would be known to absolute precision <= 0 digits."""
 
 
-class IndistinguishableZero(HermiwittError):
+class IndistinguishableZero(Invalid):
     """A valuation/classification was requested on an element that is
     indistinguishable from zero at its tracked precision."""
 
@@ -22,23 +46,23 @@ class WrongBase(HermiwittError):
     pass
 
 
-class NotASquare(HermiwittError):
+class NotASquare(Invalid):
     pass
 
 
-class WrongSymmetryType(HermiwittError):
+class WrongSymmetryType(Invalid):
     pass
 
 
-class EpsilonMismatch(HermiwittError):
+class EpsilonMismatch(Invalid):
     pass
 
 
-class DegenerateForm(HermiwittError):
+class DegenerateForm(Invalid):
     pass
 
 
-class OracleInconclusive(HermiwittError):
+class OracleInconclusive(Inconclusive):
     """Raised when a decision procedure cannot certify its verdict within
     the precision budget.  Never a silent guess."""
 
@@ -47,15 +71,15 @@ class NotSelfAdjoint(HermiwittError):
     pass
 
 
-class NotSkewAdjoint(HermiwittError):
+class NotSkewAdjoint(Invalid):
     pass
 
 
-class Singular(HermiwittError):
+class Singular(Invalid):
     pass
 
 
-class NotQuadratic(HermiwittError):
+class NotQuadratic(Invalid):
     pass
 
 
@@ -63,18 +87,18 @@ class NotInD(HermiwittError):
     pass
 
 
-class NoSimilitudeFound(HermiwittError):
+class NoSimilitudeFound(Inconclusive):
     """Similitude search budget exhausted (a precision/budget error, not a
     mathematical verdict)."""
 
 
-class InvalidParameter(HermiwittError):
+class InvalidParameter(Invalid):
     pass
 
 
-class InfeasibleLift(HermiwittError):
+class InfeasibleLift(Invalid):
     pass
 
 
-class IncomparableTokens(HermiwittError):
+class IncomparableTokens(Invalid):
     pass

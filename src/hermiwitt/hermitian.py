@@ -1,6 +1,7 @@
 """Epsilon-hermitian Gram forms over D: validation, congruence
-diagonalization, Witt decomposition, twisting, the trace lift to L, and
-Cayley isometries.
+diagonalization, twisting, the trace lift to L, and Cayley isometries.
+The Witt decomposition, which needs the Witt classes of lines, lives in
+wittclass.
 
 Conventions: V is a right D-space with coordinate columns, so
 h(v, w) = rho(x)^T M y for coordinate vectors x, y, a congruence acts as
@@ -201,14 +202,19 @@ def sigma_h_adjoint(M, X):
     return dmat_mul(dmat_inv(M), dmat_mul(dmat_bar_t(X), M))
 
 
+def _signs_and_product(M, X):
+    """(sigma_h_signs(M, X), M X): the signs and the product they tested."""
+    row_reduce([list(r) for r in M], len(M), full_rank=True)
+    XM, MX = dmat_mul(dmat_bar_t(X), M), dmat_mul(M, X)
+    return {s for s, combine in ((1, dmat_sub), (-1, dmat_add))
+            if dmat_is_zero(combine(XM, MX))}, MX
+
+
 def sigma_h_signs(M, X) -> set:
     """The signs s in {+1, -1} with sigma_h(X) = s X, tested as
     bar(X)^T M = s M X with no M^(-1).  That holds for invertible M only, so
     row_reduce certifies a copy of M first as dmat_inv(M) would."""
-    row_reduce([list(r) for r in M], len(M), full_rank=True)
-    XM, MX = dmat_mul(dmat_bar_t(X), M), dmat_mul(M, X)
-    return {s for s, combine in ((1, dmat_sub), (-1, dmat_add))
-            if dmat_is_zero(combine(XM, MX))}
+    return _signs_and_product(M, X)[0]
 
 
 def congruence(M, X, Y):
@@ -395,45 +401,20 @@ def diagonalize(form: HermitianForm):
     return T, DiagonalForm(eps, tuple(entries), pairs)
 
 
-def witt_decompose(form: HermitianForm):
-    """Witt decomposition: (witt_index, anisotropic DiagonalForm).
-
-    The anisotropic part is certified by the isotropy oracle in the
-    wittclass module."""
-    from . import wittclass  # local import; wittclass builds on this module
-
-    _, diag = diagonalize(form)
-    index = diag.hyperbolic_pairs
-    # each line cancels against the earlier unpaired line of its class
-    unpaired = []
-    for d in diag.entries:
-        c = wittclass.classify_line(d, form.epsilon)
-        mate = next((k for k, (ck, _) in enumerate(unpaired) if ck == c), None)
-        if mate is None:
-            unpaired.append((c, d))
-        else:
-            del unpaired[mate]
-            index += 1
-    rest = DiagonalForm(form.epsilon, tuple(d for _, d in unpaired), 0)
-    if rest.entries and wittclass.is_isotropic(rest):
-        raise AssertionError("greedy cancellation left an isotropic part")
-    return index, rest
-
-
 def twist(form: HermitianForm, gamma) -> HermitianForm:
     """h^gamma(v, w) := h(v, gamma w).  gamma must be invertible (checked
     first) and sigma_h-self- or skew-adjoint; epsilon flips when it is skew."""
     G = dmat_of(gamma, form.rank)
     M = form.rows()
     try:
-        signs = sigma_h_signs(M, G)
+        signs, MG = _signs_and_product(M, G)
         row_reduce([list(r) for r in G], len(G), full_rank=True)
     except Singular:
         raise Singular("twist needs an invertible gamma and form")
     if not signs:
         raise NotSelfAdjoint("gamma is neither self- nor skew-adjoint for sigma_h")
     new_eps = form.epsilon if 1 in signs else -form.epsilon
-    return HermitianForm.from_rows(new_eps, dmat_mul(M, G))
+    return HermitianForm.from_rows(new_eps, MG)
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,7 @@ from .hermitian import (
     validate,
     vec_apply,
 )
+from .wittclass import class_of_form
 
 # rho acts on the D-basis (1, u, pi_D, u pi_D) by these signs
 _RHO_SIGNS = (1, 1, 1, -1)
@@ -833,8 +834,6 @@ class WittTowerValue:
         return e_witt_class(gram, self.split.E, self.epsilon)
 
     def trace_class(self):
-        from .wittclass import class_of_form
-
         return class_of_form(trace_transfer(self.edform))
 
 

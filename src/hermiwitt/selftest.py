@@ -3,8 +3,11 @@ reused by the test suite.  Each suite returns (name, passed, failed)."""
 
 from __future__ import annotations
 
-from .errors import OracleInconclusive
+from math import gcd
+
+from .errors import HermiwittError, OracleInconclusive
 from .hermitian import (
+    DiagonalForm,
     HermitianForm,
     cayley_isometry,
     congruence,
@@ -15,10 +18,11 @@ from .hermitian import (
     l_coordinates,
     twist,
     validate,
-    witt_decompose,
 )
 from .padic import FieldConfig, tau_conj
 from .quaternion import QuaternionElement, congruent_mod_nuD
+from .wittclass import witt_decompose
+from . import endo as en
 from . import morita as mo
 from . import randgen as rg
 from . import wittclass as wc
@@ -256,8 +260,6 @@ def wittclass_congruence(cfg: FieldConfig, seed: int, n=500):
 
 
 def wittclass_oracle(cfg: FieldConfig, seed: int, n=500):
-    from .hermitian import DiagonalForm
-
     r = rg.rng(seed)
     checks = []
     inconclusive = 0
@@ -354,8 +356,6 @@ def morita_trl(cfg: FieldConfig, seed: int, n=20):
 
 
 def endo_count_closed_form(cfg: FieldConfig, seed: int, n=200):
-    from . import endo as en
-
     r = rg.rng(seed)
     checks = []
     for _ in range(n):
@@ -367,8 +367,6 @@ def endo_count_closed_form(cfg: FieldConfig, seed: int, n=200):
 
 
 def _random_token_config(cfg, r):
-    from . import endo as en
-
     eps = 1 if r.random() < 0.7 else -1
     gens = ["g1", "galpha", "gpi"] if eps == 1 else ["gskew"]
     entries = []
@@ -391,7 +389,7 @@ def _random_token_config(cfg, r):
     for j in range(r.randint(0, 2)):
         deg = r.randint(1, 3)
         tok = en.EndoClassToken(f"p{j}", "nonsimple_pair", deg)
-        fac = en.DEG_D // __import__("math").gcd(deg, en.DEG_D)
+        fac = en.DEG_D // gcd(deg, en.DEG_D)
         f = fac * r.randint(1, 2)
         entries.append(en.LiftEntry(tok, f))
         total_deg += 2 * f * deg
@@ -409,8 +407,6 @@ def _random_token_config(cfg, r):
 
 
 def endo_equiv_relation(cfg: FieldConfig, seed: int, n=200):
-    from . import endo as en
-
     r = rg.rng(seed)
     checks = []
     toks = []
@@ -440,8 +436,6 @@ def endo_equiv_relation(cfg: FieldConfig, seed: int, n=200):
 
 
 def endo_selector_flip(cfg: FieldConfig, seed: int, n=100):
-    from . import endo as en
-
     r = rg.rng(seed)
     checks = []
     for _ in range(n):
@@ -474,8 +468,6 @@ ALL_SUITES = [
 
 
 def run_all(cfg: FieldConfig, seed: int):
-    from .errors import HermiwittError
-
     results = []
     for fn in ALL_SUITES:
         try:

@@ -4,12 +4,14 @@ For eps = +1 the group is an elementary 2-group of order 8 with generator
 classes <1>, <alpha>, <pi_D> (coordinates "g1", "galpha", "gpi"); for
 eps = -1 it is cyclic of order two with the nontrivial class <u pi_D>
 (coordinate "gskew").  Composite anisotropic dimensions are derived at
-startup from the isotropy oracle, never assumed.
+startup from the isotropy oracle, never assumed.  The Witt decomposition of
+a form cancels its diagonal lines by class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import (
     EpsilonMismatch,
@@ -18,6 +20,7 @@ from .errors import (
     PrecisionExhausted,
     WrongSymmetryType,
 )
+from .hermitian import DiagonalForm, HermitianForm, diagonalize
 from .padic import FieldConfig, solve_norm_equation
 from .quaternion import QuaternionElement
 
@@ -98,8 +101,6 @@ def classify_line(d: QuaternionElement, epsilon: int) -> WittClassD:
 
 def class_of_form(form) -> WittClassD:
     """Diagonalize and XOR the line classes (hyperbolic pairs contribute 0)."""
-    from .hermitian import diagonalize
-
     return class_of_diagonal(diagonalize(form)[1])
 
 
@@ -150,6 +151,27 @@ def is_isotropic(diag) -> bool:
     return ratio.residue_is_square()
 
 
+def witt_decompose(form: HermitianForm):
+    """Witt decomposition: (witt_index, anisotropic DiagonalForm), the
+    anisotropic part certified by the isotropy oracle."""
+    _, diag = diagonalize(form)
+    index = diag.hyperbolic_pairs
+    # each line cancels against the earlier unpaired line of its class
+    unpaired = []
+    for d in diag.entries:
+        c = classify_line(d, form.epsilon)
+        mate = next((k for k, (ck, _) in enumerate(unpaired) if ck == c), None)
+        if mate is None:
+            unpaired.append((c, d))
+        else:
+            del unpaired[mate]
+            index += 1
+    rest = DiagonalForm(form.epsilon, tuple(d for _, d in unpaired), 0)
+    if rest.entries and is_isotropic(rest):
+        raise AssertionError("greedy cancellation left an isotropic part")
+    return index, rest
+
+
 _DIM_CACHE: dict = {}
 
 
@@ -165,8 +187,6 @@ def _representative(cfg: FieldConfig, epsilon: int, name: str) -> QuaternionElem
 
 def representative_form(cfg: FieldConfig, c: WittClassD):
     """An anisotropic diagonal representative of the class."""
-    from .hermitian import DiagonalForm
-
     entries = tuple(_representative(cfg, c.epsilon, name) for name in c.sorted_names())
     return DiagonalForm(c.epsilon, entries, 0)
 
@@ -181,8 +201,6 @@ def _dim_table(cfg: FieldConfig, epsilon: int) -> dict:
     if epsilon == -1:
         table[frozenset({GSKEW})] = 1
     else:
-        from itertools import combinations
-
         for k in (1, 2, 3):
             for names in combinations(_PLUS_GENS, k):
                 c = WittClassD.of(1, *names)

@@ -4,7 +4,8 @@ An element of F, L, E or D with known coordinates in Z[1/p] is represented
 by its regular representation as a rational matrix; products, inverses and
 determinants are then computed exactly with Fractions, and a tracked result
 is honest when every coordinate it claims to prec k agrees with the exact
-value mod p^k.
+value mod p^k.  ExactD computes over D directly, on coordinate tuples, for
+matrices over D too large for their regular representation.
 """
 
 from fractions import Fraction
@@ -97,6 +98,129 @@ def exact_l_det(A, r):
                 t = mul(c, M[col][j])
                 row[j] = (row[j][0] - t[0], row[j][1] - t[1])
     return det
+
+
+class ExactD:
+    """D over Q as 4-tuples (a0, a1, b0, b1) of Fractions standing for
+    (a0 + a1 u) + (b0 + b1 u) pi_D, with u^2 = r, pi_D^2 = p and
+    pi_D x = tau(x) pi_D; matrices over D are lists of rows of such tuples."""
+
+    def __init__(self, p, r):
+        self.p, self.r = p, r
+        self.zero = (Fraction(0),) * 4
+        self.one = (Fraction(1),) + (Fraction(0),) * 3
+
+    def mul(self, x, y):
+        p, r = self.p, self.r
+        a0, a1, b0, b1 = x
+        c0, c1, d0, d1 = y
+        return (a0 * c0 + r * a1 * c1 + p * (b0 * d0 - r * b1 * d1),
+                a0 * c1 + a1 * c0 + p * (b1 * d0 - b0 * d1),
+                a0 * d0 + r * a1 * d1 + b0 * c0 - r * b1 * c1,
+                a0 * d1 + a1 * d0 + b1 * c0 - b0 * c1)
+
+    @staticmethod
+    def add(x, y):
+        return tuple(s + t for s, t in zip(x, y))
+
+    @staticmethod
+    def sub(x, y):
+        return tuple(s - t for s, t in zip(x, y))
+
+    @staticmethod
+    def rho(x):
+        return (x[0], x[1], x[2], -x[3])
+
+    def inv(self, x):
+        a0, a1, b0, b1 = x
+        n = a0 * a0 - self.r * a1 * a1 - self.p * (b0 * b0 - self.r * b1 * b1)
+        return (a0 / n, -a1 / n, -b0 / n, -b1 / n)
+
+    def matmul(self, A, B):
+        """The product of two matrices over D."""
+        out = []
+        for row in A:
+            out.append([])
+            for col in zip(*B):
+                s = self.zero
+                for a, b in zip(row, col):
+                    s = self.add(s, self.mul(a, b))
+                out[-1].append(s)
+        return out
+
+    def solve(self, A, B):
+        """A^(-1) B by Gauss-Jordan on [A | B], rows scaled and combined on
+        the left; None if A is singular."""
+        n = len(A)
+        M = [list(ra) + list(rb) for ra, rb in zip(A, B)]
+        for col in range(n):
+            piv = next((i for i in range(col, n) if any(M[i][col])), None)
+            if piv is None:
+                return None
+            M[col], M[piv] = M[piv], M[col]
+            inv = self.inv(M[col][col])
+            M[col] = [self.mul(inv, e) for e in M[col]]
+            for i in range(n):
+                if i != col and any(M[i][col]):
+                    c = M[i][col]
+                    M[i] = [self.sub(e, self.mul(c, f))
+                            for e, f in zip(M[i], M[col])]
+        return [row[n:] for row in M]
+
+    def nu_D(self, x):
+        va = [2 * vp_q(c, self.p) for c in x[:2] if c]
+        vb = [2 * vp_q(c, self.p) + 1 for c in x[2:] if c]
+        return min(va + vb)
+
+    def h(self, M, x, y):
+        s = self.zero
+        for i, xi in enumerate(x):
+            rx = self.rho(xi)
+            for j, yj in enumerate(y):
+                t = self.mul(self.mul(rx, M[i][j]), yj)
+                s = tuple(a + b for a, b in zip(s, t))
+        return s
+
+    def diagonalize(self, M, eps):
+        """Gram-Schmidt from scratch with the pivot rule of diagonalize:
+        min nu_D of h(v, v), ties to the lowest index, else a hyperbolic
+        plane from the first non-orthogonal pair."""
+        n = len(M)
+        basis = [[self.one if i == j else self.zero for i in range(n)]
+                 for j in range(n)]
+        h = lambda i, j: self.h(M, basis[i], basis[j])
+        axpy = lambda k, q, c: [self.sub(x, self.mul(y, c))
+                                for x, y in zip(basis[k], basis[q])]
+        active, entry_cols, pair_cols, entries = list(range(n)), [], [], []
+        while active:
+            cands = [(self.nu_D(h(i, i)), i) for i in active if any(h(i, i))]
+            if cands:
+                piv = min(cands)[1]
+                d = h(piv, piv)
+                dinv = self.inv(d)
+                active.remove(piv)
+                for k in active:
+                    basis[k] = axpy(k, piv, self.mul(dinv, h(piv, k)))
+                entries.append(d)
+                entry_cols.append(basis[piv])
+                continue
+            i, j = next((i, j) for ii, i in enumerate(active)
+                        for j in active[ii + 1:] if any(h(i, j)))
+            c = self.inv(h(i, j))
+            basis[j] = [self.mul(x, c) for x in basis[j]]
+            active.remove(i)
+            active.remove(j)
+            # the plane's Gram block is antidiag(1, eps), its own inverse
+            # up to the swap of 1 and eps
+            for k in active:
+                s_i, s_j = h(j, k), h(i, k)
+                if eps == -1:
+                    s_i = self.sub(self.zero, s_i)
+                basis[k] = axpy(k, i, s_i)
+                basis[k] = axpy(k, j, s_j)
+            pair_cols.extend([basis[i], basis[j]])
+        cols = entry_cols + pair_cols
+        return [[cols[j][i] for j in range(n)] for i in range(n)], entries
 
 
 def digest(x):

@@ -18,7 +18,6 @@ from hermiwitt.hermitian import (
     l_coordinates,
     reduced_norm,
     trace_lift_hL,
-    witt_decompose,
 )
 from hermiwitt.padic import FieldConfig
 from hermiwitt.quaternion import QuaternionElement as Q, congruent_mod_nuD
@@ -27,6 +26,7 @@ from hermiwitt import morita as mo
 from hermiwitt import randgen as rg
 from hermiwitt import selftest as st
 from hermiwitt import wittclass as wc
+from hermiwitt.wittclass import witt_decompose
 
 SEED = 20240901
 

@@ -6,6 +6,7 @@ from hermiwitt.errors import IncomparableTokens, InfeasibleLift, InvalidParamete
 from hermiwitt.wittclass import WittClassD
 from hermiwitt import endo as en
 from hermiwitt import randgen as rg
+from hermiwitt import serialize as sz
 from hermiwitt import selftest as st
 
 
@@ -154,8 +155,8 @@ def test_enumerate_deterministic_order():
     entries = [en.LiftEntry(t2, 1), en.LiftEntry(t1, 1)]
     out1 = en.enumerate_parameters(entries, 1, 2, h)
     out2 = en.enumerate_parameters(list(reversed(entries)), 1, 2, h)
-    assert [en.parameter_to_json(f) for f in out1] == \
-        [en.parameter_to_json(f) for f in out2]
+    assert [sz.parameter_to_json(f) for f in out1] == \
+        [sz.parameter_to_json(f) for f in out2]
 
 
 def test_random_configs_match_closed_form(cfg5):
@@ -178,8 +179,8 @@ def test_parameter_json_roundtrip():
          (t0, 0, en.WittType.null({"galpha"}))))
     ok, diags = en.validate(fm)
     assert ok, diags
-    j = json.dumps(en.parameter_to_json(fm), sort_keys=True)
-    back = en.parameter_from_json(json.loads(j))
+    j = json.dumps(sz.parameter_to_json(fm), sort_keys=True)
+    back = sz.parameter_from_json(json.loads(j))
     assert back == fm
 
 

@@ -34,13 +34,14 @@ from hermiwitt.hermitian import (
     twist,
     validate,
     vec_apply,
-    witt_decompose,
 )
 from hermiwitt.padic import FElement, FieldConfig, QuadExtElement, QuadExtField
 from hermiwitt.quaternion import QuaternionElement as Q
 from hermiwitt import randgen as rg
 from hermiwitt import wittclass as wc
+from hermiwitt.wittclass import witt_decompose
 from oracle import (
+    ExactD,
     coords,
     digest,
     exact_inverse,
@@ -52,7 +53,6 @@ from oracle import (
     lift,
     rep_coords,
     truncated,
-    vp_q,
 )
 
 
@@ -85,96 +85,6 @@ def test_diagonalize_congruence_postcondition(cfg5):
         form = rg.rand_form(cfg5, r, eps, n)
         T, dg = diagonalize(form)
         _assert_congruence_postcondition(form, T, dg)
-
-
-# ---------------------------------------------------------------------------
-# exact oracle: D over Q as 4-tuples (a0, a1, b0, b1) of Fractions standing
-# for (a0 + a1 u) + (b0 + b1 u) pi_D, with u^2 = r, pi_D^2 = p and
-# pi_D x = tau(x) pi_D.
-# ---------------------------------------------------------------------------
-
-class ExactD:
-    def __init__(self, p, r):
-        self.p, self.r = p, r
-        self.zero = (Fraction(0),) * 4
-        self.one = (Fraction(1),) + (Fraction(0),) * 3
-
-    def mul(self, x, y):
-        p, r = self.p, self.r
-        a0, a1, b0, b1 = x
-        c0, c1, d0, d1 = y
-        return (a0 * c0 + r * a1 * c1 + p * (b0 * d0 - r * b1 * d1),
-                a0 * c1 + a1 * c0 + p * (b1 * d0 - b0 * d1),
-                a0 * d0 + r * a1 * d1 + b0 * c0 - r * b1 * c1,
-                a0 * d1 + a1 * d0 + b1 * c0 - b0 * c1)
-
-    @staticmethod
-    def sub(x, y):
-        return tuple(s - t for s, t in zip(x, y))
-
-    @staticmethod
-    def rho(x):
-        return (x[0], x[1], x[2], -x[3])
-
-    def inv(self, x):
-        a0, a1, b0, b1 = x
-        n = a0 * a0 - self.r * a1 * a1 - self.p * (b0 * b0 - self.r * b1 * b1)
-        return (a0 / n, -a1 / n, -b0 / n, -b1 / n)
-
-    def nu_D(self, x):
-        va = [2 * vp_q(c, self.p) for c in x[:2] if c]
-        vb = [2 * vp_q(c, self.p) + 1 for c in x[2:] if c]
-        return min(va + vb)
-
-    def h(self, M, x, y):
-        s = self.zero
-        for i, xi in enumerate(x):
-            rx = self.rho(xi)
-            for j, yj in enumerate(y):
-                t = self.mul(self.mul(rx, M[i][j]), yj)
-                s = tuple(a + b for a, b in zip(s, t))
-        return s
-
-    def diagonalize(self, M, eps):
-        """Gram-Schmidt from scratch with the pivot rule of diagonalize:
-        min nu_D of h(v, v), ties to the lowest index, else a hyperbolic
-        plane from the first non-orthogonal pair."""
-        n = len(M)
-        basis = [[self.one if i == j else self.zero for i in range(n)]
-                 for j in range(n)]
-        h = lambda i, j: self.h(M, basis[i], basis[j])
-        axpy = lambda k, q, c: [self.sub(x, self.mul(y, c))
-                                for x, y in zip(basis[k], basis[q])]
-        active, entry_cols, pair_cols, entries = list(range(n)), [], [], []
-        while active:
-            cands = [(self.nu_D(h(i, i)), i) for i in active if any(h(i, i))]
-            if cands:
-                piv = min(cands)[1]
-                d = h(piv, piv)
-                dinv = self.inv(d)
-                active.remove(piv)
-                for k in active:
-                    basis[k] = axpy(k, piv, self.mul(dinv, h(piv, k)))
-                entries.append(d)
-                entry_cols.append(basis[piv])
-                continue
-            i, j = next((i, j) for ii, i in enumerate(active)
-                        for j in active[ii + 1:] if any(h(i, j)))
-            c = self.inv(h(i, j))
-            basis[j] = [self.mul(x, c) for x in basis[j]]
-            active.remove(i)
-            active.remove(j)
-            # the plane's Gram block is antidiag(1, eps), its own inverse
-            # up to the swap of 1 and eps
-            for k in active:
-                s_i, s_j = h(j, k), h(i, k)
-                if eps == -1:
-                    s_i = self.sub(self.zero, s_i)
-                basis[k] = axpy(k, i, s_i)
-                basis[k] = axpy(k, j, s_j)
-            pair_cols.extend([basis[i], basis[j]])
-        cols = entry_cols + pair_cols
-        return [[cols[j][i] for j in range(n)] for i in range(n)], entries
 
 
 def _to_tracked(cfg, x):
@@ -298,7 +208,7 @@ def test_degenerate_raises(cfg5):
         diagonalize(HermitianForm.from_rows(1, [[z]]))
 
 
-def test_twist_examples(cfg5):
+def test_twist_examples(cfg5, quaternion_products):
     one = Q.one(cfg5)
     skew = Q.u_elem(cfg5) * Q.pi_D(cfg5)
     f = HermitianForm.diagonal(1, [one])
@@ -324,6 +234,10 @@ def test_twist_examples(cfg5):
     known_mod_25 = Q(cfg5.l(2, 0), cfg5.l(FElement._zeroish(cfg5, 2), 0))
     with pytest.raises(NotSelfAdjoint):
         twist(m, [[one, zero], [zero, known_mod_25]])
+    # M gamma is formed once, for the sign test and as the new Gram; forming
+    # it twice took 135 quaternion multiplies on this rank-3 form
+    form = rg.rand_form(cfg5, rg.rng(5), 1, 3)
+    assert quaternion_products(twist, form, one) <= 108
 
 
 def test_trace_lift_examples(cfg5):
@@ -606,15 +520,14 @@ def _dishonest_adjoints_and_cayleys(p, N):
     ex = ExactD(p, cfg.nonresidue_r)
     r = random.Random(p * 17 + N)
 
-    def rep(C):
-        return exact_matrix_rep("D", p, ex.r, C)
+    def adjoint(M, C):
+        rho_t = [[ex.rho(C[j][i]) for j in range(len(C))] for i in range(len(C))]
+        return ex.solve(M, ex.matmul(rho_t, M))
 
-    def rho_t(C):
-        return [[ex.rho(C[j][i]) for j in range(len(C))] for i in range(len(C))]
-
-    def adjoint(Mrep, C):
-        Minv = exact_inverse(Mrep)
-        return Minv and exact_mul(Minv, exact_mul(rep(rho_t(C)), Mrep))
+    def honest_d(got, want):
+        return want is not None and all(
+            honest(c, q, p) for grow, wrow in zip(got, want)
+            for g, w in zip(grow, wrow) for c, q in zip(coords(g), w))
 
     bad, checked = [], 0
     for n in (1, 2, 3):
@@ -630,21 +543,16 @@ def _dishonest_adjoints_and_cayleys(p, N):
                 pass
             else:
                 checked += 1
-                want = adjoint(rep(exF), exX)
-                if not (want and _honest_matrix("D", p, got, want)):
+                if not honest_d(got, adjoint(exF, exX)):
                     bad.append(("sigma_h_adjoint", n))
-            Y = [[(p * r.randrange(p ** N), p * r.randrange(p ** N),
-                   r.randrange(p ** N), r.randrange(p ** N))
+            Y = [[tuple(map(Fraction, (p * r.randrange(p ** N),
+                                       p * r.randrange(p ** N),
+                                       r.randrange(p ** N), r.randrange(p ** N))))
                   for _ in range(n)] for _ in range(n)]
-            adj = adjoint(rep(exF), Y)
-            if not adj:
+            adj = adjoint(exF, Y)
+            if adj is None:
                 continue
-            I = rep([[ex.one if i == j else ex.zero for j in range(n)]
-                     for i in range(n)])
-            Xrep = [[y - a for y, a in zip(ry, ra)]
-                    for ry, ra in zip(rep(Y), adj)]
-            exX = [[rep_coords("D", p, Xrep, i, j) for j in range(n)]
-                   for i in range(n)]
+            exX = [[ex.sub(y, a) for y, a in zip(ry, ra)] for ry, ra in zip(Y, adj)]
             k = N - r.randint(0, 3)
             X = [[Q(*(cfg.l(known_to(cfg, c[t], k), known_to(cfg, c[t + 1], k))
                       for t in (0, 2))) for c in row] for row in exX]
@@ -656,11 +564,11 @@ def _dishonest_adjoints_and_cayleys(p, N):
             except _REFUSALS:
                 continue
             checked += 1
-            inv = exact_inverse([[a - x for a, x in zip(ra, rx)]
-                                 for ra, rx in zip(I, Xrep)])
-            want = inv and exact_mul([[a + x for a, x in zip(ra, rx)]
-                                      for ra, rx in zip(I, Xrep)], inv)
-            if not (want and _honest_matrix("D", p, got, want)):
+            I = [[ex.one if i == j else ex.zero for j in range(n)]
+                 for i in range(n)]
+            minus, plus = ([[f(a, x) for a, x in zip(ra, rx)]
+                            for ra, rx in zip(I, exX)] for f in (ex.sub, ex.add))
+            if not honest_d(got, ex.solve(minus, plus)):
                 bad.append(("cayley_isometry", n))
     return bad, checked
 

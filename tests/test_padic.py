@@ -26,7 +26,7 @@ from hermiwitt.padic import (
     tau_conj,
 )
 from hermiwitt.quaternion import QuaternionElement as Q, congruent_mod_nuD
-from oracle import coords, digest, exact_rep, honest, rep_coords, truncated
+from oracle import ExactD, coords, digest, exact_rep, honest, rep_coords, truncated
 
 
 # -- independent residue-field oracles used to freeze expected values --------
@@ -420,11 +420,14 @@ def test_product_is_precision_honest(kind, p, N):
     checked = 0
     for _ in range(150):
         (qx, x), (qy, y) = element(), element()
+        want = _exact_product(kind, p, rr, qx, qy)
+        # the two exact D oracles agree
+        assert kind != "D" or ExactD(p, rr).mul(qx, qy) == want
         try:
             z = x * y
         except PrecisionExhausted:
             continue
-        for c, q in zip(coords(z), _exact_product(kind, p, rr, qx, qy)):
+        for c, q in zip(coords(z), want):
             assert honest(c, q, p), (x, y, c, q)
             checked += 1
     assert checked >= 75 * width
