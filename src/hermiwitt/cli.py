@@ -165,7 +165,10 @@ _COMMANDS = {
 
 def run(argv) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as ex:    # argparse exits after printing the help
+            return ex.code
         cfg = _cfg(args)
         rc = _COMMANDS[args.command](cfg, args)
         return rc or 0

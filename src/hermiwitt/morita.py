@@ -9,6 +9,14 @@ that the involution sigma_E (x) rho pushes forward to
 X -> u_mat sigma_E(X)^T u_mat^(-1) with a diagonal sigma_E-symmetric pair
 u_mat = diag(u1, u2).
 
+The splitting forms three inverses: C = B^(-1) of the involution Gram B,
+m^(-1) of the change to a C-orthogonal basis, and mphi_inv (tensor
+coordinates of a matrix).  The first splitting Phi0 reads the left-E
+coordinates of x rho(d) off one solve per candidate complement w; the
+transported involution Phi0 theta Phi0^(-1) needs no inverse, since
+theta = sigma_E (x) rho is diagonal on the D-basis (signs _RHO_SIGNS); and
+quat_of_row solves against the first rows of the images when it is asked.
+
 Forms over E (x) D live on sums of t copies of the simple right module
 (rows E^(1x2)); in the standard frame such a form is encoded by a t x t
 matrix H over E with H = eps sigma(H)^T, the pairing being
@@ -104,12 +112,6 @@ def tensor_add(t1, t2):
     return tuple(a + b for a, b in zip(t1, t2))
 
 
-def tensor_theta(ten):
-    """(sigma_E (x) rho) in tensor coordinates."""
-    return tuple(c.sigma() if s == 1 else -c.sigma()
-                 for c, s in zip(ten, _RHO_SIGNS))
-
-
 def tensor_lambda_apply(cfg: FieldConfig, ten, lam_scale: FElement | None = None):
     """(lambda_beta (x) id_D): kill the beta-part of each E-coefficient and
     reassemble the quaternion; optionally post-scale by an F-unit (every
@@ -145,7 +147,6 @@ class SplitData:
     mphi_inv: tuple               # inverse of the tensor->matrix matrix, over E
     u1: FElement
     u2: FElement
-    row_solve: tuple              # 4x4 F-matrix: first-row-of-G_x -> x
 
     # -- conversions ---------------------------------------------------------
     def to_matrix(self, ten):
@@ -176,10 +177,12 @@ class SplitData:
         return IdempotentE(self, ((E.zero(), E.zero()), (E.zero(), E.one())))
 
     def quat_of_row(self, row) -> QuaternionElement:
-        """The x in D whose matrix has the given first row (an E^2 pair)."""
-        coords = [row[0].a, row[0].b, row[1].a, row[1].b]
-        sol = vec_apply(self.row_solve, coords)
-        return quat_from_f_coords(self.cfg, sol)
+        """The x in D whose matrix has the given first row (an E^2 pair),
+        solved against the first rows of the images of the D-basis."""
+        cols = [(g[0][0].a, g[0][0].b, g[0][1].a, g[0][1].b) for g in self.imgs]
+        sol = dmat_solve([[c[i] for c in cols] for i in range(4)],
+                         [[row[0].a], [row[0].b], [row[1].a], [row[1].b]])
+        return quat_from_f_coords(self.cfg, [x for x, in sol])
 
     def idempotent_from_line(self, x) -> IdempotentE:
         """b-orthogonal projection onto the anisotropic line spanned by the
@@ -204,12 +207,11 @@ class SplitData:
         checks.append(dmat_is_zero(dmat_sub(dmat_mul(Gu, Gu), dmat_scalar(r, 2))))
         checks.append(dmat_is_zero(dmat_sub(dmat_mul(Gpi, Gpi), dmat_scalar(pf, 2))))
         checks.append(dmat_is_zero(dmat_add(dmat_mul(Gpi, Gu), dmat_mul(Gu, Gpi))))
-        # pushforward identity on the basis and involutivity of theta
-        for k in (1, 2, 3):
-            ten = [E.zero()] * 4
-            ten[k] = E.one()
-            checks.append(self.theta_is(self.to_matrix(tuple(ten)),
-                                        self.to_matrix(tensor_theta(tuple(ten)))))
+        # pushforward identity theta(Phi(d_k)) = s_k Phi(d_k) on the basis,
+        # and involutivity of theta
+        for s, X in zip(_RHO_SIGNS[1:], self.imgs[1:]):
+            checks.append(self.theta_is(X, X if s == 1 else
+                                        [[-e for e in row] for row in X]))
         checks.append(self.theta_is(self.e1().mat, self.e1().mat))
         # round trip tensor <-> matrix
         ten = tensor_from_quat(E, QuaternionElement.make(cfg, cfg.l(1, 2), cfg.l(3, 4)))
@@ -236,11 +238,6 @@ def _matrix_of_tensor(imgs, ten):
 def _tensor_of_matrix(mphi_inv, X):
     """Phi^(-1) through the inverse of Phi's matrix on tensor coordinates."""
     return tuple(vec_apply(mphi_inv, [X[0][0], X[0][1], X[1][0], X[1][1]]))
-
-
-def _e_form(C, x, y):
-    """sigma(x)^T C y for vectors x, y over E."""
-    return row_dot([c.sigma() for c in x], vec_apply(C, y))
 
 
 _SPLIT_CACHE: dict = {}
@@ -280,54 +277,35 @@ def split_for_delta(cfg: FieldConfig, delta: FElement) -> SplitData:
 def _build_split(cfg: FieldConfig, delta: FElement, w_choice: int) -> SplitData:
     E = QuadExtField(cfg, delta, "E")
     beta0 = find_beta0(cfg, delta)
-    # left-E basis {1, w} of D, with scalars acting by left multiplication
-    candidates = [QuaternionElement.u_elem(cfg), QuaternionElement.pi_D(cfg),
-                  QuaternionElement.u_elem(cfg) * QuaternionElement.pi_D(cfg)]
-    chosen = []
     one = QuaternionElement.one(cfg)
-    for w in candidates:
-        cols = [quat_f_coords(x) for x in (one, beta0, w, beta0 * w)]
-        A = [[cols[j][i] for j in range(4)] for i in range(4)]
+    u, pi = QuaternionElement.u_elem(cfg), QuaternionElement.pi_D(cfg)
+    # left-E basis {1, w} of D, with scalars acting by left multiplication:
+    # one solve per candidate w gives the left-E coordinates of x rho(d),
+    # x in {1, w}, d in {u, pi_D}, i.e. the operators x -> x rho(d)
+    chosen = []
+    for w in (u, pi, u * pi):
+        basis = [quat_f_coords(x) for x in (one, beta0, w, beta0 * w)]
+        rhs = [quat_f_coords(x * d.rho()) for d in (u, pi) for x in (one, w)]
         try:
-            ainv = cmat_inv(A)
+            sol = dmat_solve([[c[i] for c in basis] for i in range(4)],
+                             [[c[i] for c in rhs] for i in range(4)])
         except Singular:
             continue
-        chosen.append((w, ainv))
+        chosen.append(sol)
         if len(chosen) > w_choice:
             break
     if len(chosen) <= w_choice:
         raise NotInD("no independent complement basis found")
-    w, ainv = chosen[w_choice]
-
-    def coords_E(z: QuaternionElement):
-        sol = vec_apply(ainv, quat_f_coords(z))
-        return (QuadExtElement(E, sol[0], sol[1]), QuadExtElement(E, sol[2], sol[3]))
-
-    def g0_of(d: QuaternionElement):
-        # operator x -> x * rho(d) in left-E coordinates over {1, w}
-        rd = d.rho()
-        c1 = coords_E(one * rd)
-        c2 = coords_E(w * rd)
-        return [[c1[0], c2[0]], [c1[1], c2[1]]]
-
-    G0u = g0_of(QuaternionElement.u_elem(cfg))
-    G0pi = g0_of(QuaternionElement.pi_D(cfg))
+    sol = chosen[w_choice]
+    G0u, G0pi = ([[QuadExtElement(E, sol[2 * i][k], sol[2 * i + 1][k])
+                   for k in (c, c + 1)] for i in range(2)] for c in (0, 2))
     imgs0 = _basis_images(E, G0u, G0pi)
-
-    def mphi_of(imgs):
-        cols = [[m[0][0], m[0][1], m[1][0], m[1][1]] for m in imgs]
-        return [[cols[j][i] for j in range(4)] for i in range(4)]
-
-    mphi0_inv = cmat_inv(mphi_of(imgs0))
-
-    def psi0(X):
-        return _matrix_of_tensor(
-            imgs0, tensor_theta(_tensor_of_matrix(mphi0_inv, X)))
-
-    # solve B * Psi0(X) = sigma(X)^T * B on the generating images
+    # solve B Psi0(X) = sigma(X)^T B on the generating images, where
+    # Psi0 = Phi0 theta Phi0^(-1) is X -> s_k X on X = Phi0(d_k): theta is
+    # diagonal on the D-basis
     rows, zero = [], E.zero()
-    for X in imgs0[1:]:
-        P = psi0(X)
+    for s, X in zip(_RHO_SIGNS[1:], imgs0[1:]):
+        P = X if s == 1 else [[-e for e in row] for row in X]
         S = dmat_bar_t(X)
         for i in range(2):
             for j in range(2):
@@ -358,7 +336,7 @@ def _build_split(cfg: FieldConfig, delta: FElement, w_choice: int) -> SplitData:
         raise AssertionError("could not symmetrize the involution Gram")
     C = cmat_inv(B)
     S = _e_gram_schmidt_basis(C, E)
-    u_entries = [_fixed_to_f(_e_form(C, v, v)) for v in S]
+    u_entries = [_fixed_to_f(sesquilinear(C, v, v)) for v in S]
     # S holds the orthogonal basis as column vectors; m = sigma(S^T) makes
     # m C sigma(m)^T = diag(u1, u2)
     Smat = [[S[j][i] for j in range(2)] for i in range(2)]
@@ -367,21 +345,14 @@ def _build_split(cfg: FieldConfig, delta: FElement, w_choice: int) -> SplitData:
     Gu = dmat_mul(m, dmat_mul(G0u, minv))
     Gpi = dmat_mul(m, dmat_mul(G0pi, minv))
     imgs = _basis_images(E, Gu, Gpi)
-    mphi_inv = cmat_inv(mphi_of(imgs))
-
-    # first-row solve: x -> first row of G_x (final Phi)
-    cols = []
-    for g in imgs:
-        cols.append([g[0][0].a, g[0][0].b, g[0][1].a, g[0][1].b])
-    A = [[cols[j][i] for j in range(4)] for i in range(4)]
-    row_solve = cmat_inv(A)
+    # Phi's matrix on tensor coordinates: column k is imgs[k], read row-major
+    mphi_inv = cmat_inv([[g[i // 2][i % 2] for g in imgs] for i in range(4)])
 
     data = SplitData(
         cfg=cfg, E=E,
         imgs=tuple(tuple(tuple(r) for r in g) for g in imgs),
         mphi_inv=tuple(tuple(r) for r in mphi_inv),
-        u1=u_entries[0], u2=u_entries[1],
-        row_solve=tuple(tuple(r) for r in row_solve))
+        u1=u_entries[0], u2=u_entries[1])
     if not data.validate():
         raise AssertionError("splitting construction failed its relation checks")
     return data
@@ -406,7 +377,7 @@ def _e_gram_schmidt_basis(C, E: QuadExtField):
     """Orthogonal basis (list of column vectors) for the hermitian form
     sigma(x)^T C y on E^2."""
     def q(v):
-        return _e_form(C, v, v)
+        return sesquilinear(C, v, v)
 
     basis = [[E.one(), E.zero()], [E.zero(), E.one()]]
     v1 = None
@@ -423,7 +394,7 @@ def _e_gram_schmidt_basis(C, E: QuadExtField):
     if v1 is None:
         raise DegenerateForm("reference hermitian form is degenerate")
     other = basis[1] if v1 is not basis[1] else basis[0]
-    coef = _e_form(C, v1, other) / q(v1)
+    coef = sesquilinear(C, v1, other) / q(v1)
     v2 = [o - coef * w for o, w in zip(other, v1)]
     if q(v2).is_zero():
         raise DegenerateForm("reference hermitian form is degenerate")
@@ -729,16 +700,13 @@ def compute_htilde_beta(form: HermitianForm, beta) -> HtildeBeta:
     u, pi = QuaternionElement.u_elem(cfg), QuaternionElement.pi_D(cfg)
     dbasis = [QuaternionElement.one(cfg), u, pi, u * pi]
 
-    def e_action(e: QuadExtElement, v, bv):
-        """e acting on v, given bv = beta v."""
-        return [q.scale_f(e.a) + r.scale_f(e.b) for q, r in zip(v, bv)]
-
     def flat(v):
         return [c for q in v for c in quat_f_coords(q)]
 
     # e1 = sum_k (a_k + b_k w) (x) d_k acts as v -> v A + (beta v) B, so it
-    # maps d e_i to e_i (d A) + beta_{:,i} (d B)
-    e1_tensor = data.to_tensor([list(r) for r in data.e1().mat])
+    # maps d e_i to e_i (d A) + beta_{:,i} (d B); its tensor coordinates are
+    # the first column of mphi_inv
+    e1_tensor = [r[0] for r in data.mphi_inv]
     A = quat_from_f_coords(cfg, [c.a for c in e1_tensor])
     B = quat_from_f_coords(cfg, [c.b for c in e1_tensor])
     cands = ([r[i] * dB + dA if k == i else r[i] * dB for k, r in enumerate(beta)]
@@ -751,7 +719,7 @@ def compute_htilde_beta(form: HermitianForm, beta) -> HtildeBeta:
         frame.append((v, bv))
         if len(frame) == n:
             break
-        _echelon_add(echelon, flat(e_action(E.gen(), v, bv)))
+        _echelon_add(echelon, flat(bv))     # the generator of E acting on v
     if len(frame) < n:
         raise DegenerateForm("frame extraction failed")
 

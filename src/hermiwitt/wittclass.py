@@ -38,7 +38,10 @@ class WittClassD:
     def __post_init__(self):
         gens = set(_PLUS_GENS) if self.epsilon == 1 else {GSKEW}
         if not set(self.coords) <= gens:
-            raise ValueError(f"bad coordinates {set(self.coords)} for eps={self.epsilon}")
+            # sorted by repr: set order follows string hashing, and the
+            # names need not all be strings
+            names = ", ".join(sorted(map(repr, self.coords)))
+            raise ValueError(f"bad coordinates {{{names}}} for eps={self.epsilon}")
 
     @staticmethod
     def zero(epsilon: int) -> WittClassD:

@@ -6,21 +6,16 @@ import time
 
 import pytest
 
-from hermiwitt.errors import OracleInconclusive
 from hermiwitt.hermitian import (
-    DiagonalForm,
     HermitianForm,
     cayley_isometry,
     dmat_is_zero,
     dmat_sub,
-    hL_evaluate,
     is_isometry,
-    l_coordinates,
     reduced_norm,
-    trace_lift_hL,
 )
 from hermiwitt.padic import FieldConfig
-from hermiwitt.quaternion import QuaternionElement as Q, congruent_mod_nuD
+from hermiwitt.quaternion import QuaternionElement as Q
 from hermiwitt import endo as en
 from hermiwitt import morita as mo
 from hermiwitt import randgen as rg
@@ -86,38 +81,20 @@ def test_criterion_2_scaling_invariance(cfg):
 
 
 def test_criterion_3_congruence_invariance(cfg):
-    r = rg.rng(SEED + 3)
-    failures = 0
-    for _ in range(500):
-        eps = 1 if r.random() < 0.7 else -1
-        d = rg.rand_line_entry(cfg, r, eps)
-        d2 = st._perturb(cfg, r, d)
-        if not congruent_mod_nuD(d, d2):
-            failures += 1
-        elif wc.classify_line(d, eps) != wc.classify_line(d2, eps):
-            failures += 1
-    report(3, failures == 0, f"500 congruent pairs, {failures} failures")
+    res = st.wittclass_congruence(cfg, SEED + 3, n=500)
+    ok = res["passed"] == 500 and res["failed"] == 0
+    report(3, ok, f"500 congruent pairs, {res['failed']} failures")
 
 
 def test_criterion_4_oracle_concordance(cfg):
-    r = rg.rng(SEED + 4)
-    contradictions = 0
-    inconclusive = 0
     total = 500
-    for _ in range(total):
-        d, d2 = rg.rand_symmetric(cfg, r), rg.rand_symmetric(cfg, r)
-        same = wc.classify_line(d, 1) == wc.classify_line(d2, 1)
-        try:
-            iso = wc.is_isotropic(DiagonalForm(1, (d, -d2), 0))
-            if iso != same:
-                contradictions += 1
-            eq = wc.equivalence_oracle(d, d2)
-            if eq and not same:
-                contradictions += 1
-        except OracleInconclusive:
-            inconclusive += 1
-    ok = contradictions == 0 and inconclusive <= total * 0.01
-    report(4, ok, f"{total} pairs, {contradictions} contradictions, "
+    res = st.wittclass_oracle(cfg, SEED + 4, n=total)
+    inconclusive = res["inconclusive"]
+    # two checks per conclusive pair: is_isotropic and equivalence_oracle
+    # each agree with classify_line, both ways
+    ok = (res["failed"] == 0 and res["passed"] == 2 * (total - inconclusive)
+          and inconclusive <= total * 0.01)
+    report(4, ok, f"{total} pairs, {res['failed']} contradictions, "
                   f"{inconclusive} inconclusive (<= 1% allowed)")
 
 
@@ -143,22 +120,10 @@ def test_criterion_5_reduced_norm(cfg):
 
 
 def test_criterion_6_trace_lift(cfg):
-    r = rg.rng(SEED + 6)
-    failures = 0
-    for _ in range(20):
-        eps = 1 if r.random() < 0.5 else -1
-        rank = r.randint(1, 3)
-        form = rg.rand_form(cfg, r, eps, rank)
-        hL = trace_lift_hL(form)
-        for _ in range(50):
-            v = [rg.rand_quat(cfg, r) for _ in range(rank)]
-            w = [rg.rand_quat(cfg, r) for _ in range(rank)]
-            lhs = hL_evaluate(hL, l_coordinates(v), l_coordinates(w)).trace()
-            if not (lhs - form.evaluate(v, w).trd()).is_zero():
-                failures += 1
-    report(6, failures == 0,
-           f"20 forms x 50 vector pairs, exact at tracked precision, "
-           f"{failures} failures")
+    res = st.hermitian_trace_lift(cfg, SEED + 6, n=20, pairs=50)
+    ok = res["passed"] == 20 + 20 * 50 and res["failed"] == 0
+    report(6, ok, f"20 forms x 50 vector pairs, exact at tracked precision, "
+                  f"{res['failed']} failures")
 
 
 def test_criterion_7_morita_roundtrip(cfg):
@@ -235,19 +200,11 @@ def test_criterion_8_trace_transfer_collapse(cfg):
 
 
 def test_criterion_9_counting_formula(cfg):
-    r = rg.rng(SEED + 9)
     t0 = time.time()
-    failures = 0
-    for _ in range(200):
-        entries, eps, m, h = st._random_token_config(cfg, r)
-        out = en.enumerate_parameters(entries, eps, m, h)
-        if len(out) != en.closed_form_count(entries):
-            failures += 1
-        if en.count_parameters(entries, eps, m, h) != len(out):
-            failures += 1
+    res = st.endo_count_closed_form(cfg, SEED + 9, n=200)
     elapsed = time.time() - t0
-    ok = failures == 0 and elapsed < 5.0
-    report(9, ok, f"200 token configurations, {failures} failures, "
+    ok = res["passed"] == 400 and res["failed"] == 0 and elapsed < 5.0
+    report(9, ok, f"200 token configurations, {res['failed']} failures, "
                   f"{elapsed:.2f}s < 5s")
 
 

@@ -1,7 +1,11 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -196,7 +200,7 @@ PINNED = {
     "transfer_unram": (_args("transfer", "--form", {
         "epsilon": 1, "delta": "2", "t": 2,
         "H": [[_e(1, 0), _e(2, 1)], [_e(2, -1), _e(5, 0)]]}),
-        "b57d823a472a11223770983fa1bc8ead5fc6df0285b70517b341c591f1deb01b"),
+        "cc918825a6afa937130f6d8e2c7bd8a5ed4abd1399a3187f5861da5d9491a7e7"),
     "transfer_ram": (_args("transfer", "--form", {
         "epsilon": -1, "delta": "5", "t": 2,
         "H": [[_e(0, 1), _e(1, 2)], [_e(-1, 2), _e(0, 3)]]}),
@@ -461,3 +465,28 @@ def test_fuzz_malformed_documents(cmd, r):
     else:
         assert err.startswith(STDERR_PREFIXES[rc]), err
     assert _outcome(argv) == (rc, out, err)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["decompose", "-h"]])
+def test_help_is_returned_not_raised(capsys, argv):
+    """argparse exits after printing the help; run returns that status."""
+    rc, out = run_cli(capsys, *argv)
+    assert rc == 0
+    assert out.startswith("usage: hermiwitt")
+
+
+def test_error_text_is_independent_of_hash_seed():
+    """A bad h_class names its coordinates in one order whatever the
+    interpreter's string hashing: two processes under PYTHONHASHSEED 1 and
+    2 give the same exit code and stderr."""
+    doc = '{"epsilon":1,"ambient":{"m":1,"h_class":["g1","x","gpi"]},"lift":[]}'
+    src = str(Path(cli.__file__).resolve().parents[1])
+    runs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "hermiwitt.cli", "endo-count", "--input", doc],
+            env=env, capture_output=True, text=True, timeout=60)
+        runs.append((proc.returncode, proc.stderr))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 1 and "bad coordinates" in runs[0][1]

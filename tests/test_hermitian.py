@@ -704,7 +704,7 @@ def test_form_layer_pinned():
                 out.append((name, type(exc).__name__, str(exc)))
     assert len(out) == 3 * (12 * 8 + 18 + 16)
     assert hashlib.sha256(repr(out).encode()).hexdigest() == \
-        "6877ee62fae9d3e9ced6a9b5e0ccaccf24d50382c83dbcf2a514268df1e49f74"
+        "76604b4a5656f5bd4ff8c601bdff0b47913ec0d42e3fb20b282217cd33edbedb"
 
 
 def test_form_json_roundtrip(cfg5):

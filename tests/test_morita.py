@@ -26,7 +26,7 @@ from hermiwitt.quaternion import QuaternionElement as Q
 from hermiwitt import morita as mo
 from hermiwitt import randgen as rg
 from hermiwitt import wittclass as wc
-from oracle import digest
+from oracle import coords, digest, honest, lift
 
 
 def test_split_validates(cfg5):
@@ -36,6 +36,34 @@ def test_split_validates(cfg5):
         assert data.e1().validate() and data.e2().validate()
     with pytest.raises(NotQuadratic):
         mo.split(cfg5, Q.make(cfg5, 2))   # generates F
+
+
+def _split_coords(data):
+    """Every F-coordinate of imgs, mphi_inv, u1 and u2, in that order."""
+    xs = [x for g in data.imgs for row in g for x in row]
+    xs += [x for row in data.mphi_inv for x in row]
+    return [c for x in xs for c in coords(x)] + [data.u1, data.u2]
+
+
+def test_split_is_precision_honest():
+    """For exact delta in {r, p, r p} and both w_choice, every digit that
+    the splitting claims for imgs, mphi_inv, u1 and u2 agrees with the same
+    splitting built at 4N; for delta = r, u1, u2 and every image coordinate
+    are known to all N digits."""
+    for p, N in ((3, 10), (5, 32), (7, 20), (13, 128)):
+        cfg, big = FieldConfig(p, N), FieldConfig(p, 4 * N)
+        r = cfg.nonresidue_r
+        for d in (r, p, r * p):
+            for w in (0, 1):
+                data = mo._build_split(cfg, cfg.f(d), w)
+                ref = mo._build_split(big, big.f(d), w)
+                for c, x in zip(_split_coords(data), _split_coords(ref)):
+                    assert honest(c, lift(x, p)[0], p)
+                if d == r:
+                    known = [data.u1, data.u2] + [
+                        c for g in data.imgs for row in g for x in row
+                        for c in coords(x)]
+                    assert all(c.prec == N for c in known)
 
 
 def test_phi_unital(cfg5):
@@ -306,21 +334,22 @@ def test_htilde_beta_pinned():
                 out.append(tuple(digest(x) for row in H for x in row))
     assert len(out) == 288
     assert hashlib.sha256(repr(out).encode()).hexdigest() == \
-        "e9af88cf8e305af6b91de2b3624af27965a980906579dadf96561c45f823f778"
+        "e40d6d7a3e49b1b12c53e1737caddf1e293a41d4645e9540b90f5dc9e626489c"
 
 
 def test_conjugated_pairs_keep_their_tower():
     """At (3, 8), where digits run out first, a pair conjugated by S has the
-    Witt tower of the plain pair whenever both answer (over the same E,
-    whose delta may be known to fewer digits)."""
+    Witt tower and trace class of the plain pair whenever both answer (over
+    the same E, whose delta may be known to fewer digits)."""
     compared = 0
     for h, beta, hS, bS in _realized_pairs(3, 8):
         try:
             t1, t2 = mo.witt_tower_of(h, beta), mo.witt_tower_of(hS, bS)
+            c1, c2 = t1.trace_class(), t2.trace_class()
         except HermiwittError:
             continue
         assert t1.class_at_e1 == t2.class_at_e1
-        assert t1.trace_class() == t2.trace_class()
+        assert c1 == c2
         compared += 1
     assert compared >= 25
 
