@@ -223,26 +223,17 @@ def congruence(M, X, Y):
     return dmat_mul(dmat_bar_t(X), dmat_mul(M, Y))
 
 
-def _left_products(M, x):
-    """The products bar(x_i) M_ij, row by row: bar(x)^T M before any y."""
-    return [[bx * m for m in row] for bx, row in zip([xi.bar() for xi in x], M)]
-
-
-def _sum_against(P, y):
-    """sum_ij P_ij y_j, i outer, j inner: bar(x)^T M y when
-    P = _left_products(M, x)."""
-    s = None
-    for row in P:
-        for j, m in enumerate(row):
-            t = m * y[j]
-            s = t if s is None else s + t
-    return s
+def bar_row(M, x):
+    """bar(x)^T M as a row: sum_k bar(x_k) M_kl for each l, k in order."""
+    bx = [xi.bar() for xi in x]
+    return [row_dot(bx, col) for col in zip(*M)]
 
 
 def sesquilinear(M, x, y):
-    """bar(x)^T M y for coordinate vectors, summed term by term as
-    (bar(x_i) M_ij) y_j, i outer, j inner."""
-    return _sum_against(_left_products(M, x), y)
+    """bar(x)^T M y for coordinate vectors, as sum_l (bar(x)^T M)_l y_l: a
+    sum factored out of its products claims no digit fewer than the terms
+    (bar(x_k) M_kl) y_l summed one by one."""
+    return row_dot(bar_row(M, x), y)
 
 
 # ---------------------------------------------------------------------------

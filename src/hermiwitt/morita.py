@@ -47,8 +47,7 @@ from .padic import (
 from .quaternion import QuaternionElement
 from .hermitian import (
     HermitianForm,
-    _left_products,
-    _sum_against,
+    bar_row,
     congruence,
     diagonalize,
     dmat_add,
@@ -670,15 +669,15 @@ class HtildeBeta:
 
     def pair(self, v, w):
         E = self.split.E
-        return _htilde_pair(E, E.delta.inv(), _left_products(self.form.gram, v),
+        return _htilde_pair(E, E.delta.inv(), bar_row(self.form.gram, v),
                             w, vec_apply(self.beta, w))
 
 
 def _htilde_pair(E: QuadExtField, dinv: FElement, left, w, bw):
     """h~_beta(v, w) = 1 (x) h(v, w) + beta (x) h(v, beta w)/delta in tensor
-    coordinates, from _left_products(h, v), w, bw = beta w and 1/delta."""
-    h0 = _sum_against(left, w)
-    h1 = _sum_against(left, bw).scale_f(dinv)
+    coordinates, from left = bar_row(h, v), w, bw = beta w and 1/delta."""
+    h0 = row_dot(left, w)
+    h1 = row_dot(left, bw).scale_f(dinv)
     return tensor_add(tensor_from_quat(E, h0),
                       tensor_scale(E.gen(), tensor_from_quat(E, h1)))
 
@@ -709,8 +708,9 @@ def compute_htilde_beta(form: HermitianForm, beta) -> HtildeBeta:
     e1_tensor = [r[0] for r in data.mphi_inv]
     A = quat_from_f_coords(cfg, [c.a for c in e1_tensor])
     B = quat_from_f_coords(cfg, [c.b for c in e1_tensor])
+    dAB = [(d * A, d * B) for d in dbasis]
     cands = ([r[i] * dB + dA if k == i else r[i] * dB for k, r in enumerate(beta)]
-             for i in range(n) for dA, dB in ((d * A, d * B) for d in dbasis))
+             for i in range(n) for dA, dB in dAB)
     frame, echelon = [], []
     for v in cands:
         if not _echelon_add(echelon, flat(v)):
@@ -726,7 +726,7 @@ def compute_htilde_beta(form: HermitianForm, beta) -> HtildeBeta:
     u1inv, dinv = data.u1.inv(), delta.inv()
     H = []
     for gi, _ in frame:
-        left = _left_products(form.gram, gi)
+        left = bar_row(form.gram, gi)
         row = []
         for gj, bgj in frame:
             val = data.to_matrix(_htilde_pair(E, dinv, left, gj, bgj))
@@ -770,7 +770,8 @@ def trace_transfer_e_to_f(hE, field: QuadExtField):
     matrix over F in the basis (e_1, ..., e_t, e_1 w, ..., e_t w)."""
     t = len(hE)
     basis = dmat_scalar(field.one(), t) + dmat_scalar(field.gen(), t)
-    return [[sesquilinear(hE, v, w).a for w in basis] for v in basis]
+    return [[row_dot(left, w).a for w in basis]
+            for left in (bar_row(hE, v) for v in basis)]
 
 
 def realize_instance(form: EDForm):

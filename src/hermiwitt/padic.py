@@ -10,7 +10,9 @@ answer valuation or classification queries.
 L and E (``QuadExtElement``) and the quaternions D (``quaternion``) share.
 Arithmetic runs on (val, unit, prec) int triples: the ``_f_*`` kernel holds
 F's precision rules once, and ``_sc_mul`` is the one structure-constant
-product of L, E and D, which wraps objects only around its result.
+product of L, E and D, which wraps objects only around its result.  A
+divisor's unit is inverted once and kept, so the coordinates of an L, E or
+D inverse, all divided by one norm, share one modular inverse.
 """
 
 from __future__ import annotations
@@ -268,10 +270,12 @@ class FElement(Ring):
 
     ``val is None`` encodes an element indistinguishable from 0 (all known
     digits vanish); otherwise x = p^val * unit with unit a p-unit stored
-    modulo p^(prec - val).  Instances are immutable by convention.
+    modulo p^(prec - val).  Instances are immutable by convention; ``_uinv``
+    keeps the unit's inverse mod p^(prec - val) once the element divides,
+    and a quotient reduces it mod the smaller power it keeps: same digits.
     """
 
-    __slots__ = ("cfg", "val", "unit", "prec")
+    __slots__ = ("cfg", "val", "unit", "prec", "_uinv")
 
     base = "F"
 
@@ -378,8 +382,11 @@ class FElement(Ring):
                 f"divisor is 0 mod p^{o.prec}")
         if self.val is None:
             return FElement._zeroish(cfg, self.prec - o.val)
+        try:
+            inv = o._uinv
+        except AttributeError:
+            inv = o._uinv = pow(o.unit, -1, cfg.ppow(o.rel_prec))
         rel = min(self.rel_prec, o.rel_prec)
-        inv = pow(o.unit, -1, cfg.ppow(rel))
         return FElement._make(cfg, self.val - o.val, self.unit * inv,
                               self.val - o.val + rel)
 

@@ -1,5 +1,6 @@
 import pytest
 
+from hermiwitt import padic
 from hermiwitt.padic import FieldConfig
 from hermiwitt.quaternion import QuaternionElement
 
@@ -35,6 +36,28 @@ def quaternion_products(monkeypatch):
             fn(*args)
         finally:
             monkeypatch.setattr(QuaternionElement, "__mul__", mul)
+        return calls[0]
+
+    return count
+
+
+@pytest.fixture
+def modular_inverses(monkeypatch):
+    """count(fn, *args): how many modular inverses pow(x, -1, m) padic's
+    arithmetic takes while fn(*args) runs."""
+    def count(fn, *args):
+        calls = [0]
+
+        def counting_pow(x, e, *m):
+            if e == -1:
+                calls[0] += 1
+            return pow(x, e, *m)
+
+        monkeypatch.setattr(padic, "pow", counting_pow, raising=False)
+        try:
+            fn(*args)
+        finally:
+            monkeypatch.delattr(padic, "pow")
         return calls[0]
 
     return count

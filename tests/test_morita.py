@@ -26,7 +26,7 @@ from hermiwitt.quaternion import QuaternionElement as Q
 from hermiwitt import morita as mo
 from hermiwitt import randgen as rg
 from hermiwitt import wittclass as wc
-from oracle import coords, digest, honest, lift
+from oracle import coords, digest, honest, known_to, lift
 
 
 def test_split_validates(cfg5):
@@ -286,17 +286,17 @@ def test_htilde_beta_identities(cfg5):
 
 
 def test_htilde_beta_multiply_count(cfg5, quaternion_products):
-    """The h~_beta frame loop forms the left products bar(g_i) h_ij once per
-    frame vector and reuses beta g_j from the frame search; each candidate
-    e1 (d e_i) costs n + 2 multiplies in closed form, and the skew test of
-    beta needs no Gram inverse: a rank-3 pair takes 378 quaternion
-    multiplies.  Expanding each candidate through the tensor coordinates
-    and testing skewness through M^(-1) took 549."""
+    """The h~_beta Gram loop forms the row bar(g_i)^T h once per frame
+    vector and takes its dot with g_j and with beta g_j from the frame
+    search, the candidates' d A and d B are formed once for every e_i, and
+    the skew test of beta needs no Gram inverse: a rank-3 pair takes 253
+    quaternion multiplies.  The double sum sum_kl (bar(g_ik) h_kl) g_jl
+    per entry, with d A and d B formed anew for each e_i, took 371."""
     r = rg.rng(7)
     data = mo.split(cfg5, Q.u_elem(cfg5))
     ed = mo.functor_Ge(rg.rand_eform(data, r, 1, 3), data, 1)
     h, beta = mo.realize_instance(ed)
-    assert quaternion_products(mo.compute_htilde_beta, h, beta) <= 378
+    assert quaternion_products(mo.compute_htilde_beta, h, beta) <= 253
 
 
 def _realized_pairs(p, N):
@@ -335,6 +335,41 @@ def test_htilde_beta_pinned():
     assert len(out) == 288
     assert hashlib.sha256(repr(out).encode()).hexdigest() == \
         "e40d6d7a3e49b1b12c53e1737caddf1e293a41d4645e9540b90f5dc9e626489c"
+
+
+def _known_to(cfg, x):
+    """The quaternion over cfg that knows the coordinates of x, an element
+    with more digits, to at most cfg.precision digits."""
+    cs = [known_to(cfg, q, min(c.prec, cfg.precision))
+          for c, q in zip(coords(x), lift(x, cfg.p))]
+    return Q(cfg.l(*cs[:2]), cfg.l(*cs[2:]))
+
+
+def test_htilde_beta_is_precision_honest():
+    """For the realized pairs and their conjugates built at 4N and truncated
+    to N, every digit that compute_htilde_beta claims at N agrees with its
+    result at 4N, which answers whenever the N-digit pair does.  A pair
+    conjugated at N is not lifted to 4N: its beta^2 is scalar only mod p^N."""
+    for p, N in ((3, 8), (5, 10), (13, 40)):
+        cfg = FieldConfig(p, N)
+        answered = 0
+        for pair in _realized_pairs(p, 4 * N):
+            for form, b in (pair[:2], pair[2:]):
+                low = HermitianForm.from_rows(
+                    form.epsilon, [[_known_to(cfg, x) for x in row]
+                                   for row in form.gram])
+                try:
+                    H = mo.compute_htilde_beta(
+                        low, [[_known_to(cfg, x) for x in row] for row in b]
+                    ).edform.H
+                except HermiwittError:
+                    continue
+                answered += 1
+                ref = mo.compute_htilde_beta(form, b).edform.H
+                assert all(honest(c, q, p)
+                           for row, rrow in zip(H, ref) for x, y in zip(row, rrow)
+                           for c, q in zip(coords(x), lift(y, p)))
+        assert answered >= 60, (p, N, answered)
 
 
 def test_conjugated_pairs_keep_their_tower():

@@ -92,6 +92,21 @@ def test_division_precision_loss(cfg5):
             deep = deep / cfg5.pi()
 
 
+def test_one_modular_inverse_per_divisor(cfg5, modular_inverses):
+    """Divisions by one F-element share one modular inverse of its unit: a
+    D inverse with four nonzero coordinates divides them all by its Nrd
+    and takes 1 (one per coordinate took 4), an L or E inverse divides
+    both coordinates by its norm and takes 1 (2 before), and dividing
+    three elements by the same d takes 1."""
+    x = Q.make(cfg5, cfg5.l(3, 4), cfg5.l(2, 7))
+    assert all(not c.is_zero() for c in coords(x.conj()))
+    assert modular_inverses(x.inv) == 1
+    for field in (cfg5.L_field, QuadExtField(cfg5, cfg5.pi(), "E")):
+        assert modular_inverses(field.el(3, 4).inv) == 1
+    d = cfg5.f(7) / cfg5.f(2)
+    assert modular_inverses(lambda: [cfg5.f(k) / d for k in (1, 2, 3)]) == 1
+
+
 def test_tau_examples(cfg5):
     u = cfg5.u()
     assert tau_conj(u).same(-u)
