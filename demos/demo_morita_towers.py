@@ -5,15 +5,14 @@ and watch the maximal anisotropic tower collapse under the trace transfer."""
 
 from hermiwitt.hermitian import dmat_is_zero, dmat_sub
 from hermiwitt.padic import FieldConfig
-from hermiwitt.quaternion import QuaternionElement as Q
 from hermiwitt import morita as mo
 from hermiwitt import wittclass as wc
 
 cfg = FieldConfig(5, 32)
 
-for gen, name in ((Q.u_elem(cfg), "E = L (unramified)"),
-                  (Q.pi_D(cfg), "E = F[pi_D] (ramified)")):
-    data = mo.split(cfg, gen)
+for delta, name in ((cfg.f(cfg.nonresidue_r), "E = L (unramified)"),
+                    (cfg.pi(), "E = F[pi_D] (ramified)")):
+    data = mo.split(cfg, delta)
     E = data.E
     print(f"{name}: split E(x)D = M_2(E), reference pair "
           f"(u1, u2) = ({data.u1!r}, {data.u2!r})")

@@ -169,27 +169,26 @@ class EndoParameter:
                 tuple(sorted(self.support, key=lambda s: s[0].id)))
 
 
-def lift(fm: EndoParameter) -> dict:
-    """The GL-lift: per simple block restriction c of c_-,
-    f(c) = f1 for non-simple c_-, else 2 f1 + diman(f2) * deg(D)/gcd."""
-    out = {}
+def _blocks(fm: EndoParameter):
+    """(block id, token, f(c)) per simple block restriction c of c_-:
+    f(c) = f1 on each half of a non-simple c_-, else
+    2 f1 + diman(f2) * deg(D)/gcd."""
     for token, f1, f2 in fm.support:
         if token.kind == "nonsimple_pair":
-            out[token.id + "#1"] = f1
-            out[token.id + "#2"] = f1
+            yield token.id + "#1", token, f1
+            yield token.id + "#2", token, f1
         else:
-            out[token.id] = 2 * f1 + f2.diman() * token.div_factor
-    return out
+            yield token.id, token, 2 * f1 + f2.diman() * token.div_factor
+
+
+def lift(fm: EndoParameter) -> dict:
+    """The GL-lift: block id -> f(c)."""
+    return {bid: f for bid, _, f in _blocks(fm)}
 
 
 def degree(fm: EndoParameter) -> int:
-    total = 0
-    for token, f1, f2 in fm.support:
-        if token.kind == "nonsimple_pair":
-            total += 2 * f1 * token.degree
-        else:
-            total += (2 * f1 + f2.diman() * token.div_factor) * token.degree
-    return total
+    """deg(f_-) = sum of f(c) deg(c) over the blocks."""
+    return sum(f * token.degree for _, token, f in _blocks(fm))
 
 
 def validate(fm: EndoParameter) -> tuple[bool, list[str]]:

@@ -128,8 +128,6 @@ def find_beta0(cfg: FieldConfig, delta: FElement) -> QuaternionElement:
     non-residue, or valuation 1)."""
     if delta.valuation() == 0:
         ratio = delta / cfg.nonresidue_r
-        if not ratio.is_square():
-            raise NotInD("unit delta must be a non-residue times a square")
         return QuaternionElement.make(cfg, cfg.u().scale_f(ratio.sqrt()))
     w = delta / cfg.pi()
     l = solve_norm_equation(cfg.L_field, w)
@@ -242,39 +240,19 @@ def _tensor_of_matrix(mphi_inv, X):
 _SPLIT_CACHE: dict = {}
 
 
-def _normalize_delta(cfg: FieldConfig, delta: FElement, generates_f: str):
-    """(delta pi_F^(-2k), k) with k = floor(v(delta) / 2), so that the new
-    delta has valuation 0 or 1; raises NotQuadratic(generates_f) when it is
-    a unit square, i.e. when its square root generates F."""
-    k = delta.valuation() // 2
-    if k:
-        delta = delta * cfg.pi() ** (-2 * k)
-    if delta.valuation() == 0 and delta.is_square():
-        raise NotQuadratic(generates_f)
-    return delta, k
-
-
-def split(cfg: FieldConfig, generator: QuaternionElement, w_choice: int = 0) -> SplitData:
-    """Build SplitData for E = F[generator], generator a pure quaternion with
-    square in F^x (non-square unit or odd valuation).  Splittings are cached
-    per normalized delta, its precision included."""
-    g2 = generator * generator
-    if not (g2.b.is_zero() and g2.a.b.is_zero()):
-        raise NotQuadratic("generator^2 must lie in F")
-    delta, _ = _normalize_delta(
-        cfg, g2.a.a, "generator generates F, not a quadratic extension")
+def split(cfg: FieldConfig, delta: FElement, w_choice: int = 0) -> SplitData:
+    """SplitData for E = F(sqrt(delta)), delta a non-square unit or of
+    valuation 1 (QuadExtField raises NotQuadratic otherwise).  Splittings
+    are cached per (delta's val, unit and prec, w_choice), so a cache hit
+    computes nothing."""
     key = (cfg, delta.val, delta.unit, delta.prec, w_choice)
     if key not in _SPLIT_CACHE:
         _SPLIT_CACHE[key] = _build_split(cfg, delta, w_choice)
     return _SPLIT_CACHE[key]
 
 
-def split_for_delta(cfg: FieldConfig, delta: FElement) -> SplitData:
-    return split(cfg, find_beta0(cfg, delta))
-
-
 def _build_split(cfg: FieldConfig, delta: FElement, w_choice: int) -> SplitData:
-    E = QuadExtField(cfg, delta, "E")
+    E = QuadExtField(cfg, delta, "E")   # checks delta before any arithmetic
     beta0 = find_beta0(cfg, delta)
     one = QuaternionElement.one(cfg)
     u, pi = QuaternionElement.u_elem(cfg), QuaternionElement.pi_D(cfg)
@@ -640,7 +618,8 @@ def similitude_scale(e: IdempotentE, f: IdempotentE):
 
 def _beta_normalize(cfg: FieldConfig, form: HermitianForm, beta):
     """(beta, delta): beta as a matrix, skew by sigma_h_signs, with
-    beta^2 = delta in F, scaled by a power of pi_F to normalize delta."""
+    beta^2 = delta in F, both scaled by pi_F^(-k), k = floor(v(delta) / 2),
+    so that delta has valuation 0 or 1."""
     beta = dmat_of(beta, form.rank)
     if -1 not in sigma_h_signs(form.rows(), beta):
         raise NotSkewAdjoint("beta must be skew for sigma_h")
@@ -650,8 +629,10 @@ def _beta_normalize(cfg: FieldConfig, form: HermitianForm, beta):
         raise NotQuadratic("beta^2 must be a scalar in F")
     if not dmat_is_zero(dmat_sub(sq, dmat_scalar(d00, form.rank))):
         raise NotQuadratic("beta^2 must be a scalar matrix")
-    delta, k = _normalize_delta(cfg, d00.a.a, "beta generates F")
+    delta = d00.a.a
+    k = delta.valuation() // 2
     if k:
+        delta = delta * cfg.pi() ** (-2 * k)
         sc = cfg.pi() ** (-k)
         beta = [[q.scale_f(sc) for q in row] for row in beta]
     return beta, delta
@@ -691,7 +672,7 @@ def compute_htilde_beta(form: HermitianForm, beta) -> HtildeBeta:
     if not form.rank or not validate(form):
         raise DegenerateForm("invalid input form")
     beta, delta = _beta_normalize(cfg, form, beta)
-    data = split_for_delta(cfg, delta)
+    data = split(cfg, delta)
     E = data.E
     n = form.rank
 

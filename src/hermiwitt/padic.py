@@ -24,6 +24,7 @@ from .errors import (
     DivisionByIndistinguishableZero,
     IndistinguishableZero,
     NotASquare,
+    NotQuadratic,
     PrecisionExhausted,
     WrongBase,
 )
@@ -445,7 +446,8 @@ class QuadExtField:
 
     delta must be normalized: either a unit whose residue is a non-residue
     (unramified case; L is the instance with delta = nonresidue_r) or of
-    valuation 1 (ramified case).
+    valuation 1 (ramified case).  This is the one place where delta is
+    checked: any other delta raises NotQuadratic.
     """
 
     cfg: FieldConfig
@@ -454,11 +456,11 @@ class QuadExtField:
 
     def __post_init__(self):
         v = self.delta.valuation()
-        if v == 0:
-            if legendre(self.delta.residue(), self.cfg.p) != -1:
-                raise ValueError("unramified descriptor needs a non-residue unit")
-        elif v != 1:
-            raise ValueError("delta must have valuation 0 or 1")
+        if v not in (0, 1):
+            raise NotQuadratic(f"delta must have valuation 0 or 1, not {v}")
+        if v == 0 and legendre(self.delta.residue(), self.cfg.p) != -1:
+            raise NotQuadratic("delta is a unit square: F(sqrt(delta)) is F, "
+                               "not a quadratic extension")
 
     @cached_property
     def ramified(self) -> bool:

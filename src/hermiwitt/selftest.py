@@ -293,8 +293,8 @@ def wittclass_form_invariance(cfg: FieldConfig, seed: int, n=200):
 
 def morita_phi_relations(cfg: FieldConfig, seed: int):
     checks = []
-    for gen in (QuaternionElement.u_elem(cfg), QuaternionElement.pi_D(cfg)):
-        data = mo.split(cfg, gen)
+    for delta in (cfg.f(cfg.nonresidue_r), cfg.pi()):
+        data = mo.split(cfg, delta)
         checks.append(data.validate())
         checks.append(data.e1().validate() and data.e2().validate())
     return _suite("morita_phi_relations", checks)
@@ -302,7 +302,7 @@ def morita_phi_relations(cfg: FieldConfig, seed: int):
 
 def morita_fe_sums(cfg: FieldConfig, seed: int, n=100):
     r = rg.rng(seed)
-    data = mo.split(cfg, QuaternionElement.u_elem(cfg))
+    data = mo.split(cfg, cfg.f(cfg.nonresidue_r))
     E = data.E
     checks = []
     for _ in range(n):
@@ -320,8 +320,8 @@ def morita_fe_sums(cfg: FieldConfig, seed: int, n=100):
 
 def morita_independence(cfg: FieldConfig, seed: int, n=50):
     r = rg.rng(seed)
-    d1 = mo.split(cfg, QuaternionElement.u_elem(cfg), w_choice=0)
-    d2 = mo.split(cfg, QuaternionElement.u_elem(cfg), w_choice=1)
+    d1 = mo.split(cfg, cfg.f(cfg.nonresidue_r), w_choice=0)
+    d2 = mo.split(cfg, cfg.f(cfg.nonresidue_r), w_choice=1)
     checks = []
     for _ in range(n):
         eps = 1 if r.random() < 0.5 else -1
@@ -342,7 +342,7 @@ def morita_independence(cfg: FieldConfig, seed: int, n=50):
 
 def morita_trl(cfg: FieldConfig, seed: int, n=20):
     r = rg.rng(seed)
-    data = mo.split(cfg, QuaternionElement.u_elem(cfg))
+    data = mo.split(cfg, cfg.f(cfg.nonresidue_r))
     checks = []
     for _ in range(n):
         eps = 1 if r.random() < 0.5 else -1

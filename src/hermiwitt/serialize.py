@@ -17,7 +17,7 @@ from __future__ import annotations
 from .endo import EndoClassToken, EndoParameter, LiftEntry, WittType
 from .errors import MalformedInput
 from .hermitian import HermitianForm
-from .morita import EDForm, split_for_delta
+from .morita import EDForm, split
 from .padic import FElement, FieldConfig, QuadExtElement, QuadExtField
 from .quaternion import QuaternionElement
 from .wittclass import WittClassD
@@ -119,19 +119,17 @@ def l_to_json(x: QuadExtElement) -> dict:
 
 
 def l_from_json(cfg: FieldConfig, obj) -> QuadExtElement:
-    if isinstance(obj, (int, str)):
-        return cfg.l(f_from_json(cfg, obj), 0)
-    if not isinstance(obj, dict) or "a" not in obj:
-        raise MalformedInput("L-element must be {'a': ..., 'b': ...}")
-    return cfg.l(f_from_json(cfg, obj["a"]), f_from_json(cfg, obj.get("b", 0)))
+    return e_from_json(cfg.L_field, obj)
 
 
 def e_from_json(field: QuadExtField, obj) -> QuadExtElement:
+    """An element of L or E, named by field.name in the error message."""
     cfg = field.cfg
     if isinstance(obj, (int, str)):
         return field.from_f(f_from_json(cfg, obj))
     if not isinstance(obj, dict) or "a" not in obj:
-        raise MalformedInput("E-element must be {'a': ..., 'b': ...}")
+        raise MalformedInput(
+            f"{field.name}-element must be {{'a': ..., 'b': ...}}")
     return field.el(f_from_json(cfg, obj["a"]), f_from_json(cfg, obj.get("b", 0)))
 
 
@@ -181,7 +179,7 @@ def edform_from_json(cfg: FieldConfig, obj):
     if not isinstance(obj, dict) or "H" not in obj or "delta" not in obj:
         raise MalformedInput("E(x)D form must carry 'delta' and 'H'")
     delta = f_from_json(cfg, obj["delta"])
-    data = split_for_delta(cfg, delta)
+    data = split(cfg, delta)
     H = [[e_from_json(data.E, x) for x in row] for row in _square(obj["H"], "H")]
     ed = EDForm(data, _epsilon(obj, "E(x)D form"), tuple(tuple(r) for r in H))
     if not ed.validate():

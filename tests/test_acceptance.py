@@ -15,7 +15,6 @@ from hermiwitt.hermitian import (
     reduced_norm,
 )
 from hermiwitt.padic import FieldConfig
-from hermiwitt.quaternion import QuaternionElement as Q
 from hermiwitt import endo as en
 from hermiwitt import morita as mo
 from hermiwitt import randgen as rg
@@ -129,8 +128,8 @@ def test_criterion_6_trace_lift(cfg):
 def test_criterion_7_morita_roundtrip(cfg):
     r = rg.rng(SEED + 7)
     failures = 0
-    for gen in (Q.u_elem(cfg), Q.pi_D(cfg)):
-        data = mo.split(cfg, gen)
+    for delta in (cfg.f(cfg.nonresidue_r), cfg.pi()):
+        data = mo.split(cfg, delta)
         E = data.E
         for i in range(100):
             eps = 1 if i % 2 else -1
@@ -157,8 +156,8 @@ def test_criterion_7_morita_roundtrip(cfg):
                 failures += 1
             done += 1
     # splitting independence on 50 forms
-    d1 = mo.split(cfg, Q.u_elem(cfg), w_choice=0)
-    d2 = mo.split(cfg, Q.u_elem(cfg), w_choice=1)
+    d1 = mo.split(cfg, cfg.f(cfg.nonresidue_r), w_choice=0)
+    d2 = mo.split(cfg, cfg.f(cfg.nonresidue_r), w_choice=1)
     done = 0
     while done < 50:
         eps = 1 if r.random() < 0.5 else -1
@@ -183,8 +182,8 @@ def test_criterion_8_trace_transfer_collapse(cfg):
     r = rg.rng(SEED + 8)
     failures = 0
     for i in range(50):
-        gen = Q.u_elem(cfg) if i % 2 else Q.pi_D(cfg)
-        data = mo.split(cfg, gen)
+        delta = cfg.f(cfg.nonresidue_r) if i % 2 else cfg.pi()
+        data = mo.split(cfg, delta)
         eps = 1 if i % 4 < 2 else -1
         ma = mo.max_anisotropic_edform(data, eps)
         if not wc.class_of_form(mo.trace_transfer(ma)).is_hyperbolic():
@@ -216,12 +215,12 @@ def _build_element_level_instance(cfg, r, idx):
     support, entries = [], []
     m = 0
     h_class = wc.WittClassD.zero(eps)
-    gens = [Q.u_elem(cfg), Q.pi_D(cfg)]
-    r.shuffle(gens)
+    deltas = [cfg.f(cfg.nonresidue_r), cfg.pi()]
+    r.shuffle(deltas)
     n_simple = r.randint(1, 2)
     budget = 3
     for i in range(n_simple):
-        data = mo.split(cfg, gens[i])
+        data = mo.split(cfg, deltas[i])
         E = data.E
         t = r.randint(1, min(2, budget - (n_simple - 1 - i)))
         budget -= t

@@ -248,6 +248,24 @@ def test_transfer_split_follows_delta_precision(capsys):
     assert max(f["prec"] for f in low if f["val"] is not None) <= 12
 
 
+@pytest.mark.parametrize("delta,why", [
+    ("125", "valuation 0 or 1, not 3"), ("25", "valuation 0 or 1, not 2"),
+    ({"base": "F", "val": -1, "digits": [1]}, "valuation 0 or 1, not -1"),
+    ("4", "unit square")], ids=["125", "25", "1/5", "4"])
+def test_transfer_refuses_unnormalized_delta(capsys, delta, why):
+    """delta is read as given: E = F(sqrt(delta)) needs a non-square unit
+    or a delta of valuation 1, and any other delta exits 2 with the reason.
+    Read in the field of a rescaled delta, the same H (b != 0) would be
+    another form."""
+    doc = {"epsilon": 1, "delta": delta, "t": 2,
+           "H": [[_e(1, 0), _e(0, 1)], [_e(0, -1), _e(2, 0)]]}
+    rc = run(["--prime", "5", "--precision", "32", "transfer", "--form",
+              json.dumps(doc)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("invalid: ") and why in captured.err
+
+
 def test_tower_and_transfer(capsys, tmp_path):
     form = {"epsilon": 1, "rank": 1, "gram": [[{"a": "1", "b": "0"}]]}
     beta = {"a": "0", "b": {"a": "0", "b": "1"}}   # u pi_D, skew for <1>

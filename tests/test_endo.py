@@ -188,12 +188,11 @@ def test_wt_d_element_level_cross_check(cfg5):
     # the token-level trace class agrees with the one computed through the
     # category equivalence and the trace transfer, for quadratic generators
     # realized inside D, and is the same for both odd towers
-    from hermiwitt.quaternion import QuaternionElement as Q
     from hermiwitt import morita as mo
     from hermiwitt import wittclass as wc
 
-    for gen in (Q.u_elem(cfg5), Q.pi_D(cfg5)):
-        data = mo.split(cfg5, gen)
+    for delta in (cfg5.f(cfg5.nonresidue_r), cfg5.pi()):
+        data = mo.split(cfg5, delta)
         E = data.E
         u1inv = data.u1.inv()
         for eps in (1, -1):

@@ -722,8 +722,8 @@ def _form_layer_cases(p, N):
                 f = HermitianForm.from_rows(eps, G)
                 cases.append(("diagonalize", lambda f=f: (
                     lambda T, d: (T, d.entries, d.hyperbolic_pairs))(*diagonalize(f))))
-    for gen in (Q.u_elem(cfg), Q.pi_D(cfg)):
-        data = mo.split(cfg, gen)
+    for delta in (cfg.f(cfg.nonresidue_r), cfg.pi()):
+        data = mo.split(cfg, delta)
         E = data.E
 
         def line(coarse):

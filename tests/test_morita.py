@@ -30,12 +30,13 @@ from oracle import coords, digest, honest, known_to, lift
 
 
 def test_split_validates(cfg5):
-    for gen in (Q.u_elem(cfg5), Q.pi_D(cfg5), Q.u_elem(cfg5) * Q.pi_D(cfg5)):
-        data = mo.split(cfg5, gen)
+    r = cfg5.nonresidue_r
+    for delta in (cfg5.f(r), cfg5.pi(), cfg5.f(-5 * r)):   # u, pi_D, u pi_D
+        data = mo.split(cfg5, delta)
         assert data.validate()
         assert data.e1().validate() and data.e2().validate()
     with pytest.raises(NotQuadratic):
-        mo.split(cfg5, Q.make(cfg5, 2))   # generates F
+        mo.split(cfg5, cfg5.f(4))   # a unit square: sqrt(4) generates F
 
 
 def _split_coords(data):
@@ -66,16 +67,31 @@ def test_split_is_precision_honest():
                     assert all(c.prec == N for c in known)
 
 
+def test_warm_tower_reuses_its_split(cfg5, monkeypatch):
+    """The split cache is keyed on delta itself: a second tower of the same
+    (h, beta) builds no splitting and solves for no beta0."""
+    data = mo.split(cfg5, cfg5.pi())
+    h, beta = mo.realize_instance(mo.functor_Ge([[data.E.one()]], data, 1))
+    first = mo.witt_tower_of(h, beta)
+    calls = []
+    for name in ("find_beta0", "_build_split"):
+        fn = getattr(mo, name)
+        monkeypatch.setattr(mo, name, lambda *a, fn=fn, name=name:
+                            calls.append(name) or fn(*a))
+    assert mo.witt_tower_of(h, beta).split is first.split
+    assert calls == []
+
+
 def test_phi_unital(cfg5):
-    data = mo.split(cfg5, Q.u_elem(cfg5))
+    data = mo.split(cfg5, cfg5.f(cfg5.nonresidue_r))
     one = data.embed_quat(Q.one(cfg5))
     assert dmat_is_zero(dmat_sub(one, dmat_scalar(data.E.one(), 2)))
 
 
 def test_functor_fe_rank_and_roundtrip(cfg5):
     r = rg.rng(73)
-    for gen in (Q.u_elem(cfg5), Q.pi_D(cfg5)):
-        data = mo.split(cfg5, gen)
+    for delta in (cfg5.f(cfg5.nonresidue_r), cfg5.pi()):
+        data = mo.split(cfg5, delta)
         for eps in (1, -1):
             for _ in range(10):
                 t = r.randint(1, 2)
@@ -149,8 +165,8 @@ def test_closed_forms_match_the_definition(p):
     cfg = FieldConfig(p, 32)
     r = rg.rng(137 + p)
     answered = 0
-    for gen in (Q.u_elem(cfg), Q.pi_D(cfg)):
-        data = mo.split(cfg, gen)
+    for delta in (cfg.f(cfg.nonresidue_r), cfg.pi()):
+        data = mo.split(cfg, delta)
         E = data.E
         idems = [data.e1(), data.e2()]
         while len(idems) < 5:
@@ -175,7 +191,7 @@ def test_fe_keeps_the_definitions_multiplication_order():
     F_e.  Multiplying sum_k u_k sigma(eps_k) eps_k first and H after runs
     out of digits on this input."""
     cfg = FieldConfig(3, 10)
-    data = mo.split(cfg, Q.pi_D(cfg))
+    data = mo.split(cfg, cfg.pi())
     E = data.E
     idem = data.idempotent_from_line([E.el(3 * 14731, 19976),
                                       E.el(9 * 3272, 51322)])
@@ -188,7 +204,7 @@ def test_ge_block_formula(cfg5):
     # the value of G(h_E) on module pairs matches the displayed 2x2 block
     # with u2 u1^(-1) in the second row
     r = rg.rng(79)
-    data = mo.split(cfg5, Q.u_elem(cfg5))
+    data = mo.split(cfg5, cfg5.f(cfg5.nonresidue_r))
     E = data.E
     hE = [[E.from_f(rg.rand_f(cfg5, r, 0, 0))]]
     ed = mo.functor_Ge(hE, data, 1)
@@ -209,7 +225,7 @@ def test_ge_block_formula(cfg5):
 
 
 def test_similitude_examples(cfg5):
-    data = mo.split(cfg5, Q.u_elem(cfg5))
+    data = mo.split(cfg5, cfg5.f(cfg5.nonresidue_r))
     E = data.E
     s, g = mo.similitude_scale(data.e1(), data.e1())
     assert (s - 1).is_zero()
@@ -232,8 +248,8 @@ def test_similitude_examples(cfg5):
 
 def test_splitting_independence(cfg5):
     r = rg.rng(89)
-    d1 = mo.split(cfg5, Q.u_elem(cfg5), w_choice=0)
-    d2 = mo.split(cfg5, Q.u_elem(cfg5), w_choice=1)
+    d1 = mo.split(cfg5, cfg5.f(cfg5.nonresidue_r), w_choice=0)
+    d2 = mo.split(cfg5, cfg5.f(cfg5.nonresidue_r), w_choice=1)
     for _ in range(15):
         eps = 1 if r.random() < 0.5 else -1
         t = r.randint(1, 2)
@@ -252,8 +268,8 @@ def test_splitting_independence(cfg5):
 
 def test_htilde_beta_identities(cfg5):
     r = rg.rng(97)
-    for gen in (Q.u_elem(cfg5), Q.pi_D(cfg5)):
-        data = mo.split(cfg5, gen)
+    for delta in (cfg5.f(cfg5.nonresidue_r), cfg5.pi()):
+        data = mo.split(cfg5, delta)
         E = data.E
         for eps in (1, -1):
             hE = rg.rand_eform(data, r, eps, 2)
@@ -293,7 +309,7 @@ def test_htilde_beta_multiply_count(cfg5, quaternion_products):
     quaternion multiplies.  The double sum sum_kl (bar(g_ik) h_kl) g_jl
     per entry, with d A and d B formed anew for each e_i, took 371."""
     r = rg.rng(7)
-    data = mo.split(cfg5, Q.u_elem(cfg5))
+    data = mo.split(cfg5, cfg5.f(cfg5.nonresidue_r))
     ed = mo.functor_Ge(rg.rand_eform(data, r, 1, 3), data, 1)
     h, beta = mo.realize_instance(ed)
     assert quaternion_products(mo.compute_htilde_beta, h, beta) <= 253
@@ -305,8 +321,8 @@ def _realized_pairs(p, N):
     invertible S: h -> rho(S)^T h S, beta -> S^(-1) beta S."""
     cfg = FieldConfig(p, N)
     r = rg.rng(p * 1000 + N)
-    for gen in (Q.u_elem(cfg), Q.pi_D(cfg)):
-        data = mo.split(cfg, gen)
+    for delta in (cfg.f(cfg.nonresidue_r), cfg.pi()):
+        data = mo.split(cfg, delta)
         for eps in (1, -1):
             for t in (1, 2, 3, 1, 2, 3, 1, 2, 3):
                 ed = mo.functor_Ge(rg.rand_eform(data, r, eps, t), data, eps)
@@ -398,7 +414,7 @@ def test_public_classifiers_refuse_non_hermitian_gram(cfg5):
         diagonalize(form)
     with pytest.raises(DegenerateForm):
         wc.class_of_form(form)
-    E = mo.split(cfg5, Q.u_elem(cfg5)).E
+    E = mo.split(cfg5, cfg5.f(cfg5.nonresidue_r)).E
     for eps in (1, -1):
         H = [[E.one(), E.gen()], [E.gen(), E.one()]]
         with pytest.raises(DegenerateForm):
@@ -422,8 +438,8 @@ def test_beta_skew_test_refuses_a_degenerate_gram(cfg5):
 
 def test_trace_transfer_collapse(cfg5):
     r = rg.rng(101)
-    for gen in (Q.u_elem(cfg5), Q.pi_D(cfg5)):
-        data = mo.split(cfg5, gen)
+    for delta in (cfg5.f(cfg5.nonresidue_r), cfg5.pi()):
+        data = mo.split(cfg5, delta)
         for eps in (1, -1):
             ma = mo.max_anisotropic_edform(data, eps)
             assert wc.class_of_form(mo.trace_transfer(ma)).is_hyperbolic()
@@ -436,7 +452,7 @@ def test_trace_transfer_collapse(cfg5):
 
 def test_trace_transfer_lambda_independence(cfg5):
     r = rg.rng(103)
-    data = mo.split(cfg5, Q.u_elem(cfg5))
+    data = mo.split(cfg5, cfg5.f(cfg5.nonresidue_r))
     for _ in range(10):
         ed = mo.functor_Ge(rg.rand_eform(data, r, 1, 2), data, 1)
         base = wc.class_of_form(mo.trace_transfer(ed))
@@ -446,7 +462,7 @@ def test_trace_transfer_lambda_independence(cfg5):
 
 def test_witt_tower_evaluation_consistency(cfg5):
     r = rg.rng(107)
-    data = mo.split(cfg5, Q.u_elem(cfg5))
+    data = mo.split(cfg5, cfg5.f(cfg5.nonresidue_r))
     E = data.E
     ed = mo.functor_Ge(rg.rand_eform(data, r, 1, 2), data, 1)
     h, beta = mo.realize_instance(ed)
@@ -464,7 +480,7 @@ def test_witt_tower_evaluation_consistency(cfg5):
 def test_tower_conjugation_remark(cfg5):
     # isometric h with conjugated beta gives a matching (equal) tower
     r = rg.rng(109)
-    data = mo.split(cfg5, Q.u_elem(cfg5))
+    data = mo.split(cfg5, cfg5.f(cfg5.nonresidue_r))
     ed = mo.functor_Ge(rg.rand_eform(data, r, 1, 1), data, 1)
     h, beta = mo.realize_instance(ed)
     X = rg.rand_skew_adjoint(cfg5, r, h)
@@ -479,7 +495,7 @@ def test_tower_conjugation_remark(cfg5):
 
 
 def test_hyperbolic_tower_value(cfg5):
-    data = mo.split(cfg5, Q.u_elem(cfg5))
+    data = mo.split(cfg5, cfg5.f(cfg5.nonresidue_r))
     E = data.E
     hE = [[E.zero(), E.one()], [E.one(), E.zero()]]
     ed = mo.functor_Ge(hE, data, 1)
@@ -493,7 +509,7 @@ def test_edform_json_roundtrip(cfg5):
     from hermiwitt import serialize as sz
 
     r = rg.rng(113)
-    data = mo.split(cfg5, Q.pi_D(cfg5))
+    data = mo.split(cfg5, cfg5.pi())
     ed = mo.functor_Ge(rg.rand_eform(data, r, 1, 2), data, 1)
     back = sz.edform_from_json(cfg5, sz.edform_to_json(ed))
     assert back.epsilon == ed.epsilon and back.t == ed.t
@@ -502,7 +518,7 @@ def test_edform_json_roundtrip(cfg5):
 
 def test_trace_transfer_e_to_f(cfg5):
     # hyperbolic stays hyperbolic: the isotropic vector survives composition
-    data = mo.split(cfg5, Q.u_elem(cfg5))
+    data = mo.split(cfg5, cfg5.f(cfg5.nonresidue_r))
     E = data.E
     hE = [[E.zero(), E.one()], [E.one(), E.zero()]]
     G = mo.trace_transfer_e_to_f(hE, E)
@@ -545,7 +561,8 @@ def test_e_witt_class_group_laws(p, gen, eps):
     # that each hyperbolic pair puts into the discriminant matters.
     cfg = FieldConfig(p, 32)
     r = rg.rng(131)
-    data = mo.split(cfg, gen(cfg))
+    g = gen(cfg)
+    data = mo.split(cfg, (g * g).a.a)
     E = data.E
     z = E.zero()
     # the eps-hermitian split plane: antidiag(1, eps) over E
