@@ -87,7 +87,7 @@ def _fixed_to_f(e: QuadExtElement) -> FElement:
 
 
 def quat_f_coords(q: QuaternionElement):
-    return [q.a.a, q.a.b, q.b.a, q.b.b]
+    return [FElement(q.cfg, *t) for t in q.c]
 
 
 def quat_from_f_coords(cfg: FieldConfig, c) -> QuaternionElement:

@@ -8,17 +8,20 @@ answer valuation or classification queries.
 
 ``QuadExt`` is the one ring layer of a + b*w that the quadratic extensions
 L and E (``QuadExtElement``) and the quaternions D (``quaternion``) share.
-Arithmetic runs on (val, unit, prec) int triples: the ``_f_*`` kernel holds
-F's precision rules once, and ``_sc_mul`` is the one structure-constant
-product of L, E and D, which wraps objects only around its result.  A
-divisor's unit is inverted once and kept, so the coordinates of an L, E or
-D inverse, all divided by one norm, share one modular inverse.
+An L or E element holds its two F-coordinates, a D element its four, as one
+flat tuple ``c`` of (val, unit, prec) int triples, and all their arithmetic
+runs on ``c`` through the ``_f_*`` kernel, which holds F's precision rules
+once: ``_e_mul`` is the product of L and E, and ``_d_mul`` that of D, four
+``_e_mul`` over L.  Only a result is wrapped in an object; ``.a`` and ``.b``
+build the coordinates as objects on each read.  A divisor's unit is
+inverted once and kept, so the coordinates of an L, E or D inverse, all
+divided by one norm, share one modular inverse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 from .errors import (
     DivisionByIndistinguishableZero,
@@ -114,15 +117,37 @@ def _f_mul(cfg: FieldConfig, x: tuple, y: tuple) -> tuple:
     return _f_make(cfg, v, xu * yu, v + (rx if rx < ry else ry))
 
 
-def _sc_mul(ops, s, t):
-    """(x + y*g)(z + w*g) = a + b*g with g^2 = delta, g*c = theta(c)*g, on
-    coordinate pairs s, t: a = x*z + (y*theta(w))*delta, b = x*w + y*theta(z)
-    in this order; ``ops`` = (mul, add, theta, scale by delta) of the base."""
-    mul, add, theta, scale = ops
-    x, y = s
-    z, w = t
-    return (add(mul(x, z), scale(mul(y, theta(w)))),
-            add(mul(x, w), mul(y, theta(z))))
+def _f_shift(cfg: FieldConfig, x: tuple, k: int) -> tuple:
+    """x times the exact power p^k."""
+    v, u, prec = x
+    if v is None:
+        return _f_zero(cfg, prec + k)
+    return _f_make(cfg, v + k, u, prec + k)
+
+
+def _e_mul(cfg: FieldConfig, d: tuple, x: tuple, y: tuple) -> tuple:
+    """(x0 + x1*w)(y0 + y1*w) with w^2 = d on coordinate pairs of F-triples:
+    x0*y0 + d*(x1*y1), x0*y1 + x1*y0, in this order."""
+    x0, x1 = x
+    y0, y1 = y
+    return (_f_add(cfg, _f_mul(cfg, x0, y0), _f_mul(cfg, d, _f_mul(cfg, x1, y1))),
+            _f_add(cfg, _f_mul(cfg, x0, y1), _f_mul(cfg, x1, y0)))
+
+
+def _d_mul(cfg: FieldConfig, r: tuple, x: tuple, y: tuple) -> tuple:
+    """(A + B*pi_D)(C + G*pi_D) = (A*C + (B*tau(G))*pi_F) + (A*G + B*tau(C))*pi_D
+    on the coordinates (a0, a1, b0, b1) of D, with A, B, C, G in L = F[u],
+    u^2 = r, and the L-products by ``_e_mul``, in this order."""
+    a0, a1, b0, b1 = x
+    c0, c1, g0, g1 = y
+    pi = cfg._pi._t
+    s0, s1 = _e_mul(cfg, r, (a0, a1), (c0, c1))
+    t0, t1 = _e_mul(cfg, r, (b0, b1), (g0, _f_neg(cfg, g1)))
+    t0, t1 = _f_mul(cfg, t0, pi), _f_mul(cfg, t1, pi)
+    s0, s1 = _f_add(cfg, s0, t0), _f_add(cfg, s1, t1)
+    u0, u1 = _e_mul(cfg, r, (a0, a1), (g0, g1))
+    w0, w1 = _e_mul(cfg, r, (b0, b1), (c0, _f_neg(cfg, c1)))
+    return (s0, s1, _f_add(cfg, u0, w0), _f_add(cfg, u1, w1))
 
 
 def legendre(a: int, p: int) -> int:
@@ -402,9 +427,7 @@ class FElement(Ring):
 
     def shift(self, k: int) -> FElement:
         """Multiply by the exact power p^k."""
-        if self.val is None:
-            return FElement._zeroish(self.cfg, self.prec + k)
-        return FElement._make(self.cfg, self.val + k, self.unit, self.prec + k)
+        return FElement(self.cfg, *_f_shift(self.cfg, self._t, k))
 
     def unit_part(self) -> FElement:
         """x * p^(-val); costs val digits of absolute precision for val > 0."""
@@ -466,35 +489,9 @@ class QuadExtField:
     def ramified(self) -> bool:
         return self.delta.valuation() == 1
 
-    def __getstate__(self):  # pickle without the cached kernel ops
-        return {"cfg": self.cfg, "delta": self.delta, "name": self.name}
-
-    @cached_property
-    def _ops(self) -> tuple:
-        """``_sc_mul``'s (mul, add, theta, scale) on F-triples: theta = id."""
-        cfg, d = self.cfg, self.delta._t
-        return (partial(_f_mul, cfg), partial(_f_add, cfg), lambda x: x,
-                partial(_f_mul, cfg, d))
-
-    @cached_property
-    def _twisted_ops(self) -> tuple:
-        """``_sc_mul``'s ops on this field's coordinate pairs for g^2 = pi_F,
-        g*c = sigma(c)*g: D = L[pi_D] over L."""
-        cfg, ops = self.cfg, self._ops
-        mul, add, pi = ops[0], ops[1], cfg.pi()._t
-        return (partial(_sc_mul, ops),
-                lambda x, y: (add(x[0], y[0]), add(x[1], y[1])),
-                lambda x: (x[0], _f_neg(cfg, x[1])),
-                lambda x: (mul(x[0], pi), mul(x[1], pi)))
-
     def same_field(self, other: QuadExtField) -> bool:
         """Whether other is this field: its delta agrees at the shared precision."""
         return other is self or other.delta.same(self.delta)
-
-    def _of(self, t: tuple) -> QuadExtElement:
-        """The element with the coordinate pair of F-triples t."""
-        return QuadExtElement(self, FElement(self.cfg, *t[0]),
-                              FElement(self.cfg, *t[1]))
 
     def el(self, a, b=0) -> QuadExtElement:
         return QuadExtElement(self, self.cfg.f(a), self.cfg.f(b))
@@ -526,46 +523,50 @@ class QuadExt(Ring):
     w*x = theta(x)*w.  L and E are K = F with theta = id; D is K = L with
     theta = tau and delta = pi_F, which makes it ramified over L.
 
-    A subclass gives ``__mul__``, ``inv``, ``ramified``, ``_coerce`` (an
-    operand in the same algebra, or None) and ``_new`` (from coordinates).
+    An element holds the F-coordinates of a and then of b as one flat tuple
+    ``c`` of (val, unit, prec) triples: two for L and E, four for D.  A
+    subclass gives ``cfg``, ``__mul__``, ``inv``, ``ramified``, ``_coerce``
+    (an operand in the same algebra, or None) and ``_of`` (the element of
+    the same algebra with coordinates c).
     """
 
     __slots__ = ()
 
     @property
-    def cfg(self) -> FieldConfig:
-        return self.a.cfg
-
-    @property
-    def _t(self) -> tuple:
-        """The coordinates as nested (val, unit, prec) triples."""
-        return (self.a._t, self.b._t)
-
-    @property
     def prec(self) -> int:
         """Absolute precision: the minimum over the F-coordinates."""
-        return min(self.a.prec, self.b.prec)
+        return min(t[2] for t in self.c)
 
     # -- predicates ---------------------------------------------------------
     def is_zero(self) -> bool:
-        return self.a.is_zero() and self.b.is_zero()
+        for t in self.c:
+            if t[0] is not None:
+                return False
+        return True
 
     def valuation_bound(self) -> int:
         """The normalized valuation at which the known digits end: an
         element indistinguishable from 0 has at least this valuation."""
         r, s = (2, 1) if self.ramified else (1, 0)
-        return min(r * self.a.prec, r * self.b.prec + s)
+        h = len(self.c) // 2
+        return min(r * t[2] + (s if i >= h else 0) for i, t in enumerate(self.c))
 
     def valuation(self) -> int:
         """Normalized valuation (image Z): min(2 v(a), 2 v(b) + 1) when the
-        extension is ramified (w has valuation 1), min(v(a), v(b)) when not."""
+        extension is ramified (w has valuation 1), min(v(a), v(b)) when not.
+        For D, v(a) and v(b) are valuations in L, each certified on its own."""
         r, s = (2, 1) if self.ramified else (1, 0)
-        a, b = self.a, self.b
+        c = self.c
+        h = len(c) // 2
         cands = []
-        if not a.is_zero():
-            cands.append(r * a.valuation())
-        if not b.is_zero():
-            cands.append(r * b.valuation() + s)
+        for part, off in ((c[:h], 0), (c[h:], s)):
+            vals = [t[0] for t in part if t[0] is not None]
+            if vals:
+                v = min(vals)
+                if v >= min(t[2] for t in part):
+                    raise PrecisionExhausted(
+                        "valuation not certified: zeroish coordinate dominates")
+                cands.append(r * v + off)
         if not cands:
             raise IndistinguishableZero("element indistinguishable from 0")
         v = min(cands)
@@ -579,12 +580,22 @@ class QuadExt(Ring):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._new(self.a + o.a, self.b + o.b)
+        cfg = self.cfg
+        return self._of(tuple([_f_add(cfg, x, y) for x, y in zip(self.c, o.c)]))
 
     __radd__ = __add__
 
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        cfg = self.cfg
+        return self._of(tuple([_f_add(cfg, x, _f_neg(cfg, y))
+                               for x, y in zip(self.c, o.c)]))
+
     def __neg__(self):
-        return self._new(-self.a, -self.b)
+        cfg = self.cfg
+        return self._of(tuple([_f_neg(cfg, x) for x in self.c]))
 
     def __rmul__(self, other):
         o = self._coerce(other)
@@ -606,34 +617,49 @@ class QuadExt(Ring):
 
     def scale_f(self, x):
         """Multiply every F-coordinate by the F-scalar x."""
-        x = self.cfg.f(x)
-        return self._new(self.a.scale_f(x), self.b.scale_f(x))
+        cfg = self.cfg
+        x = cfg.f(x)._t
+        return self._of(tuple([_f_mul(cfg, t, x) for t in self.c]))
 
     def shift(self, k: int):
         """Multiply by the exact power p^k."""
-        return self._new(self.a.shift(k), self.b.shift(k))
+        cfg = self.cfg
+        return self._of(tuple([_f_shift(cfg, t, k) for t in self.c]))
 
 
 class QuadExtElement(QuadExt):
-    """a + b*w in a quadratic extension, with F-coordinate pair (a, b)."""
+    """a + b*w in a quadratic extension, with F-coordinates c = (a, b)."""
 
-    __slots__ = ("field", "a", "b")
+    __slots__ = ("field", "c")
 
     def __init__(self, field: QuadExtField, a: FElement, b: FElement):
         self.field = field
-        self.a = a
-        self.b = b
+        self.c = (a._t, b._t)
 
-    def _new(self, a: FElement, b: FElement) -> QuadExtElement:
-        return QuadExtElement(self.field, a, b)
+    def _of(self, c: tuple) -> QuadExtElement:
+        x = object.__new__(QuadExtElement)
+        x.field, x.c = self.field, c
+        return x
+
+    @property
+    def a(self) -> FElement:  # built on each read: hot paths read c
+        return FElement(self.field.cfg, *self.c[0])
+
+    @property
+    def b(self) -> FElement:
+        return FElement(self.field.cfg, *self.c[1])
+
+    @property
+    def cfg(self) -> FieldConfig:
+        return self.field.cfg
 
     def __eq__(self, other):
         if not isinstance(other, QuadExtElement):
             return NotImplemented
-        return (self.field, self.a, self.b) == (other.field, other.a, other.b)
+        return (self.field, self.c) == (other.field, other.c)
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        return hash(self.c)
 
     @property
     def base(self) -> str:
@@ -644,7 +670,7 @@ class QuadExtElement(QuadExt):
         return self.field.ramified
 
     def in_f(self) -> bool:
-        return self.b.is_zero()
+        return self.c[1][0] is None
 
     # -- arithmetic -----------------------------------------------------------
     def _coerce(self, other):
@@ -660,11 +686,13 @@ class QuadExtElement(QuadExt):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.field._of(_sc_mul(self.field._ops, self._t, o._t))
+        field = self.field
+        return self._of(_e_mul(field.cfg, field.delta._t, self.c, o.c))
 
     def sigma(self) -> QuadExtElement:
         """The nontrivial automorphism a + bw -> a - bw (tau for E = L)."""
-        return QuadExtElement(self.field, self.a, -self.b)
+        a, b = self.c
+        return self._of((a, _f_neg(self.field.cfg, b)))
 
     bar = sigma  # the involution of (E, sigma_E) that the form layer uses
 
@@ -678,8 +706,8 @@ class QuadExtElement(QuadExt):
         n = self.norm()
         if n.is_zero():
             raise DivisionByIndistinguishableZero("norm indistinguishable from 0")
-        s = self.sigma()
-        return QuadExtElement(self.field, s.a / n, s.b / n)
+        cfg = self.field.cfg
+        return self._of(tuple([(FElement(cfg, *t) / n)._t for t in self.sigma().c]))
 
     # -- unit/residue structure -------------------------------------------------
     def unit_part(self) -> QuadExtElement:

@@ -3,34 +3,50 @@
 The defining relations are pi_D^2 = pi_F (= p) and pi_D * x = tau(x) * pi_D
 for x in L, so D is the quadratic extension ``padic.QuadExt`` of K = L with
 w = pi_D, w^2 = pi_F and theta = tau, ramified over L.  Its ring layer and
-its valuation nu_D (that of the ramified extension) are the shared ones;
-this module adds the twisted multiplication (``padic._sc_mul`` on
-coordinate triples, with theta = tau), the inverse, the involutions and
-the reduced trace and norm.  The orthogonal anti-involution rho fixes L
-pointwise and fixes pi_D; its symmetric space is L + F*pi_D (dimension 3)
-and its skew space is the line F*u*pi_D.
+its valuation nu_D (that of the ramified extension) are the shared ones; an
+element holds the F-coordinates (a0, a1, b0, b1) of a = a0 + a1*u and
+b = b0 + b1*u as one flat tuple of F-triples.  This module adds the twisted
+multiplication (``padic._d_mul``) and the involutions, which run on those
+coordinates, the inverse and the reduced trace and norm.  The orthogonal
+anti-involution rho fixes L pointwise and fixes pi_D; its symmetric space is
+L + F*pi_D (dimension 3) and its skew space is the line F*u*pi_D.
 """
 
 from __future__ import annotations
 
 from .errors import PrecisionExhausted
-from .padic import (FElement, FieldConfig, QuadExt, QuadExtElement, _sc_mul,
-                    tau_conj)
+from .padic import (FElement, FieldConfig, QuadExt, QuadExtElement, _d_mul,
+                    _f_neg, tau_conj)
 
 
 class QuaternionElement(QuadExt):
-    """a + b*pi_D with a, b in L."""
+    """a + b*pi_D with a, b in L, as the coordinates c = (a0, a1, b0, b1)."""
 
-    __slots__ = ("a", "b")
+    __slots__ = ("L", "c")
 
     ramified = True
 
     def __init__(self, a: QuadExtElement, b: QuadExtElement):
-        self.a = a
-        self.b = b
+        self.L = a.field
+        self.c = a.c + b.c
 
-    def _new(self, a: QuadExtElement, b: QuadExtElement) -> QuaternionElement:
-        return QuaternionElement(a, b)
+    def _of(self, c: tuple) -> QuaternionElement:
+        x = object.__new__(QuaternionElement)
+        x.L, x.c = self.L, c
+        return x
+
+    @property
+    def a(self) -> QuadExtElement:  # built on each read: hot paths read c
+        return QuadExtElement(self.L, *[FElement(self.L.cfg, *t) for t in self.c[:2]])
+
+    @property
+    def b(self) -> QuadExtElement:
+        return QuadExtElement(self.L, *[FElement(self.L.cfg, *t) for t in self.c[2:]])
+
+    @property
+    def cfg(self) -> FieldConfig:
+        return self.L.cfg
+
     # -- constructors -------------------------------------------------------
     @staticmethod
     def make(cfg: FieldConfig, a=0, b=0) -> QuaternionElement:
@@ -60,7 +76,7 @@ class QuaternionElement(QuadExt):
         # the product reads coordinates with L's structure constants
         if isinstance(other, (int, FElement)) or (
                 isinstance(other, QuadExtElement)
-                and self.a._coerce(other) is not None):
+                and self.L.same_field(other.field)):
             return QuaternionElement.make(self.cfg, other)
         return None
 
@@ -68,17 +84,19 @@ class QuaternionElement(QuadExt):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        L = self.a.field
-        a, b = _sc_mul(L._twisted_ops, self._t, o._t)
-        return QuaternionElement(L._of(a), L._of(b))
+        L = self.L
+        return self._of(_d_mul(L.cfg, L.delta._t, self.c, o.c))
 
     def conj(self) -> QuaternionElement:
         """Canonical (main) involution: x -> trd(x) - x."""
-        return QuaternionElement(tau_conj(self.a), -self.b)
+        cfg = self.L.cfg
+        a0, a1, b0, b1 = self.c
+        return self._of((a0, _f_neg(cfg, a1), _f_neg(cfg, b0), _f_neg(cfg, b1)))
 
     def rho(self) -> QuaternionElement:
         """The orthogonal anti-involution: a + b*pi_D -> a + tau(b)*pi_D."""
-        return QuaternionElement(self.a, tau_conj(self.b))
+        a0, a1, b0, b1 = self.c
+        return self._of((a0, a1, b0, _f_neg(self.L.cfg, b1)))
 
     bar = rho  # the involution of (D, rho) that the form layer uses
 
@@ -90,10 +108,8 @@ class QuaternionElement(QuadExt):
 
     def inv(self) -> QuaternionElement:
         n = self.nrd()
-        c = self.conj()
-        return QuaternionElement(
-            QuadExtElement(c.a.field, c.a.a / n, c.a.b / n),
-            QuadExtElement(c.b.field, c.b.a / n, c.b.b / n))
+        cfg = self.L.cfg
+        return self._of(tuple([(FElement(cfg, *t) / n)._t for t in self.conj().c]))
 
     # min(2 nu_L(a), 2 nu_L(b) + 1); pi_D has nu_D = 1.  Both names live in
     # this class body, where the layer tracer reads them.

@@ -173,45 +173,67 @@ def _args(*docs):
             for d in docs]
 
 
-# Fixed requests at (p, N) = (5, 32) and the SHA-256 of their stdout.  The
-# tower requests are h = rho(S)^T diag(d) S with beta = S^-1 (beta0 I) S;
+def _at(p, N, *docs):
+    """A request at --prime p --precision N."""
+    return ["--prime", str(p), "--precision", str(N), *_args(*docs)]
+
+
+# Fixed requests, each at its own (p, N), and the SHA-256 of their stdout.
+# The tower requests are h = rho(S)^T diag(d) S with beta = S^-1 (beta0 I) S;
 # they run h~_beta, F_e and the splitting, and the transfer requests run the
-# splitting's inverse matrices and its nullspace vector.
+# splitting's inverse matrices and its nullspace vector.  The _13 requests
+# run at (13, 128), the configuration of the towers and isometries
+# workloads, with the p = 5 documents' multiples of 5 made multiples of 13.
 PINNED = {
-    "decompose_sym": (_args("decompose", "--form", {"epsilon": 1, "gram": [
+    "decompose_sym": (_at(5, 32, "decompose", "--form", {"epsilon": 1, "gram": [
         [_q((3, 1), 5), _q((1, 2), (4, 7)), _q(5, (0, 1))],
         [_q((1, 2), (4, -7)), _q(10, 1), _q((0, 3), 10)],
         [_q(5, (0, -1)), _q((0, 3), 10), _q((0, 1), 25)]]}),
         "740ec112806c2a964cda6e276908094a4825e390f2f9ce8f048628aa55a96bc9"),
-    "decompose_skew": (_args("decompose", "--form", {"epsilon": -1, "gram": [
+    "decompose_skew": (_at(5, 32, "decompose", "--form", {"epsilon": -1, "gram": [
         [_q(0, (0, 1)), _q((2, 1), (1, 3))],
         [_q((-2, -1), (-1, 3)), _q(0, (0, 15))]]}),
         "c681fd52f34a606379fd26bbba91d2945cd9f1645e7f03cfdfaea171856d108b"),
-    "tower_u": (_args(
-        "tower", "--form", {"epsilon": 1, "gram": [[_q(0, 1), _q(5, 1)],
-                                                   [_q(5, 1), _q(10, 8)]]},
+    "tower_u": (_at(
+        5, 32, "tower", "--form", {"epsilon": 1, "gram": [[_q(0, 1), _q(5, 1)],
+                                                          [_q(5, 1), _q(10, 8)]]},
         "--beta", [[_q((0, 1), 0), _q(0, (0, 2))], [_q(0, 0), _q((0, 1), 0)]]),
         "52b73dc7e28ed66884926be95795ddb7cac1ba4c6fb2b5dec6dad2dddee10ad6"),
-    "tower_upi": (_args(
-        "tower", "--form", {"epsilon": -1, "gram": [
+    "tower_upi": (_at(
+        5, 32, "tower", "--form", {"epsilon": -1, "gram": [
             [_q(0, (0, 1)), _q(-10, (-2, 2))], [_q(10, (2, 2)), _q(0, (0, 15))]]},
         "--beta", [[_q(0, 1), _q((0, -10), (0, -2))], [_q(0, 0), _q(0, 1)]]),
         "64c9caf6c66f307e556037da490f1bc92e2d58e4b45f08e06bc064fa8d21ddd3"),
-    "transfer_unram": (_args("transfer", "--form", {
+    "transfer_unram": (_at(5, 32, "transfer", "--form", {
         "epsilon": 1, "delta": "2", "t": 2,
         "H": [[_e(1, 0), _e(2, 1)], [_e(2, -1), _e(5, 0)]]}),
         "cc918825a6afa937130f6d8e2c7bd8a5ed4abd1399a3187f5861da5d9491a7e7"),
-    "transfer_ram": (_args("transfer", "--form", {
+    "transfer_ram": (_at(5, 32, "transfer", "--form", {
         "epsilon": -1, "delta": "5", "t": 2,
         "H": [[_e(0, 1), _e(1, 2)], [_e(-1, 2), _e(0, 3)]]}),
         "1349674973dc1aec3e981558707cefe46ee903471dbed11b16a290a40085c195"),
+    "decompose_sym_13": (_at(13, 128, "decompose", "--form", {"epsilon": 1, "gram": [
+        [_q((3, 1), 13), _q((1, 2), (4, 7)), _q(13, (0, 1))],
+        [_q((1, 2), (4, -7)), _q(26, 1), _q((0, 3), 26)],
+        [_q(13, (0, -1)), _q((0, 3), 26), _q((0, 1), 169)]]}),
+        "11899168eaa1863185648d59b799e70d67c1c81db02a8b0a5ce3f00ee7bd1930"),
+    "tower_u_13": (_at(
+        13, 128, "tower", "--form", {"epsilon": 1, "gram": [[_q(0, 1), _q(13, 1)],
+                                                            [_q(13, 1), _q(26, 8)]]},
+        "--beta", [[_q((0, 1), 0), _q(0, (0, 2))], [_q(0, 0), _q((0, 1), 0)]]),
+        "52b73dc7e28ed66884926be95795ddb7cac1ba4c6fb2b5dec6dad2dddee10ad6"),
+    "tower_upi_13": (_at(
+        13, 128, "tower", "--form", {"epsilon": -1, "gram": [
+            [_q(0, (0, 1)), _q(-26, (-2, 2))], [_q(26, (2, 2)), _q(0, (0, 39))]]},
+        "--beta", [[_q(0, 1), _q((0, -26), (0, -2))], [_q(0, 0), _q(0, 1)]]),
+        "64c9caf6c66f307e556037da490f1bc92e2d58e4b45f08e06bc064fa8d21ddd3"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_pinned_output(capsys, name):
     argv, digest = PINNED[name]
-    rc, out = run_cli(capsys, "--prime", "5", "--precision", "32", *argv)
+    rc, out = run_cli(capsys, *argv)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

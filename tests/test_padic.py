@@ -1,6 +1,7 @@
 import hashlib
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -394,28 +395,25 @@ def test_element_arithmetic_pinned():
 
 
 def test_elements_pickle_after_arithmetic(cfg5):
-    """Fields cache their product kernels; a pickled element still round-trips
-    and multiplies to the same digits."""
+    """An element holds its field and its coordinate triples, and fields
+    cache no product kernel: a pickled element round-trips and multiplies
+    to the same digits."""
     x = Q.make(cfg5, cfg5.l(3, 4), cfg5.l(2, 7))
     y = x * x
     z = pickle.loads(pickle.dumps(y))
     assert digest(z) == digest(y) and digest(z * z) == digest(y * y)
 
 
-# -- precision honesty of the product -----------------------------------------
+# -- precision honesty of the element operations -------------------------------
 
-def _exact_product(kind, p, r, x, y):
-    X, Y = exact_rep(kind, p, r, x), exact_rep(kind, p, r, y)
-    M = [[sum(X[i][k] * Y[k][j] for k in range(len(Y))) for j in range(len(Y))]
-         for i in range(len(X))]
-    return rep_coords(kind, p, M)
+KINDS = ["F", "L", "E_u", "E_pi", "D"]
 
 
-@pytest.mark.parametrize("p,N", [(3, 10), (5, 32), (13, 128)])
-@pytest.mark.parametrize("kind", ["F", "L", "E_u", "E_pi", "D"])
-def test_product_is_precision_honest(kind, p, N):
-    """Every F-coordinate a product claims to prec k agrees mod p^k with the
-    exact product of the exact operands that its factors truncate."""
+def _draws(kind, p, N, count=150):
+    """cfg, the number of F-coordinates, and count pairs of draws of one kind
+    at (p, N), each draw an exact coordinate tuple and the tracked element
+    that truncates it: one coordinate in six is a zero known to 1-2
+    digits."""
     cfg = FieldConfig(p, N)
     r = random.Random(p * 7 + N)
     rr = cfg.nonresidue_r
@@ -432,17 +430,69 @@ def test_product_is_precision_honest(kind, p, N):
                          QuadExtElement(cfg.L_field, *fs[2:]))
         return qs, QuadExtElement(fields[kind], *fs)
 
+    return cfg, width, [(element(), element()) for _ in range(count)]
+
+
+def _exact_product(kind, p, r, x, y):
+    X, Y = exact_rep(kind, p, r, x), exact_rep(kind, p, r, y)
+    M = [[sum(X[i][k] * Y[k][j] for k in range(len(Y))) for j in range(len(Y))]
+         for i in range(len(X))]
+    return rep_coords(kind, p, M)
+
+
+# the coordinate signs of the involutions: sigma on L and E, rho and conj on D
+_SIGNS = {("bar", "D"): (1, 1, 1, -1), ("conj", "D"): (1, -1, -1, -1)}
+
+
+def _assert_honest(kind, op, p, N):
+    """Every F-coordinate that op claims to prec k, on 150 pairs of draws,
+    agrees mod p^k with the exact result on the exact operands its inputs
+    truncate; an F-scalar and an exponent -2 <= k <= 3 come from another
+    stream, so the pairs are the same for every op."""
+    cfg, width, draws = _draws(kind, p, N)
+    rr = cfg.nonresidue_r
+    r = random.Random(p * 11 + N)
+    signs = _SIGNS.get((op, kind), (1, -1))
     checked = 0
-    for _ in range(150):
-        (qx, x), (qy, y) = element(), element()
-        want = _exact_product(kind, p, rr, qx, qy)
+    for (qx, x), (qy, y) in draws:
+        qs, s = truncated(cfg, r)
+        k = r.randint(-2, 3)
+        run, exact = {
+            "mul": (lambda: x * y, lambda: _exact_product(kind, p, rr, qx, qy)),
+            "add": (lambda: x + y, lambda: [a + b for a, b in zip(qx, qy)]),
+            "sub": (lambda: x - y, lambda: [a - b for a, b in zip(qx, qy)]),
+            "neg": (lambda: -x, lambda: [-a for a in qx]),
+            "scale_f": (lambda: x.scale_f(s), lambda: [a * qs for a in qx]),
+            "shift": (lambda: x.shift(k), lambda: [a * Fraction(p) ** k for a in qx]),
+            "bar": (lambda: x.bar(), lambda: [e * a for e, a in zip(signs, qx)]),
+            "conj": (lambda: x.conj(), lambda: [e * a for e, a in zip(signs, qx)]),
+        }[op]
+        want = exact()
         # the two exact D oracles agree
-        assert kind != "D" or ExactD(p, rr).mul(qx, qy) == want
+        assert op != "mul" or kind != "D" or ExactD(p, rr).mul(qx, qy) == want
         try:
-            z = x * y
+            z = run()
         except PrecisionExhausted:
             continue
         for c, q in zip(coords(z), want):
             assert honest(c, q, p), (x, y, c, q)
             checked += 1
     assert checked >= 75 * width
+
+
+@pytest.mark.parametrize("p,N", [(3, 10), (5, 32), (13, 128)])
+@pytest.mark.parametrize("kind", KINDS)
+def test_product_is_precision_honest(kind, p, N):
+    """Every F-coordinate a product claims to prec k agrees mod p^k with the
+    exact product of the exact operands that its factors truncate."""
+    _assert_honest(kind, "mul", p, N)
+
+
+@pytest.mark.parametrize("p,N", [(3, 10), (5, 32), (13, 128)])
+@pytest.mark.parametrize("kind,op", [
+    (kind, op) for op in ("add", "sub", "neg", "scale_f", "shift") for kind in KINDS]
+    + [(kind, "bar") for kind in KINDS[1:]] + [("D", "conj")])
+def test_operation_is_precision_honest(kind, op, p, N):
+    """The same for +, -, negation, scale_f by an F-element, shift by p^k,
+    the involution (sigma on L and E, rho on D) and conj on D."""
+    _assert_honest(kind, op, p, N)

@@ -1,6 +1,7 @@
 import pytest
 
 from hermiwitt.errors import IndistinguishableZero
+from hermiwitt.padic import FElement, QuadExtElement, QuadExtField
 from hermiwitt.quaternion import QuaternionElement as Q, congruent_mod_nuD, quat_mul
 from hermiwitt import randgen as rg
 
@@ -108,3 +109,37 @@ def test_trd_nrd_wrapper(cfg5):
 
     t, n = trd_nrd(Q.pi_D(cfg5))
     assert t.is_zero() and n.same(-cfg5.p)
+
+
+def test_arithmetic_builds_no_coordinate_objects(cfg5, monkeypatch):
+    """D *, +, -, unary -, rho and conj, and E *, +, - and sigma run on the
+    flat coordinate tuples: none builds an FElement, and none builds a
+    QuadExtElement other than an E result."""
+    r = rg.rng(31)
+    x, y = rg.rand_quat(cfg5, r), rg.rand_quat(cfg5, r)
+    fields = (cfg5.L_field, QuadExtField(cfg5, cfg5.pi(), "E"))
+    es = [(f.el(3, 4), f.el(2, 7)) for f in fields]
+    built = {FElement: 0, QuadExtElement: 0}
+
+    def counting(cls, name):
+        method = getattr(cls, name)
+
+        def wrapper(self, *args):
+            built[cls] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counting(FElement, "__init__")
+    counting(QuadExtElement, "__init__")
+    counting(QuadExtElement, "_of")
+    d_ops = [lambda: x * y, lambda: x + y, lambda: x - y, lambda: -x,
+             lambda: x.rho(), lambda: x.conj()]
+    e_ops = [op for a, b in es for op in (
+        lambda a=a, b=b: a * b, lambda a=a, b=b: a + b,
+        lambda a=a, b=b: a - b, lambda a=a: a.sigma())]
+    for ops, results in ((d_ops, 0), (e_ops, 1)):
+        for op in ops:
+            built.update({FElement: 0, QuadExtElement: 0})
+            op()
+            assert built == {FElement: 0, QuadExtElement: results}
