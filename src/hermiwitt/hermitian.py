@@ -439,7 +439,7 @@ def reduced_norm(X):
     """Nrd of a matrix over D, computed through the splitting over L."""
     det = lmat_det(l_embedding(X))
     # the determinant lies in F; return its F-part after checking
-    if not det.b.is_zero():
+    if not det.in_f():
         raise AssertionError("reduced norm computation left L \\ F")
     return det.a
 

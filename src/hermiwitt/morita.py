@@ -81,7 +81,7 @@ def cmat_inv(A):
 
 
 def _fixed_to_f(e: QuadExtElement) -> FElement:
-    if not e.b.is_zero():
+    if not e.in_f():
         raise AssertionError("expected a sigma-fixed element of E")
     return e.a
 
@@ -625,7 +625,7 @@ def _beta_normalize(cfg: FieldConfig, form: HermitianForm, beta):
         raise NotSkewAdjoint("beta must be skew for sigma_h")
     sq = dmat_mul(beta, beta)
     d00 = sq[0][0]
-    if not (d00.b.is_zero() and d00.a.b.is_zero()):
+    if not d00.in_f():
         raise NotQuadratic("beta^2 must be a scalar in F")
     if not dmat_is_zero(dmat_sub(sq, dmat_scalar(d00, form.rank))):
         raise NotQuadratic("beta^2 must be a scalar matrix")

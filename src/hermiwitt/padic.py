@@ -12,10 +12,10 @@ An L or E element holds its two F-coordinates, a D element its four, as one
 flat tuple ``c`` of (val, unit, prec) int triples, and all their arithmetic
 runs on ``c`` through the ``_f_*`` kernel, which holds F's precision rules
 once: ``_e_mul`` is the product of L and E, and ``_d_mul`` that of D, four
-``_e_mul`` over L.  Only a result is wrapped in an object; ``.a`` and ``.b``
-build the coordinates as objects on each read.  A divisor's unit is
-inverted once and kept, so the coordinates of an L, E or D inverse, all
-divided by one norm, share one modular inverse.
+``_e_mul`` over L.  Their involution, trace, inverse and ``in_f`` exist once,
+in ``QuadExt``; only a result or a norm is built as an object.  A divisor's
+unit is inverted once: an F divisor keeps it, and an inverse conj(x) / N(x)
+divides every coordinate by the norm through ``_f_div`` with one inverse.
 """
 
 from __future__ import annotations
@@ -115,6 +115,18 @@ def _f_mul(cfg: FieldConfig, x: tuple, y: tuple) -> tuple:
     rx, ry = xk - xv, yk - yv
     v = xv + yv
     return _f_make(cfg, v, xu * yu, v + (rx if rx < ry else ry))
+
+
+def _f_div(cfg: FieldConfig, x: tuple, y: tuple, yinv: int) -> tuple:
+    """x / y for y not indistinguishable from 0, given yinv, the inverse of
+    y's unit mod p^(prec - val)."""
+    xv, xu, xk = x
+    yv, _, yk = y
+    if xv is None:
+        return _f_zero(cfg, xk - yv)
+    rx, ry = xk - xv, yk - yv
+    v = xv - yv
+    return _f_make(cfg, v, xu * yinv, v + (rx if rx < ry else ry))
 
 
 def _f_shift(cfg: FieldConfig, x: tuple, k: int) -> tuple:
@@ -404,17 +416,12 @@ class FElement(Ring):
             return NotImplemented
         cfg = self.cfg
         if o.val is None:
-            raise DivisionByIndistinguishableZero(
-                f"divisor is 0 mod p^{o.prec}")
-        if self.val is None:
-            return FElement._zeroish(cfg, self.prec - o.val)
+            raise DivisionByIndistinguishableZero(f"divisor is 0 mod p^{o.prec}")
         try:
             inv = o._uinv
         except AttributeError:
             inv = o._uinv = pow(o.unit, -1, cfg.ppow(o.rel_prec))
-        rel = min(self.rel_prec, o.rel_prec)
-        return FElement._make(cfg, self.val - o.val, self.unit * inv,
-                              self.val - o.val + rel)
+        return FElement(cfg, *_f_div(cfg, self._t, o._t, inv))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -523,14 +530,23 @@ class QuadExt(Ring):
     w*x = theta(x)*w.  L and E are K = F with theta = id; D is K = L with
     theta = tau and delta = pi_F, which makes it ramified over L.
 
-    An element holds the F-coordinates of a and then of b as one flat tuple
-    ``c`` of (val, unit, prec) triples: two for L and E, four for D.  A
-    subclass gives ``cfg``, ``__mul__``, ``inv``, ``ramified``, ``_coerce``
-    (an operand in the same algebra, or None) and ``_of`` (the element of
-    the same algebra with coordinates c).
+    An element holds ``field`` (E for E, L for D) and the F-coordinates of
+    a and then of b as one flat tuple ``c`` of (val, unit, prec) triples: two
+    for L and E, four for D.  A subclass gives ``__mul__``, ``norm``,
+    ``ramified`` and ``_coerce`` (an operand in the same algebra, or None).
     """
 
-    __slots__ = ()
+    __slots__ = ("field", "c")
+
+    def _of(self, c: tuple):
+        """The element of the same algebra with coordinates c."""
+        x = object.__new__(type(self))
+        x.field, x.c = self.field, c
+        return x
+
+    @property
+    def cfg(self) -> FieldConfig:
+        return self.field.cfg
 
     @property
     def prec(self) -> int:
@@ -543,6 +559,10 @@ class QuadExt(Ring):
             if t[0] is not None:
                 return False
         return True
+
+    def in_f(self) -> bool:
+        """Every F-coordinate but the first is indistinguishable from 0."""
+        return all(t[0] is None for t in self.c[1:])
 
     def valuation_bound(self) -> int:
         """The normalized valuation at which the known digits end: an
@@ -615,6 +635,26 @@ class QuadExt(Ring):
             return NotImplemented
         return o * self.inv()
 
+    def conj(self):
+        """a + b*w -> a - b*w on L and E, x -> trd(x) - x on D: the first
+        F-coordinate kept, the others negated."""
+        cfg, c = self.cfg, self.c
+        return self._of((c[0], *[_f_neg(cfg, t) for t in c[1:]]))
+
+    def trace(self) -> FElement:
+        """Tr down to F (trd on D): twice the first F-coordinate."""
+        cfg, a = self.cfg, self.c[0]
+        return FElement(cfg, *_f_add(cfg, a, a))
+
+    def inv(self):
+        """conj(x) / N(x), with one modular inverse of the norm's unit."""
+        n = self.norm()
+        if n.val is None:
+            raise DivisionByIndistinguishableZero("norm indistinguishable from 0")
+        cfg, nt = self.cfg, n._t
+        ninv = pow(n.unit, -1, cfg.ppow(n.rel_prec))
+        return self._of(tuple([_f_div(cfg, t, nt, ninv) for t in self.conj().c]))
+
     def scale_f(self, x):
         """Multiply every F-coordinate by the F-scalar x."""
         cfg = self.cfg
@@ -630,16 +670,11 @@ class QuadExt(Ring):
 class QuadExtElement(QuadExt):
     """a + b*w in a quadratic extension, with F-coordinates c = (a, b)."""
 
-    __slots__ = ("field", "c")
+    __slots__ = ()
 
     def __init__(self, field: QuadExtField, a: FElement, b: FElement):
         self.field = field
         self.c = (a._t, b._t)
-
-    def _of(self, c: tuple) -> QuadExtElement:
-        x = object.__new__(QuadExtElement)
-        x.field, x.c = self.field, c
-        return x
 
     @property
     def a(self) -> FElement:  # built on each read: hot paths read c
@@ -648,10 +683,6 @@ class QuadExtElement(QuadExt):
     @property
     def b(self) -> FElement:
         return FElement(self.field.cfg, *self.c[1])
-
-    @property
-    def cfg(self) -> FieldConfig:
-        return self.field.cfg
 
     def __eq__(self, other):
         if not isinstance(other, QuadExtElement):
@@ -668,9 +699,6 @@ class QuadExtElement(QuadExt):
     @property
     def ramified(self) -> bool:
         return self.field.ramified
-
-    def in_f(self) -> bool:
-        return self.c[1][0] is None
 
     # -- arithmetic -----------------------------------------------------------
     def _coerce(self, other):
@@ -689,25 +717,12 @@ class QuadExtElement(QuadExt):
         field = self.field
         return self._of(_e_mul(field.cfg, field.delta._t, self.c, o.c))
 
-    def sigma(self) -> QuadExtElement:
-        """The nontrivial automorphism a + bw -> a - bw (tau for E = L)."""
-        a, b = self.c
-        return self._of((a, _f_neg(self.field.cfg, b)))
-
-    bar = sigma  # the involution of (E, sigma_E) that the form layer uses
+    # the automorphism a + bw -> a - bw (tau for E = L): the involution of
+    # (E, sigma_E) that the form layer uses
+    sigma = bar = QuadExt.conj
 
     def norm(self) -> FElement:
         return self.a * self.a - self.field.delta * self.b * self.b
-
-    def trace(self) -> FElement:
-        return self.a + self.a
-
-    def inv(self) -> QuadExtElement:
-        n = self.norm()
-        if n.is_zero():
-            raise DivisionByIndistinguishableZero("norm indistinguishable from 0")
-        cfg = self.field.cfg
-        return self._of(tuple([(FElement(cfg, *t) / n)._t for t in self.sigma().c]))
 
     # -- unit/residue structure -------------------------------------------------
     def unit_part(self) -> QuadExtElement:

@@ -2,14 +2,12 @@
 
 The defining relations are pi_D^2 = pi_F (= p) and pi_D * x = tau(x) * pi_D
 for x in L, so D is the quadratic extension ``padic.QuadExt`` of K = L with
-w = pi_D, w^2 = pi_F and theta = tau, ramified over L.  Its ring layer and
-its valuation nu_D (that of the ramified extension) are the shared ones; an
-element holds the F-coordinates (a0, a1, b0, b1) of a = a0 + a1*u and
-b = b0 + b1*u as one flat tuple of F-triples.  This module adds the twisted
-multiplication (``padic._d_mul``) and the involutions, which run on those
-coordinates, the inverse and the reduced trace and norm.  The orthogonal
-anti-involution rho fixes L pointwise and fixes pi_D; its symmetric space is
-L + F*pi_D (dimension 3) and its skew space is the line F*u*pi_D.
+w = pi_D, w^2 = pi_F and theta = tau, ramified over L.  An element holds L
+as its ``field`` and the F-coordinates (a0, a1, b0, b1) of a = a0 + a1*u and
+b = b0 + b1*u.  Its ring layer, nu_D, ``conj``, ``trd`` and the inverse
+conj(x) / Nrd(x) are the shared ones; this module adds the twisted product
+(``padic._d_mul``), Nrd and the orthogonal anti-involution rho, which fixes
+L and pi_D: its symmetric space is L + F*pi_D, its skew space F*u*pi_D.
 """
 
 from __future__ import annotations
@@ -22,30 +20,21 @@ from .padic import (FElement, FieldConfig, QuadExt, QuadExtElement, _d_mul,
 class QuaternionElement(QuadExt):
     """a + b*pi_D with a, b in L, as the coordinates c = (a0, a1, b0, b1)."""
 
-    __slots__ = ("L", "c")
+    __slots__ = ()
 
     ramified = True
 
     def __init__(self, a: QuadExtElement, b: QuadExtElement):
-        self.L = a.field
+        self.field = a.field  # L
         self.c = a.c + b.c
-
-    def _of(self, c: tuple) -> QuaternionElement:
-        x = object.__new__(QuaternionElement)
-        x.L, x.c = self.L, c
-        return x
 
     @property
     def a(self) -> QuadExtElement:  # built on each read: hot paths read c
-        return QuadExtElement(self.L, *[FElement(self.L.cfg, *t) for t in self.c[:2]])
+        return QuadExtElement(self.field, *[FElement(self.cfg, *t) for t in self.c[:2]])
 
     @property
     def b(self) -> QuadExtElement:
-        return QuadExtElement(self.L, *[FElement(self.L.cfg, *t) for t in self.c[2:]])
-
-    @property
-    def cfg(self) -> FieldConfig:
-        return self.L.cfg
+        return QuadExtElement(self.field, *[FElement(self.cfg, *t) for t in self.c[2:]])
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -76,7 +65,7 @@ class QuaternionElement(QuadExt):
         # the product reads coordinates with L's structure constants
         if isinstance(other, (int, FElement)) or (
                 isinstance(other, QuadExtElement)
-                and self.L.same_field(other.field)):
+                and self.field.same_field(other.field)):
             return QuaternionElement.make(self.cfg, other)
         return None
 
@@ -84,35 +73,26 @@ class QuaternionElement(QuadExt):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        L = self.L
+        L = self.field
         return self._of(_d_mul(L.cfg, L.delta._t, self.c, o.c))
-
-    def conj(self) -> QuaternionElement:
-        """Canonical (main) involution: x -> trd(x) - x."""
-        cfg = self.L.cfg
-        a0, a1, b0, b1 = self.c
-        return self._of((a0, _f_neg(cfg, a1), _f_neg(cfg, b0), _f_neg(cfg, b1)))
 
     def rho(self) -> QuaternionElement:
         """The orthogonal anti-involution: a + b*pi_D -> a + tau(b)*pi_D."""
         a0, a1, b0, b1 = self.c
-        return self._of((a0, a1, b0, _f_neg(self.L.cfg, b1)))
+        return self._of((a0, a1, b0, _f_neg(self.cfg, b1)))
 
     bar = rho  # the involution of (D, rho) that the form layer uses
 
-    def trd(self) -> FElement:
-        return self.a.trace()
+    trd = QuadExt.trace
 
     def nrd(self) -> FElement:
         return self.a.norm() - self.cfg.pi() * self.b.norm()
 
-    def inv(self) -> QuaternionElement:
-        n = self.nrd()
-        cfg = self.L.cfg
-        return self._of(tuple([(FElement(cfg, *t) / n)._t for t in self.conj().c]))
+    norm = nrd
 
-    # min(2 nu_L(a), 2 nu_L(b) + 1); pi_D has nu_D = 1.  Both names live in
-    # this class body, where the layer tracer reads them.
+    # conj(x) / Nrd(x) and nu_D = min(2 nu_L(a), 2 nu_L(b) + 1), named in this
+    # class body, where the layer tracer reads them; pi_D has nu_D = 1
+    inv = QuadExt.inv
     nu_D = valuation = QuadExt.valuation
 
     def symmetry_type(self) -> str:

@@ -6,14 +6,7 @@ import time
 
 import pytest
 
-from hermiwitt.hermitian import (
-    HermitianForm,
-    cayley_isometry,
-    dmat_is_zero,
-    dmat_sub,
-    is_isometry,
-    reduced_norm,
-)
+from hermiwitt.hermitian import HermitianForm, dmat_is_zero, dmat_sub
 from hermiwitt.padic import FieldConfig
 from hermiwitt import endo as en
 from hermiwitt import morita as mo
@@ -68,15 +61,10 @@ def test_criterion_1_witt_group_orders():
 
 
 def test_criterion_2_scaling_invariance(cfg):
-    r = rg.rng(SEED + 2)
-    failures = 0
-    for eps in (1, -1):
-        for _ in range(500):
-            d = rg.rand_line_entry(cfg, r, eps)
-            x = rg.rand_f(cfg, r)
-            if wc.classify_line(d, eps) != wc.classify_line(d.scale_f(x), eps):
-                failures += 1
-    report(2, failures == 0, f"500 pairs per epsilon, {failures} failures")
+    # one symmetric and one skew pair per draw
+    res = st.wittclass_scaling(cfg, SEED + 2, n=500)
+    ok = res["passed"] == 2 * 500 and res["failed"] == 0
+    report(2, ok, f"500 pairs per epsilon, {res['failed']} failures")
 
 
 def test_criterion_3_congruence_invariance(cfg):
@@ -98,24 +86,13 @@ def test_criterion_4_oracle_concordance(cfg):
 
 
 def test_criterion_5_reduced_norm(cfg):
-    r = rg.rng(SEED + 5)
-    failures = 0
+    # two checks per isometry: is_isometry, and Nrd = 1 to >= N-8 digits
     total = 1000
-    for i in range(total):
-        eps = 1 if i % 2 else -1
-        rank = 1 + (i % 3)
-        form = rg.rand_form(cfg, r, eps, rank)
-        X = rg.rand_skew_adjoint(cfg, r, form)
-        g = cayley_isometry(X, form)
-        if not is_isometry(g, form):
-            failures += 1
-            continue
-        diff = reduced_norm(g) - 1
-        if not (diff.is_zero() or diff.valuation() >= cfg.precision - 8):
-            failures += 1
-    report(5, failures == 0,
+    res = st.hermitian_nrd1(cfg, SEED + 5, n=total)
+    ok = res["passed"] == 2 * total and res["failed"] == 0
+    report(5, ok,
            f"{total} Cayley isometries over eps in {{+-1}}, ranks 1-3, "
-           f"Nrd = 1 to precision >= N-8, {failures} failures")
+           f"Nrd = 1 to precision >= N-8, {res['failed']} failures")
 
 
 def test_criterion_6_trace_lift(cfg):

@@ -27,7 +27,8 @@ from hermiwitt.padic import (
     tau_conj,
 )
 from hermiwitt.quaternion import QuaternionElement as Q, congruent_mod_nuD
-from oracle import ExactD, coords, digest, exact_rep, honest, rep_coords, truncated
+from oracle import (ExactD, coords, digest, exact_inverse, exact_rep, honest,
+                    rep_coords, truncated)
 
 
 # -- independent residue-field oracles used to freeze expected values --------
@@ -440,6 +441,26 @@ def _exact_product(kind, p, r, x, y):
     return rep_coords(kind, p, M)
 
 
+def _exact_inverse(kind, p, r, x):
+    """The exact inverse of x as a coordinate tuple; None if x is 0."""
+    R = exact_inverse(exact_rep(kind, p, r, x))
+    return None if R is None else rep_coords(kind, p, R)
+
+
+def _exact_quotient(kind, p, r, x, y):
+    """x * y^(-1) exactly; None if y is 0."""
+    yinv = _exact_inverse(kind, p, r, y)
+    return None if yinv is None else _exact_product(kind, p, r, x, yinv)
+
+
+def _exact_norm(kind, p, r, x):
+    """Nrd = N(a) - p*N(b) on D, a^2 - delta*b^2 on L and E."""
+    if kind == "D":
+        a0, a1, b0, b1 = x
+        return a0 * a0 - r * a1 * a1 - p * (b0 * b0 - r * b1 * b1)
+    return x[0] * x[0] - (p if kind == "E_pi" else r) * x[1] * x[1]
+
+
 # the coordinate signs of the involutions: sigma on L and E, rho and conj on D
 _SIGNS = {("bar", "D"): (1, 1, 1, -1), ("conj", "D"): (1, -1, -1, -1)}
 
@@ -448,7 +469,9 @@ def _assert_honest(kind, op, p, N):
     """Every F-coordinate that op claims to prec k, on 150 pairs of draws,
     agrees mod p^k with the exact result on the exact operands its inputs
     truncate; an F-scalar and an exponent -2 <= k <= 3 come from another
-    stream, so the pairs are the same for every op."""
+    stream, so the pairs are the same for every op.  A refusal (too few
+    digits, or a divisor indistinguishable from 0) is no answer, and an
+    exact 0 has no inverse to answer with."""
     cfg, width, draws = _draws(kind, p, N)
     rr = cfg.nonresidue_r
     r = random.Random(p * 11 + N)
@@ -466,18 +489,23 @@ def _assert_honest(kind, op, p, N):
             "shift": (lambda: x.shift(k), lambda: [a * Fraction(p) ** k for a in qx]),
             "bar": (lambda: x.bar(), lambda: [e * a for e, a in zip(signs, qx)]),
             "conj": (lambda: x.conj(), lambda: [e * a for e, a in zip(signs, qx)]),
+            "inv": (lambda: x.inv(), lambda: _exact_inverse(kind, p, rr, qx)),
+            "div": (lambda: x / y, lambda: _exact_quotient(kind, p, rr, qx, qy)),
+            "norm": (lambda: x.norm(), lambda: [_exact_norm(kind, p, rr, qx)]),
+            "trace": (lambda: x.trace(), lambda: [2 * qx[0]]),
         }[op]
         want = exact()
         # the two exact D oracles agree
         assert op != "mul" or kind != "D" or ExactD(p, rr).mul(qx, qy) == want
         try:
             z = run()
-        except PrecisionExhausted:
+        except (PrecisionExhausted, DivisionByIndistinguishableZero):
             continue
+        assert want is not None, (x, y)
         for c, q in zip(coords(z), want):
             assert honest(c, q, p), (x, y, c, q)
             checked += 1
-    assert checked >= 75 * width
+    assert checked >= 75 * (1 if op in ("norm", "trace") else width)
 
 
 @pytest.mark.parametrize("p,N", [(3, 10), (5, 32), (13, 128)])
@@ -491,8 +519,11 @@ def test_product_is_precision_honest(kind, p, N):
 @pytest.mark.parametrize("p,N", [(3, 10), (5, 32), (13, 128)])
 @pytest.mark.parametrize("kind,op", [
     (kind, op) for op in ("add", "sub", "neg", "scale_f", "shift") for kind in KINDS]
-    + [(kind, "bar") for kind in KINDS[1:]] + [("D", "conj")])
+    + [(kind, "bar") for kind in KINDS[1:]] + [("D", "conj")]
+    + [(kind, op) for op in ("inv", "div") for kind in KINDS]
+    + [(kind, op) for op in ("norm", "trace") for kind in KINDS[1:]])
 def test_operation_is_precision_honest(kind, op, p, N):
     """The same for +, -, negation, scale_f by an F-element, shift by p^k,
-    the involution (sigma on L and E, rho on D) and conj on D."""
+    the involution (sigma on L and E, rho on D), conj on D, the inverse,
+    the quotient, and the norm and trace down to F (Nrd and trd on D)."""
     _assert_honest(kind, op, p, N)

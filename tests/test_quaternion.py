@@ -143,3 +143,24 @@ def test_arithmetic_builds_no_coordinate_objects(cfg5, monkeypatch):
             built.update({FElement: 0, QuadExtElement: 0})
             op()
             assert built == {FElement: 0, QuadExtElement: results}
+
+
+def test_inverse_divides_on_coordinates(cfg5, monkeypatch):
+    """An L, E or D inverse divides its coordinates by the norm through the
+    F kernel's division rule: no FElement division runs (at one per
+    coordinate, L and E took 2, D took 4)."""
+    calls = [0]
+    div = FElement.__truediv__
+
+    def counting(self, other):
+        calls[0] += 1
+        return div(self, other)
+
+    monkeypatch.setattr(FElement, "__truediv__", counting)
+    fields = (cfg5.L_field, QuadExtField(cfg5, cfg5.f(cfg5.nonresidue_r), "E"),
+              QuadExtField(cfg5, cfg5.pi(), "E"))
+    xs = [f.el(3, 4) for f in fields] + [Q.make(cfg5, cfg5.l(3, 4), cfg5.l(2, 7))]
+    for x in xs:
+        calls[0] = 0
+        x.inv()
+        assert calls[0] == 0
