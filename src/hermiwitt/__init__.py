@@ -18,6 +18,7 @@ from .hermitian import (
     DiagonalForm,
     HermitianForm,
     cayley_isometry,
+    congruence_basis,
     diagonalize,
     reduced_norm,
     trace_lift_hL,
@@ -68,8 +69,9 @@ __all__ = [
     "find_nonsquare_unit_L", "norm_trace_L", "solve_norm_equation",
     "tau_conj",
     "QuaternionElement", "congruent_mod_nuD", "quat_mul",
-    "DiagonalForm", "HermitianForm", "cayley_isometry", "diagonalize",
-    "reduced_norm", "trace_lift_hL", "twist", "validate", "witt_decompose",
+    "DiagonalForm", "HermitianForm", "cayley_isometry", "congruence_basis",
+    "diagonalize", "reduced_norm", "trace_lift_hL", "twist", "validate",
+    "witt_decompose",
     "WittClassD", "anisotropic_dim", "class_of_form", "classify_line",
     "equivalence_oracle", "is_isotropic", "witt_add",
     "EDForm", "EWittClass", "IdempotentE", "SplitData", "WittTowerValue",

@@ -15,12 +15,13 @@ each element's bar(), which is rho on D and sigma on E.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     DegenerateForm,
     NotSelfAdjoint,
     NotSkewAdjoint,
+    PrecisionExhausted,
     Singular,
 )
 from .padic import FieldConfig, tau_conj
@@ -301,11 +302,14 @@ class DiagonalForm:
 
     Every entry is symmetric (eps = +1) or skew (eps = -1) for the
     involution and distinguishable from zero; each hyperbolic pair stands
-    for an antidiag(1, eps) block."""
+    for an antidiag(1, eps) block.  moves is (one, steps) on a result of
+    diagonalize, the ring's one and each step's (scale, pivots, sols) that
+    congruence_basis replays, and None on any other DiagonalForm."""
 
     epsilon: int
     entries: tuple
     hyperbolic_pairs: int = 0
+    moves: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def rank(self) -> int:
@@ -316,17 +320,23 @@ def validate(form: HermitianForm) -> bool:
     return is_eps_hermitian(form.rows(), form.epsilon)
 
 
-def _eliminate(G, basis, pivots, sols):
-    """The congruence b_k <- b_k - sum_t b_{pivots[t]} * sols[k][t] for each
-    k in sols, applied to the Gram matrix G as bar(E)^T (G E): a column pass
-    over the pivot rows as well, then a row pass that reads the pivot rows
-    just updated.  Every step is tracked arithmetic, so G stays honest."""
-    rest = list(sols)
+def _columns(G, rows, pivots, sols):
+    """b_k <- b_k - sum_t b_{pivots[t]} * sols[k][t] for each k in sols,
+    applied to the columns of G in the given rows: G E for the step's E."""
     for k, s in sols.items():
         for q, c in zip(pivots, s):
-            basis[k] = [bk - bq * c for bk, bq in zip(basis[k], basis[q])]
-            for a in pivots + rest:
+            for a in rows:
                 G[a][k] = G[a][k] - G[a][q] * c
+
+
+def _eliminate(G, pivots, sols):
+    """The congruence of _columns applied to the Gram matrix G alone as
+    bar(E)^T (G E): a column pass over the pivot rows as well, then a row
+    pass that reads the pivot rows just updated.  Every step is tracked
+    arithmetic, the products by entries indistinguishable from zero
+    included, so G stays honest."""
+    rest = list(sols)
+    _columns(G, pivots + rest, pivots, sols)
     for j, s in sols.items():
         for q, c in zip(pivots, s):
             rc = c.bar()
@@ -334,62 +344,81 @@ def _eliminate(G, basis, pivots, sols):
                 G[j][k] = G[j][k] - rc * G[q][k]
 
 
-def diagonalize(form: HermitianForm):
-    """Congruence-diagonalize: returns (T, DiagonalForm) with
-    bar(T)^T M T = blockdiag(entries..., antidiag(1, eps) pairs...), for a
-    Gram matrix over D or over E alike.
+def diagonalize(form: HermitianForm) -> DiagonalForm:
+    """Congruence-diagonalize a Gram matrix M over D or over E alike: the
+    DiagonalForm blockdiag(entries..., antidiag(1, eps) pairs...) that is
+    bar(T)^T M T for the change of basis T = congruence_basis(result).
 
     The pivot is the basis vector minimizing the valuation of h(v, v)
     (ties: lowest index).  When every diagonal candidate is
     indistinguishable from zero a hyperbolic plane is split off from the
-    first non-orthogonal pair.
+    first non-orthogonal pair.  A remaining block indistinguishable from
+    zero is DegenerateForm when every entry is known to the full precision
+    N, and PrecisionExhausted when some entry has lost digits.
 
-    The Gram matrix of the current basis is carried along and each step
-    updates it by a congruence M <- bar(E)^T M E, so no h(v, w) is evaluated
-    from scratch and a rank-n form costs ~n^3 multiplies."""
+    Only the Gram matrix of the current basis is carried along, each step
+    a congruence M <- bar(E)^T M E, so no h(v, w) is evaluated from scratch
+    and a rank-6 form costs 140 quaternion multiplies.  The basis is not
+    formed: the result keeps the steps that congruence_basis replays."""
     if not validate(form):
         raise DegenerateForm("not an eps-hermitian Gram matrix")
-    n, eps = form.rank, form.epsilon
-    G = form.rows()  # G[i][j] = h(basis[i], basis[j])
-    # current basis vectors as coordinate columns in the original basis
-    basis = dmat_scalar(G[0][0] ** 0, n)
-    active = list(range(n))
-    entry_cols, pair_cols, entries, pairs = [], [], [], 0
+    G = form.rows()  # G[i][j] = h(b_i, b_j) for the current basis b
+    one, active, entries, steps = G[0][0] ** 0, list(range(form.rank)), [], []
     while active:
         piv = _pivot((i, G[i][i]) for i in active)
         if piv is not None:
             d = G[piv][piv]
             dinv = d.inv()
             active.remove(piv)
-            _eliminate(G, basis, [piv], {k: (dinv * G[piv][k],) for k in active})
+            sols = {k: (dinv * G[piv][k],) for k in active}
+            steps.append((None, [piv], sols))
+            _eliminate(G, [piv], sols)
             entries.append(d)
-            entry_cols.append(basis[piv])
             continue
         # all diagonal candidates vanish: split a hyperbolic plane
         pair = next(((i, j) for ii, i in enumerate(active)
                      for j in active[ii + 1:] if not G[i][j].is_zero()), None)
-        if pair is None:
-            raise DegenerateForm("remaining block is indistinguishable from zero")
+        if pair is None:  # degenerate, unless the block has lost digits
+            lost = any(G[a][b].prec < form.cfg.precision
+                       for a in active for b in active)
+            raise (PrecisionExhausted if lost else DegenerateForm)(
+                "remaining block is indistinguishable from zero")
         i, j = pair
-        c = G[i][j].inv()
-        basis[j] = [bj * c for bj in basis[j]]
-        for a in active:
-            G[a][j] = G[a][j] * c
+        c = G[i][j].inv()  # b_j <- b_j c: column j by c, row j by bar(c)
         rc = c.bar()
         for a in active:
+            G[a][j] = G[a][j] * c
             G[j][a] = rc * G[j][a]
         # orthogonalize the rest against the plane: one solve by its 2x2 block
-        active.remove(i)
-        active.remove(j)
+        active = [k for k in active if k not in pair]
         sol = dmat_solve([[G[i][i], G[i][j]], [G[j][i], G[j][j]]],
                          [[G[i][k] for k in active], [G[j][k] for k in active]])
-        _eliminate(G, basis, [i, j],
-                   {k: (sol[0][t], sol[1][t]) for t, k in enumerate(active)})
-        pair_cols.extend([basis[i], basis[j]])
-        pairs += 1
-    cols = entry_cols + pair_cols
-    T = [[cols[j][i] for j in range(n)] for i in range(n)]
-    return T, DiagonalForm(eps, tuple(entries), pairs)
+        sols = {k: (sol[0][t], sol[1][t]) for t, k in enumerate(active)}
+        steps.append(((j, c), [i, j], sols))
+        _eliminate(G, [i, j], sols)
+    return DiagonalForm(form.epsilon, tuple(entries), len(steps) - len(entries),
+                        (one, steps))
+
+
+def congruence_basis(diag: DiagonalForm):
+    """The T with bar(T)^T M T = diag for diag = diagonalize(form), M the
+    form's Gram matrix: diagonalize's steps replayed on the identity, each
+    b_j <- b_j c and b_k <- b_k - b_q c with the same c, in the same order;
+    T's columns are the entries' vectors, then the pairs'.  Only a
+    DiagonalForm made by diagonalize carries those steps."""
+    if diag.moves is None:
+        raise ValueError("congruence_basis needs the result of diagonalize")
+    one, steps = diag.moves
+    T = dmat_scalar(one, diag.rank)  # column k: b_k in the original basis
+    for scale, pivots, sols in steps:
+        if scale:
+            j, c = scale
+            for row in T:
+                row[j] = row[j] * c
+        _columns(T, range(diag.rank), pivots, sols)
+    order = [pv[0] for scale, pv, _ in steps if not scale]
+    order += [q for scale, pv, _ in steps if scale for q in pv]
+    return [[row[j] for j in order] for row in T]
 
 
 def twist(form: HermitianForm, gamma) -> HermitianForm:

@@ -496,7 +496,7 @@ def e_witt_class(H, field: QuadExtField, epsilon: int) -> EWittClass:
     if epsilon == -1:
         winv = field.gen().inv()
         H = [[winv * e for e in row] for row in H]
-    _, diag = diagonalize(HermitianForm.from_rows(1, H))
+    diag = diagonalize(HermitianForm.from_rows(1, H))
     disc = field.cfg.f((-1) ** diag.hyperbolic_pairs)
     for e in diag.entries:
         disc = disc * _fixed_to_f(e)

@@ -104,7 +104,7 @@ def classify_line(d: QuaternionElement, epsilon: int) -> WittClassD:
 
 def class_of_form(form) -> WittClassD:
     """Diagonalize and XOR the line classes (hyperbolic pairs contribute 0)."""
-    return class_of_diagonal(diagonalize(form)[1])
+    return class_of_diagonal(diagonalize(form))
 
 
 def class_of_diagonal(diag) -> WittClassD:
@@ -157,7 +157,7 @@ def is_isotropic(diag) -> bool:
 def witt_decompose(form: HermitianForm):
     """Witt decomposition: (witt_index, anisotropic DiagonalForm), the
     anisotropic part certified by the isotropy oracle."""
-    _, diag = diagonalize(form)
+    diag = diagonalize(form)
     index = diag.hyperbolic_pairs
     # each line cancels against the earlier unpaired line of its class
     unpaired = []

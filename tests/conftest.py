@@ -1,7 +1,7 @@
 import pytest
 
 from hermiwitt import padic
-from hermiwitt.padic import FieldConfig
+from hermiwitt.padic import FieldConfig, QuadExtElement
 from hermiwitt.quaternion import QuaternionElement
 
 
@@ -20,25 +20,36 @@ def cfg7():
     return FieldConfig(7, 32)
 
 
-@pytest.fixture
-def quaternion_products(monkeypatch):
-    """count(fn, *args): how many quaternion multiplies fn(*args) makes."""
+def _products(monkeypatch, cls):
+    """count(fn, *args): how many times fn(*args) calls cls.__mul__."""
     def count(fn, *args):
         calls = [0]
-        mul = QuaternionElement.__mul__
+        mul = cls.__mul__
 
         def counting_mul(x, y):
             calls[0] += 1
             return mul(x, y)
 
-        monkeypatch.setattr(QuaternionElement, "__mul__", counting_mul)
+        monkeypatch.setattr(cls, "__mul__", counting_mul)
         try:
             fn(*args)
         finally:
-            monkeypatch.setattr(QuaternionElement, "__mul__", mul)
+            monkeypatch.setattr(cls, "__mul__", mul)
         return calls[0]
 
     return count
+
+
+@pytest.fixture
+def quaternion_products(monkeypatch):
+    """count(fn, *args): how many quaternion multiplies fn(*args) makes."""
+    return _products(monkeypatch, QuaternionElement)
+
+
+@pytest.fixture
+def quadext_products(monkeypatch):
+    """count(fn, *args): how many L- or E-multiplies fn(*args) makes."""
+    return _products(monkeypatch, QuadExtElement)
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,10 @@ from hermiwitt import randgen as rg
 from hermiwitt import serialize as sz
 from hermiwitt import wittclass as wc
 from hermiwitt.cli import run
-from hermiwitt.padic import FieldConfig
+from hermiwitt.hermitian import HermitianForm
+from hermiwitt.padic import FieldConfig, QuadExtElement
+from hermiwitt.quaternion import QuaternionElement as Q
+from oracle import ExactD, known_to
 
 
 def run_cli(capsys, *argv):
@@ -236,6 +240,65 @@ def test_pinned_output(capsys, name):
     rc, out = run_cli(capsys, *argv)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# decompose requests whose forms make diagonalize split a hyperbolic plane,
+# a branch that no workload operation takes at seeds 1-3: <5> perp H at
+# eps = 1 and the eps = -1 plane, with (witt_index, witt_class, SHA-256 of
+# stdout).  CI runs the same two documents under two hash seeds.
+HYPERBOLIC = {
+    "sym": ('{"epsilon":1,"gram":[["0","1","0"],["1","0","0"],["0","0","5"]]}',
+            1, ["g1"],
+            "eeb8f41dc173d2f3ad7e85e4d39699cbeab0d377e83f03dd38e5b7c6c79ae2ab"),
+    "skew": ('{"epsilon":-1,"gram":[["0","1"],["-1","0"]]}', 1, [],
+             "c681fd52f34a606379fd26bbba91d2945cd9f1645e7f03cfdfaea171856d108b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HYPERBOLIC))
+def test_decompose_hyperbolic_pinned(capsys, name):
+    form, index, cls, digest = HYPERBOLIC[name]
+    rc, out = run_cli(capsys, *_at(5, 32, "decompose", "--form", form))
+    assert rc == 0
+    doc = json.loads(out)
+    assert (doc["witt_index"], doc["witt_class"]) == (index, cls)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_decompose_lost_digits_exits_3(capsys):
+    """A rank-3 eps = -1 form with zero diagonal, its coordinates known to
+    4-6 digits: the elimination splits no plane and leaves a block
+    indistinguishable from zero only because its entries lost digits.  The
+    exact form is nondegenerate (one hyperbolic pair and an entry with
+    nu_D = 7), so the request is inconclusive (exit 3), not invalid."""
+    # exact (a0, a1, b0, b1) above the diagonal, each with its digits known
+    upper = {(0, 1): ((73500, 292125, 5365, 265550), (4, 5, 4, 6)),
+             (0, 2): ((1145875, 14258, 10652, 0), (4, 5, 5, 6)),
+             (1, 2): ((51875, 0, 36250, 455375), (4, 6, 6, 4))}
+    diag_caps = ((5, 5, 4, 4), (6, 5, 6, 6), (5, 6, 6, 6))
+    cfg = FieldConfig(5, 8)
+    X = ExactD(5, cfg.nonresidue_r)
+
+    def tracked(x, caps):
+        a0, a1, b0, b1 = (known_to(cfg, Fraction(q), k)
+                          for q, k in zip(x, caps))
+        return Q(QuadExtElement(cfg.L_field, a0, a1),
+                 QuadExtElement(cfg.L_field, b0, b1))
+
+    M = [[X.zero] * 3 for _ in range(3)]
+    G = [[tracked(X.zero, diag_caps[i]) if i == j else None for j in range(3)]
+         for i in range(3)]
+    for (i, j), (x, caps) in upper.items():
+        M[i][j] = tuple(Fraction(q) for q in x)
+        M[j][i] = (-M[i][j][0], -M[i][j][1], -M[i][j][2], M[i][j][3])
+        G[i][j] = tracked(x, caps)
+        G[j][i] = -G[i][j].bar()
+    _, entries = X.diagonalize(M, -1)
+    assert [X.nu_D(e) for e in entries] == [7]
+    form = json.dumps(sz.form_to_json(HermitianForm.from_rows(-1, G)))
+    assert run(_at(5, 8, "decompose", "--form", form)) == 3
+    assert capsys.readouterr().err == \
+        "inconclusive: remaining block is indistinguishable from zero\n"
 
 
 def _f_fields(doc):

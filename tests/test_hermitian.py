@@ -14,8 +14,10 @@ from hermiwitt.errors import (
     Singular,
 )
 from hermiwitt.hermitian import (
+    DiagonalForm,
     HermitianForm,
     cayley_isometry,
+    congruence_basis,
     diagonalize,
     dmat_identity,
     dmat_inv,
@@ -68,14 +70,17 @@ def test_validate_examples(cfg5):
 def test_diagonalize_examples(cfg5):
     one, pi = Q.one(cfg5), Q.pi_D(cfg5)
     f = HermitianForm.diagonal(1, [one, pi])
-    T, dg = diagonalize(f)
+    dg = diagonalize(f)
     assert dg.hyperbolic_pairs == 0
     assert [wc.classify_line(e, 1) for e in dg.entries] == \
         [wc.classify_line(one, 1), wc.classify_line(pi, 1)]
     hyp = HermitianForm.hyperbolic_plane(cfg5, 1)
-    T, dg = diagonalize(hyp)
+    dg = diagonalize(hyp)
     assert dg.hyperbolic_pairs == 1 and not dg.entries
     assert wc.class_of_form(hyp).is_hyperbolic()
+    # only diagonalize's result carries the steps congruence_basis replays
+    with pytest.raises(ValueError, match="result of diagonalize"):
+        congruence_basis(DiagonalForm(1, dg.entries, dg.hyperbolic_pairs))
 
 
 def test_diagonalize_congruence_postcondition(cfg5):
@@ -84,8 +89,8 @@ def test_diagonalize_congruence_postcondition(cfg5):
         eps = 1 if r.random() < 0.5 else -1
         n = r.randint(1, 3)
         form = rg.rand_form(cfg5, r, eps, n)
-        T, dg = diagonalize(form)
-        _assert_congruence_postcondition(form, T, dg)
+        dg = diagonalize(form)
+        _assert_congruence_postcondition(form, congruence_basis(dg), dg)
 
 
 def _to_tracked(cfg, x):
@@ -140,10 +145,11 @@ def test_diagonalize_precision_honest(p, N):
                     eps, [[_to_tracked(cfg, x) for x in row] for row in M])
                 forms += 1
                 try:
-                    T, dg = diagonalize(form)
+                    dg = diagonalize(form)
                 except HermiwittError:
                     refused += 1
                     continue
+                T = congruence_basis(dg)
                 T_ex, entries_ex = X.diagonalize(M, eps)
                 hyperbolic += dg.hyperbolic_pairs
                 assert len(dg.entries) == len(entries_ex)
@@ -173,12 +179,39 @@ def _assert_congruence_postcondition(form, T, dg):
 
 
 def test_diagonalize_multiply_count(quaternion_products):
-    """Congruence updates of the Gram matrix keep diagonalize at ~n^3
-    quaternion multiplies: 230 at rank 6, where re-evaluating h(v, w) from
-    scratch took 3129."""
+    """Congruence updates of the Gram matrix alone keep diagonalize at ~n^3
+    quaternion multiplies: 140 at rank 6, where re-evaluating h(v, w) from
+    scratch took 3129 and carrying the change of basis along took 230.
+    congruence_basis builds that basis with the 90 multiplies left out."""
     cfg = FieldConfig(5, 32)
     form = rg.rand_form(cfg, rg.rng(6), 1, 6)
-    assert quaternion_products(diagonalize, form) <= 400
+    assert quaternion_products(diagonalize, form) == 140
+    assert quaternion_products(congruence_basis, diagonalize(form)) == 90
+
+
+def test_classifiers_build_no_basis(quaternion_products, quadext_products):
+    """witt_decompose and class_of_form read the entries off diagonalize and
+    never build its change of basis: each makes exactly diagonalize's 140
+    quaternion multiplies on the rank-6 form above.  Over E, e_witt_class
+    makes exactly diagonalize's 140 E-multiplies, plus the n^2 of its twist
+    by the generator's inverse when eps = -1."""
+    from hermiwitt import morita as mo
+
+    cfg = FieldConfig(5, 32)
+    form = rg.rand_form(cfg, rg.rng(6), 1, 6)
+    assert quaternion_products(witt_decompose, form) == 140
+    assert quaternion_products(wc.class_of_form, form) == 140
+    for delta in (cfg.f(cfg.nonresidue_r), cfg.pi()):
+        data = mo.split(cfg, delta)
+        E = data.E
+        for eps in (1, -1):
+            H = rg.rand_eform(data, rg.rng(6), eps, 6)
+            twisted = H if eps == 1 else [[E.gen().inv() * e for e in row]
+                                          for row in H]
+            assert quadext_products(
+                diagonalize, HermitianForm.from_rows(1, twisted)) == 140
+            assert quadext_products(mo.e_witt_class, H, E, eps) == \
+                140 + (36 if eps == -1 else 0)
 
 
 def test_random_congruence_class_invariance(cfg5):
@@ -721,7 +754,8 @@ def _form_layer_cases(p, N):
             for G in forms:
                 f = HermitianForm.from_rows(eps, G)
                 cases.append(("diagonalize", lambda f=f: (
-                    lambda T, d: (T, d.entries, d.hyperbolic_pairs))(*diagonalize(f))))
+                    lambda d: (congruence_basis(d), d.entries, d.hyperbolic_pairs))(
+                        diagonalize(f))))
     for delta in (cfg.f(cfg.nonresidue_r), cfg.pi()):
         data = mo.split(cfg, delta)
         E = data.E

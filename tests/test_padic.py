@@ -28,7 +28,7 @@ from hermiwitt.padic import (
 )
 from hermiwitt.quaternion import QuaternionElement as Q, congruent_mod_nuD
 from oracle import (ExactD, coords, digest, exact_inverse, exact_rep, honest,
-                    rep_coords, truncated)
+                    known_to, lift, rep_coords, truncated, vp_q)
 
 
 # -- independent residue-field oracles used to freeze expected values --------
@@ -527,3 +527,109 @@ def test_operation_is_precision_honest(kind, op, p, N):
     the involution (sigma on L and E, rho on D), conj on D, the inverse,
     the quotient, and the norm and trace down to F (Nrd and trd on D)."""
     _assert_honest(kind, op, p, N)
+
+
+# -- precision honesty of square roots and norm equations in L and E -------------
+
+def _quad(cfg, kind):
+    """(E = F[w], the integer w^2, v(w)) for L, E = F(u) and E = F(pi_D)."""
+    if kind == "E_pi":
+        return QuadExtField(cfg, cfg.pi(), "E"), cfg.p, Fraction(1, 2)
+    delta = cfg.nonresidue_r
+    E = cfg.L_field if kind == "L" else QuadExtField(cfg, cfg.f(delta), "E")
+    return E, delta, Fraction(0)
+
+
+def _vq(q, p):
+    """The valuation of an exact rational coordinate; 0 has valuation inf."""
+    return vp_q(q, p) if q else float("inf")
+
+
+def _capped(cfg, r, q):
+    """The F-element knowing the exact q to a capped precision: mod p^k for
+    k = N - 0..3, or one time in six only 1-2 digits beyond its valuation
+    (k >= 1 always)."""
+    k = cfg.precision - r.randint(0, 3)
+    if q and r.random() < 0.17:
+        k = max(1, min(k, vp_q(q, cfg.p) + r.choice((1, 2))))
+    return known_to(cfg, q, k)
+
+
+def _claimed_to(y, vw):
+    """m with v(Y - y_exact) >= m for the exact value y claims to know:
+    each coordinate claims its digits mod p^prec, the second one times w."""
+    return min(y.a.prec, y.b.prec + vw)
+
+
+def _assert_root_honest(p, vw, y, value, target):
+    """y claims an exact r with r^2 (or N(r)) = target to v(Y - r) >= m;
+    value is Y^2 (or N(Y)) for the exact Y = lift(y).  The difference
+    value - target factors through Y - r with a cofactor of valuation
+    >= min(m, v(target)/2), so it must have valuation >= m + that: the
+    check of every digit y claims that exact arithmetic allows."""
+    m = _claimed_to(y, vw)
+    diff = [a - b for a, b in zip(value, target)]
+    got = min(_vq(diff[0], p), _vq(diff[1], p) + vw)
+    vt = min(_vq(target[0], p), _vq(target[1], p) + vw)
+    assert got >= m + min(m, vt / 2), (y, target, got, m, vt)
+
+
+@pytest.mark.parametrize("p,N", [(3, 10), (5, 32), (13, 128)])
+@pytest.mark.parametrize("kind", ["L", "E_u", "E_pi"])
+def test_sqrt_is_precision_honest(kind, p, N):
+    """x.sqrt() on x knowing the exact square q = z^2 to capped precisions:
+    a root r of q has Y^2 - q = (Y - r)(Y + r), so a root claimed to
+    v(Y - r) >= m gives v(Y^2 - q) >= m + min(m, v(q)/2), checked exactly.
+    A refusal (too few digits) is no answer; NotASquare on a square is a
+    wrong verdict."""
+    cfg = FieldConfig(p, N)
+    E, d, vw = _quad(cfg, kind)
+    r = random.Random(p * 13 + N)
+
+    def square(a, b):
+        return a * a + d * b * b, 2 * a * b
+
+    checked = 0
+    for _ in range(150):
+        q = square(truncated(cfg, r)[0], truncated(cfg, r)[0])
+        x = QuadExtElement(E, _capped(cfg, r, q[0]), _capped(cfg, r, q[1]))
+        try:
+            y = x.sqrt()
+        except PrecisionExhausted:
+            continue
+        _assert_root_honest(p, vw, y, square(*lift(y, p)), q)
+        checked += 1
+    assert checked >= 100
+
+
+@pytest.mark.parametrize("p,N", [(3, 10), (5, 32), (13, 128)])
+@pytest.mark.parametrize("kind", ["L", "E_u", "E_pi"])
+def test_norm_equation_is_precision_honest(kind, p, N):
+    """solve_norm_equation(E, w) on w knowing an exact target to a capped
+    precision, the target a norm N(z) = a^2 - delta b^2 every other draw
+    and a random coordinate otherwise: a solution r has N(Y) - N(r) =
+    (Y - r) sigma(Y) + r sigma(Y - r), so a solution claimed to
+    v(Y - r) >= m gives v(N(Y) - w) >= m + min(m, v(w)/2), checked
+    exactly.  A non-norm must be refused with NotASquare."""
+    cfg = FieldConfig(p, N)
+    E, d, vw = _quad(cfg, kind)
+    r = random.Random(p * 17 + N)
+
+    def norm(a, b):
+        return a * a - d * b * b, Fraction(0)
+
+    checked = 0
+    for t in range(150):
+        a, b = truncated(cfg, r)[0], truncated(cfg, r)[0]
+        target = norm(a, b) if t % 2 else (a, Fraction(0))
+        w = _capped(cfg, r, target[0])
+        try:
+            y = solve_norm_equation(E, w)
+        except NotASquare:
+            assert not t % 2, (w, target)
+            continue
+        except PrecisionExhausted:
+            continue
+        _assert_root_honest(p, vw, y, norm(*lift(y, p)), target)
+        checked += 1
+    assert checked >= 100
