@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hermiwitt.errors import (
     DivisionByIndistinguishableZero,
+    HermiwittError,
     IndistinguishableZero,
     NotASquare,
     PrecisionExhausted,
@@ -393,6 +394,73 @@ def test_element_arithmetic_pinned():
     assert len(out) == 11700
     assert hashlib.sha256(repr(out).encode()).hexdigest() == \
         "addfe90687c814a14eeb701f4a5709860c34017cbb5d45d3cf2fd00946f25c43"
+
+
+def _coarse_f(cfg, r, full=0.25):
+    """An F-element of valuation -2..1 known to p^N with probability full
+    and otherwise to p^1..p^3, or a zero known to 1-3 digits: a product of
+    two such often has no digit left to claim."""
+    if r.random() < 0.2:
+        return FElement._zeroish(cfg, r.randint(1, 3))
+    v = r.randint(-2, 1)
+    unit = r.randrange(1, cfg.ppow(cfg.precision))
+    while unit % cfg.p == 0:
+        unit += 1
+    prec = cfg.precision if r.random() < full else r.randint(max(1, v + 1), 3)
+    return FElement._make(cfg, v, unit, prec)
+
+
+def _refusal_batch(count: int):
+    """Products, norms and inverses of L, unramified and ramified E and D on
+    coarse draws, and D's dmat_solve on 2x2 systems of them, at (3, 10),
+    (5, 32) and (13, 128): each outcome's digest, or the class and message
+    of the refusal."""
+    from hermiwitt.hermitian import dmat_solve
+
+    out = []
+    for p, N in ((3, 10), (5, 32), (13, 128)):
+        cfg = FieldConfig(p, N)
+        r = random.Random(p * 19 + N)
+        fields = {"L": cfg.L_field,
+                  "E_u": QuadExtField(cfg, cfg.f(cfg.nonresidue_r), "E"),
+                  "E_pi": QuadExtField(cfg, cfg.pi(), "E")}
+        make = {name: lambda field=field, full=0.25: QuadExtElement(
+                    field, _coarse_f(cfg, r, full), _coarse_f(cfg, r, full))
+                for name, field in fields.items()}
+        make["D"] = lambda full=0.25: Q(make["L"](full=full), make["L"](full=full))
+        thunks = []
+        for new in make.values():
+            for _ in range(count):
+                x, y = new(), new()
+                thunks += [lambda x=x, y=y: x * y, lambda x=x, y=y: y * x,
+                           lambda x=x, y=y: x * y * x, lambda x=x: x.norm(),
+                           lambda x=x: x.inv()]
+        for _ in range(count):
+            A = [[make["D"](0.8) for _ in range(2)] for _ in range(2)]
+            B = [[make["D"](0.8)] for _ in range(2)]
+            thunks.append(lambda A=A, B=B: dmat_solve(A, B))
+        for fn in thunks:
+            try:
+                out.append(digest(fn()))
+            except HermiwittError as exc:
+                out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+def test_refusal_messages_pinned():
+    """On coarse inputs with negative valuations, the outcome of every L, E
+    and D product, norm and inverse and of D's dmat_solve, with the class
+    and the message of each refusal (the CLI prints the message), hashes to
+    the recorded digest: a rewrite of the product kernel keeps which
+    refusal comes first and what it says."""
+    out = _refusal_batch(40)
+    assert len(out) == 3 * (4 * 5 + 1) * 40
+    refusals = [o for o in out if isinstance(o, tuple) and isinstance(o[0], str)]
+    assert {"result precision <= 0", "zero known to <= 0 digits"} <= \
+        {text for _, text in refusals}
+    assert len(out) // 4 <= len(refusals) <= 3 * len(out) // 4
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == \
+        "d987fcd8b5a2bf0e53434bf718bf8dddb39978f3eb6eb158b35de7cc971dab30"
 
 
 def test_elements_pickle_after_arithmetic(cfg5):
