@@ -12,10 +12,12 @@ An L or E element holds its two F-coordinates, a D element its four, as one
 flat tuple ``c`` of (val, unit, prec) int triples, and all their arithmetic
 runs on ``c`` through the ``_f_*`` kernel, which holds F's precision rules
 once: ``_e_mul`` is the product of L and E, and ``_d_mul`` that of D, four
-``_e_mul`` over L.  Their involution, trace, inverse and ``in_f`` exist once,
-in ``QuadExt``; only a result or a norm is built as an object.  A divisor's
-unit is inverted once: an F divisor keeps it, and an inverse conj(x) / N(x)
-divides every coordinate by the norm through ``_f_div`` with one inverse.
+``_e_mul`` over L.  A product in them that only feeds a sum or a product
+keeps its unit unreduced (``_f_lmul``) for the sum to reduce once; no such
+unit leaves the kernel.  Their involution, trace, inverse and ``in_f``
+exist once, in ``QuadExt``; only a result is built as an object.  A
+divisor's unit is inverted once: an F divisor keeps it, and an inverse
+conj(x) / N(x) divides every coordinate by the norm through ``_f_div``.
 """
 
 from __future__ import annotations
@@ -65,9 +67,8 @@ def _f_zero(cfg: FieldConfig, prec: int) -> tuple:
 
 
 def _f_make(cfg: FieldConfig, val: int, unit: int, prec: int) -> tuple:
-    n = cfg.precision
-    if prec > n:
-        prec = n
+    if prec > cfg.precision:
+        prec = cfg.precision
     if prec <= 0:
         raise PrecisionExhausted("result precision <= 0")
     if val >= prec:
@@ -85,9 +86,7 @@ def _f_add(cfg: FieldConfig, x: tuple, y: tuple) -> tuple:
     k = xk if xk < yk else yk
     if xv is None or yv is None:
         v, u = (yv, yu) if xv is None else (xv, xu)
-        if v is None or v >= k:
-            return _f_zero(cfg, k)
-        return _f_make(cfg, v, u, k)
+        return _f_zero(cfg, k) if v is None else _f_make(cfg, v, u, k)
     ppow = cfg.ppow
     if xv < yv:
         v, s = xv, xu + yu * ppow(yv - xv)
@@ -97,7 +96,7 @@ def _f_add(cfg: FieldConfig, x: tuple, y: tuple) -> tuple:
     if s == 0:
         return _f_zero(cfg, k)
     w = _vp(s, cfg.p)
-    return _f_make(cfg, v + w, s // ppow(w) if w else s, k)
+    return (v + w, s // ppow(w) if w else s, k)
 
 
 def _f_neg(cfg: FieldConfig, x: tuple) -> tuple:
@@ -105,7 +104,9 @@ def _f_neg(cfg: FieldConfig, x: tuple) -> tuple:
     return x if v is None else (v, cfg.ppow(k - v) - u, k)
 
 
-def _f_mul(cfg: FieldConfig, x: tuple, y: tuple) -> tuple:
+def _f_lmul(cfg: FieldConfig, x: tuple, y: tuple) -> tuple:
+    """x * y by F's product rule, its unit xu * yu left unreduced: only for
+    an operand of _f_add or of another _f_lmul, which reduce it."""
     xv, xu, xk = x
     yv, yu, yk = y
     if xv is None:
@@ -114,19 +115,25 @@ def _f_mul(cfg: FieldConfig, x: tuple, y: tuple) -> tuple:
         return _f_zero(cfg, yk + xv)
     rx, ry = xk - xv, yk - yv
     v = xv + yv
-    return _f_make(cfg, v, xu * yu, v + (rx if rx < ry else ry))
+    k = v + (rx if rx < ry else ry)
+    if k > cfg.precision:
+        k = cfg.precision
+    if k <= 0:
+        raise PrecisionExhausted("result precision <= 0")
+    return _f_zero(cfg, k) if v >= k else (v, xu * yu, k)
+
+
+def _f_mul(cfg: FieldConfig, x: tuple, y: tuple) -> tuple:
+    v, u, k = t = _f_lmul(cfg, x, y)
+    return t if v is None else (v, u % cfg.ppow(k - v), k)
 
 
 def _f_div(cfg: FieldConfig, x: tuple, y: tuple, yinv: int) -> tuple:
     """x / y for y not indistinguishable from 0, given yinv, the inverse of
-    y's unit mod p^(prec - val)."""
-    xv, xu, xk = x
-    yv, _, yk = y
-    if xv is None:
-        return _f_zero(cfg, xk - yv)
-    rx, ry = xk - xv, yk - yv
-    v = xv - yv
-    return _f_make(cfg, v, xu * yinv, v + (rx if rx < ry else ry))
+    y's unit mod p^(prec - val): x times 1/y = (-val, yinv, prec - 2*val),
+    which knows 1/y to y's relative precision."""
+    v, _, k = y
+    return _f_mul(cfg, x, (-v, yinv, k - 2 * v))
 
 
 def _f_shift(cfg: FieldConfig, x: tuple, k: int) -> tuple:
@@ -142,8 +149,14 @@ def _e_mul(cfg: FieldConfig, d: tuple, x: tuple, y: tuple) -> tuple:
     x0*y0 + d*(x1*y1), x0*y1 + x1*y0, in this order."""
     x0, x1 = x
     y0, y1 = y
-    return (_f_add(cfg, _f_mul(cfg, x0, y0), _f_mul(cfg, d, _f_mul(cfg, x1, y1))),
-            _f_add(cfg, _f_mul(cfg, x0, y1), _f_mul(cfg, x1, y0)))
+    return (_f_add(cfg, _f_lmul(cfg, x0, y0), _f_lmul(cfg, d, _f_lmul(cfg, x1, y1))),
+            _f_add(cfg, _f_lmul(cfg, x0, y1), _f_lmul(cfg, x1, y0)))
+
+
+def _e_norm(cfg: FieldConfig, d: tuple, x: tuple) -> tuple:
+    """N(x0 + x1*w) = x0*x0 - (d*x1)*x1 with w^2 = d, in this order."""
+    return _f_add(cfg, _f_lmul(cfg, x[0], x[0]),
+                  _f_neg(cfg, _f_mul(cfg, _f_lmul(cfg, d, x[1]), x[1])))
 
 
 def _d_mul(cfg: FieldConfig, r: tuple, x: tuple, y: tuple) -> tuple:
@@ -155,7 +168,7 @@ def _d_mul(cfg: FieldConfig, r: tuple, x: tuple, y: tuple) -> tuple:
     pi = cfg._pi._t
     s0, s1 = _e_mul(cfg, r, (a0, a1), (c0, c1))
     t0, t1 = _e_mul(cfg, r, (b0, b1), (g0, _f_neg(cfg, g1)))
-    t0, t1 = _f_mul(cfg, t0, pi), _f_mul(cfg, t1, pi)
+    t0, t1 = _f_lmul(cfg, t0, pi), _f_lmul(cfg, t1, pi)
     s0, s1 = _f_add(cfg, s0, t0), _f_add(cfg, s1, t1)
     u0, u1 = _e_mul(cfg, r, (a0, a1), (g0, g1))
     w0, w1 = _e_mul(cfg, r, (b0, b1), (c0, _f_neg(cfg, c1)))
@@ -722,7 +735,7 @@ class QuadExtElement(QuadExt):
     sigma = bar = QuadExt.conj
 
     def norm(self) -> FElement:
-        return self.a * self.a - self.field.delta * self.b * self.b
+        return FElement(self.cfg, *_e_norm(self.cfg, self.field.delta._t, self.c))
 
     # -- unit/residue structure -------------------------------------------------
     def unit_part(self) -> QuadExtElement:

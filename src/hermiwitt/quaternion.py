@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .errors import PrecisionExhausted
 from .padic import (FElement, FieldConfig, QuadExt, QuadExtElement, _d_mul,
-                    _f_neg, tau_conj)
+                    _e_norm, _f_add, _f_mul, _f_neg, tau_conj)
 
 
 class QuaternionElement(QuadExt):
@@ -85,8 +85,10 @@ class QuaternionElement(QuadExt):
 
     trd = QuadExt.trace
 
-    def nrd(self) -> FElement:
-        return self.a.norm() - self.cfg.pi() * self.b.norm()
+    def nrd(self) -> FElement:  # N(a) - pi_F * N(b), in this order
+        cfg, c, r = self.cfg, self.c, self.field.delta._t
+        return FElement(cfg, *_f_add(cfg, _e_norm(cfg, r, c[:2]), _f_neg(
+            cfg, _f_mul(cfg, cfg._pi._t, _e_norm(cfg, r, c[2:])))))
 
     norm = nrd
 

@@ -597,6 +597,41 @@ def test_operation_is_precision_honest(kind, op, p, N):
     _assert_honest(kind, op, p, N)
 
 
+def test_kernel_results_are_canonical():
+    """Every F-coordinate that +, -, *, /, inv, the norm, the trace,
+    scale_f and shift return on the honesty draws is a canonical triple: a
+    zero holds unit 0 and 0 < prec <= N, any other coordinate val < prec
+    <= N and a unit 0 < unit < p^(prec - val) prime to p.  The product
+    kernel leaves units unreduced between its own steps; none may leave
+    it, since equality, hashing, _uinv and serialization read the unit."""
+    checked = 0
+    for p, N in ((3, 10), (5, 32), (13, 128)):
+        for kind in KINDS:
+            cfg, _, draws = _draws(kind, p, N)
+            r = random.Random(p * 23 + N)
+            for (_, x), (_, y) in draws:
+                s, k = truncated(cfg, r)[1], r.randint(-2, 3)
+                ops = [lambda: x + y, lambda: x - y, lambda: x * y,
+                       lambda: x / y, lambda: x.inv(), lambda: x.scale_f(s),
+                       lambda: x.shift(k)]
+                if kind != "F":
+                    ops += [lambda: x.norm(), lambda: x.trace()]
+                for op in ops:
+                    try:
+                        z = op()
+                    except (PrecisionExhausted, DivisionByIndistinguishableZero):
+                        continue
+                    for c in coords(z):
+                        assert 0 < c.prec <= N, c
+                        if c.val is None:
+                            assert c.unit == 0, c
+                        else:
+                            assert c.val < c.prec and c.unit % p, c
+                            assert 0 < c.unit < p ** (c.prec - c.val), c
+                        checked += 1
+    assert checked >= 30000
+
+
 # -- precision honesty of square roots and norm equations in L and E -------------
 
 def _quad(cfg, kind):

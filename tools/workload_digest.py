@@ -13,6 +13,11 @@ one line printed is the sha256 over each operation's exit code and output
 line, since a traceback names the checkout's paths).  Two checkouts that
 print the same digest answered every operation byte for byte alike.
 Nothing under ``perfbench/`` is written.
+
+``tools/workload_digest.expected`` holds the digest of the current tree, and
+CI fails when this script prints another.  A change that moves a printed
+digit, or a message, re-pins that file and says in CHANGES.md which
+outputs moved and why; any other change leaves it as it is.
 """
 
 from __future__ import annotations
