@@ -463,6 +463,68 @@ def test_refusal_messages_pinned():
         "d987fcd8b5a2bf0e53434bf718bf8dddb39978f3eb6eb158b35de7cc971dab30"
 
 
+def _dot_refusal_batch(count: int):
+    """count length-2 to 4 D row_dots and count 2x2 by 2x2 D dmat_muls at
+    (3, 10), (5, 32) and (13, 128), each on coordinates drawn coarse by
+    _coarse_f with a per-dot probability in {0, 0.05, 0.2, 0.5} and
+    otherwise fine (valuation -1..2 known to N-3..N, or a zero known to 3
+    or more digits, which no product refuses); one dot in five ends with
+    row[0] * -x[0], cancelling its first product.  Each outcome's digest,
+    or the class and message of the refusal."""
+    from hermiwitt.hermitian import dmat_mul, row_dot
+
+    out = []
+    for p, N in ((3, 10), (5, 32), (13, 128)):
+        cfg = FieldConfig(p, N)
+        r = random.Random(p * 29 + N)
+
+        def fine():
+            if r.random() < 0.17:
+                return FElement._zeroish(cfg, r.randint(3, N))
+            unit = r.randrange(1, cfg.ppow(N))
+            while unit % p == 0:
+                unit += 1
+            return FElement._make(cfg, r.randint(-1, 2), unit, N - r.randint(0, 3))
+
+        def quat(coarse):
+            f = lambda: _coarse_f(cfg, r) if r.random() < coarse else fine()
+            return Q(QuadExtElement(cfg.L_field, f(), f()),
+                     QuadExtElement(cfg.L_field, f(), f()))
+
+        thunks = []
+        for _ in range(count):
+            n, coarse = r.randint(2, 4), r.choice((0, 0.05, 0.2, 0.5))
+            row, x = [quat(coarse) for _ in range(n)], [quat(coarse) for _ in range(n)]
+            if r.random() < 0.2:
+                row[-1], x[-1] = row[0], -x[0]
+            thunks.append(lambda row=row, x=x: row_dot(row, x))
+            coarse = r.choice((0, 0.05, 0.2, 0.5))
+            A = [[quat(coarse) for _ in range(2)] for _ in range(2)]
+            B = [[quat(coarse) for _ in range(2)] for _ in range(2)]
+            thunks.append(lambda A=A, B=B: dmat_mul(A, B))
+        for fn in thunks:
+            try:
+                out.append(digest(fn()))
+            except HermiwittError as exc:
+                out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+def test_dot_refusal_messages_pinned():
+    """The outcome of every D row_dot and dmat_mul above, with the class and
+    the message of each refusal, hashes to the recorded digest: a dot that
+    sums its products' terms in another bracketing keeps every digit, which
+    refusal comes first and what it says."""
+    out = _dot_refusal_batch(150)
+    assert len(out) == 3 * 2 * 150
+    refusals = [o for o in out if isinstance(o, tuple) and isinstance(o[0], str)]
+    assert {"result precision <= 0", "zero known to <= 0 digits"} <= \
+        {text for _, text in refusals}
+    assert len(out) // 4 <= len(refusals) <= 3 * len(out) // 4
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == \
+        "699c7af6d0fb19212e09034058ccd16c29ad2eeecf70f1a90514a96ccc6ca99a"
+
+
 def test_elements_pickle_after_arithmetic(cfg5):
     """An element holds its field and its coordinate triples, and fields
     cache no product kernel: a pickled element round-trips and multiplies
