@@ -24,7 +24,7 @@ from .errors import (
     PrecisionExhausted,
     Singular,
 )
-from .padic import FieldConfig, tau_conj
+from .padic import FieldConfig, _d_dot, tau_conj
 from .quaternion import QuaternionElement
 
 
@@ -62,17 +62,7 @@ def dmat_identity(cfg: FieldConfig, n: int):
 
 
 def dmat_mul(A, B):
-    n, m, k = len(A), len(B[0]), len(B)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            s = A[i][0] * B[0][j]
-            for t in range(1, k):
-                s = s + A[i][t] * B[t][j]
-            row.append(s)
-        out.append(row)
-    return out
+    return [[row_dot(row, col) for col in zip(*B)] for row in A]
 
 
 def dmat_add(A, B):
@@ -181,6 +171,16 @@ def vec_apply(A, x):
 
 
 def row_dot(row, x):
+    """sum_k row[k] * x[k], over F, L, E or D.  A D dot of two or more
+    products takes its F-products by _d_mul's rule and order and reduces
+    each output coordinate once (padic._d_dot): a sum's class mod p^(least
+    precision) does not depend on its bracketing, so no digit and no
+    refusal moves.  Only B*tau(G) is summed before its pi_F scaling, whose
+    precision depends on the sum's valuation.  Any other dot folds s + a*b."""
+    if len(row) > 1 and all(isinstance(e, QuaternionElement) for e in (*row, *x)):
+        L = row[0].field
+        return row[0]._of(_d_dot(L.cfg, L.delta._t, [a.c for a in row],
+                                 [b.c for b in x]))
     s = row[0] * x[0]
     for a, b in zip(row[1:], x[1:]):
         s = s + a * b

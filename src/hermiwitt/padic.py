@@ -14,10 +14,15 @@ runs on ``c`` through the ``_f_*`` kernel, which holds F's precision rules
 once: ``_e_mul`` is the product of L and E, and ``_d_mul`` that of D, four
 ``_e_mul`` over L.  A product in them that only feeds a sum or a product
 keeps its unit unreduced (``_f_lmul``) for the sum to reduce once; no such
-unit leaves the kernel.  Their involution, trace, inverse and ``in_f``
-exist once, in ``QuadExt``; only a result is built as an object.  A
-divisor's unit is inverted once: an F divisor keeps it, and an inverse
-conj(x) / N(x) divides every coordinate by the norm through ``_f_div``.
+unit leaves the kernel.  A D dot product (``_d_dot``) reduces each output
+coordinate once: ``_f_sum`` adds all of its products' terms, since a sum's
+class mod p^(least precision) does not depend on its bracketing, but
+B*tau(G) is still summed before its pi_F scaling, whose precision depends
+on the sum's valuation.  The involution, trace, inverse and ``in_f`` of
+L, E and D exist once, in ``QuadExt``; only a result is built as an
+object.  A divisor's unit is inverted once: an F divisor keeps it, and an
+inverse conj(x) / N(x) divides every coordinate by the norm through
+``_f_div``.
 """
 
 from __future__ import annotations
@@ -173,6 +178,50 @@ def _d_mul(cfg: FieldConfig, r: tuple, x: tuple, y: tuple) -> tuple:
     u0, u1 = _e_mul(cfg, r, (a0, a1), (g0, g1))
     w0, w1 = _e_mul(cfg, r, (b0, b1), (c0, _f_neg(cfg, c1)))
     return (s0, s1, _f_add(cfg, u0, w0), _f_add(cfg, u1, w1))
+
+
+def _f_sum(cfg: FieldConfig, terms: list) -> tuple:
+    """The left fold of _f_add over two or more terms, exactly, with one
+    reduction: every term aligned to the least valuation, added, reduced
+    mod p^(k - v) for k the least precision, and stripped of p once.
+    Terms may be zeros or lazy _f_lmul units."""
+    k, v = cfg.precision, None
+    for tv, _, tk in terms:
+        if tk < k:
+            k = tk
+        if tv is not None and (v is None or tv < v):
+            v = tv
+    if v is None or v >= k:
+        return _f_zero(cfg, k)
+    ppow = cfg.ppow
+    s = sum([u * ppow(tv - v) for tv, u, _ in terms if tv is not None]) % ppow(k - v)
+    if s == 0:
+        return _f_zero(cfg, k)
+    w = _vp(s, cfg.p)
+    return (v + w, s // ppow(w) if w else s, k)
+
+
+def _d_dot(cfg: FieldConfig, r: tuple, xs: list, ys: list) -> tuple:
+    """sum_i xs[i] * ys[i] on D-coordinates: every F-product by _d_mul's
+    rule and in its order, so the same refusal comes first, and each output
+    coordinate's terms summed by one _f_sum.  B*tau(G) is summed before its
+    pi_F scaling, as in _d_mul: the scaled sum's precision depends on its
+    valuation, which cancellation can raise."""
+    lmul, pi = _f_lmul, cfg._pi._t
+    s0, s1, s2, s3 = [], [], [], []
+    for (a0, a1, b0, b1), (c0, c1, g0, g1) in zip(xs, ys):
+        ng1, nc1 = _f_neg(cfg, g1), _f_neg(cfg, c1)
+        s0 += (lmul(cfg, a0, c0), lmul(cfg, r, lmul(cfg, a1, c1)))
+        s1 += (lmul(cfg, a0, c1), lmul(cfg, a1, c0))
+        t0 = _f_add(cfg, lmul(cfg, b0, g0), lmul(cfg, r, lmul(cfg, b1, ng1)))
+        t1 = _f_add(cfg, lmul(cfg, b0, ng1), lmul(cfg, b1, g0))
+        s0.append(lmul(cfg, t0, pi))
+        s1.append(lmul(cfg, t1, pi))
+        s2 += (lmul(cfg, a0, g0), lmul(cfg, r, lmul(cfg, a1, g1)))
+        s3 += (lmul(cfg, a0, g1), lmul(cfg, a1, g0))
+        s2 += (lmul(cfg, b0, c0), lmul(cfg, r, lmul(cfg, b1, nc1)))
+        s3 += (lmul(cfg, b0, nc1), lmul(cfg, b1, c0))
+    return (_f_sum(cfg, s0), _f_sum(cfg, s1), _f_sum(cfg, s2), _f_sum(cfg, s3))
 
 
 def legendre(a: int, p: int) -> int:

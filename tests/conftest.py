@@ -1,8 +1,12 @@
 import pytest
+from hypothesis import settings
 
-from hermiwitt import padic
+from hermiwitt import hermitian, padic
 from hermiwitt.padic import FieldConfig, QuadExtElement
 from hermiwitt.quaternion import QuaternionElement
+
+# a wider search for CI: python -m pytest --hypothesis-profile=ci
+settings.register_profile("ci", max_examples=1000)
 
 
 @pytest.fixture(scope="session")
@@ -21,20 +25,24 @@ def cfg7():
 
 
 def _products(monkeypatch, cls):
-    """count(fn, *args): how many times fn(*args) calls cls.__mul__."""
+    """count(fn, *args): how many times fn(*args) calls cls.__mul__, plus,
+    for quaternions, the products that hermitian's fused D dot takes, one
+    per pair of entries it is given."""
     def count(fn, *args):
         calls = [0]
-        mul = cls.__mul__
 
-        def counting_mul(x, y):
-            calls[0] += 1
-            return mul(x, y)
+        def counting(f, products):
+            def g(*a):
+                calls[0] += products(*a)
+                return f(*a)
+            return g
 
-        monkeypatch.setattr(cls, "__mul__", counting_mul)
-        try:
+        with monkeypatch.context() as m:
+            m.setattr(cls, "__mul__", counting(cls.__mul__, lambda x, y: 1))
+            if cls is QuaternionElement:
+                m.setattr(hermitian, "_d_dot", counting(
+                    hermitian._d_dot, lambda cfg, r, xs, ys: min(len(xs), len(ys))))
             fn(*args)
-        finally:
-            monkeypatch.setattr(cls, "__mul__", mul)
         return calls[0]
 
     return count

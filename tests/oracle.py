@@ -237,7 +237,10 @@ def digest(x):
 
 
 def coords(x):
-    """The F-coordinates of an element, in the order of its digest."""
+    """The F-coordinates of an element, or of each element of a list in
+    turn, in the order of its digest."""
+    if isinstance(x, list):
+        return [c for e in x for c in coords(e)]
     return [x] if isinstance(x, FElement) else coords(x.a) + coords(x.b)
 
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import pickle
 import random
@@ -20,6 +21,12 @@ from hermiwitt.padic import (
     FieldConfig,
     QuadExtElement,
     QuadExtField,
+    _f_add,
+    _f_lmul,
+    _f_make,
+    _f_neg,
+    _f_sum,
+    _f_zero,
     find_nonsquare_unit_L,
     legendre,
     norm_trace_L,
@@ -525,6 +532,21 @@ def test_dot_refusal_messages_pinned():
         "699c7af6d0fb19212e09034058ccd16c29ad2eeecf70f1a90514a96ccc6ca99a"
 
 
+def test_d_dot_scales_after_summing():
+    """B*tau(G) cancels here from valuation -2 to -1, and its pi_F scaling
+    keeps one digit more on the sum than on its terms one by one: the fused
+    D dot sums before scaling, as the product does, and gives x * y."""
+    from hermiwitt.hermitian import row_dot
+
+    cfg = FieldConfig(5, 32)
+    f = lambda unit: FElement._make(cfg, -1, unit, 32)
+    x = Q(cfg.L_field.zero(), QuadExtElement(cfg.L_field, f(1), f(1)))
+    y = Q(cfg.L_field.zero(), QuadExtElement(cfg.L_field, f(6 * cfg.nonresidue_r), f(1)))
+    z = Q.zero(cfg)
+    assert (x * y).a.a.prec == 31
+    assert digest(row_dot([x, z], [y, z])) == digest(x * y)
+
+
 def test_elements_pickle_after_arithmetic(cfg5):
     """An element holds its field and its coordinate triples, and fields
     cache no product kernel: a pickled element round-trips and multiplies
@@ -661,11 +683,14 @@ def test_operation_is_precision_honest(kind, op, p, N):
 
 def test_kernel_results_are_canonical():
     """Every F-coordinate that +, -, *, /, inv, the norm, the trace,
-    scale_f and shift return on the honesty draws is a canonical triple: a
+    scale_f, shift, row_dot and dmat_mul return on the honesty draws is a
+    canonical triple: a
     zero holds unit 0 and 0 < prec <= N, any other coordinate val < prec
     <= N and a unit 0 < unit < p^(prec - val) prime to p.  The product
     kernel leaves units unreduced between its own steps; none may leave
     it, since equality, hashing, _uinv and serialization read the unit."""
+    from hermiwitt.hermitian import dmat_mul, row_dot
+
     checked = 0
     for p, N in ((3, 10), (5, 32), (13, 128)):
         for kind in KINDS:
@@ -678,6 +703,8 @@ def test_kernel_results_are_canonical():
                        lambda: x.shift(k)]
                 if kind != "F":
                     ops += [lambda: x.norm(), lambda: x.trace()]
+                ops += [lambda: row_dot([x, y, x], [y, y, x]),
+                        lambda: dmat_mul([[x, y], [y, x]], [[y, x], [x, y]])]
                 for op in ops:
                     try:
                         z = op()
@@ -692,6 +719,55 @@ def test_kernel_results_are_canonical():
                             assert 0 < c.unit < p ** (c.prec - c.val), c
                         checked += 1
     assert checked >= 30000
+
+
+
+_SUM_CONFIGS = [FieldConfig(3, 10), FieldConfig(5, 32), FieldConfig(13, 128)]
+
+
+@st.composite
+def _sum_terms(draw):
+    """A config and 2-6 terms for _f_sum.  A term is an F-triple like
+    truncated's (valuation -1..2 known to N-3..N digits, or a zero known to
+    1-2 or N digits), a lazy _f_lmul product of two such with its unit
+    unreduced, positive or negated, or the negation of an earlier term, so
+    that sums cancel."""
+    cfg = draw(st.sampled_from(_SUM_CONFIGS))
+    p, N = cfg.p, cfg.precision
+
+    def triple():
+        if draw(st.integers(0, 5)) == 0:
+            return _f_zero(cfg, draw(st.sampled_from((1, 2, N))))
+        unit = draw(st.integers(0, p ** (N - 1) - 1)) * p + draw(st.integers(1, p - 1))
+        return _f_make(cfg, draw(st.integers(-1, 2)), unit, N - draw(st.integers(0, 3)))
+
+    terms = []
+    for _ in range(draw(st.integers(2, 6))):
+        kind = draw(st.sampled_from(("triple", "lazy", "-lazy", "neg")))
+        if kind == "neg" and terms:
+            terms.append(_f_neg(cfg, draw(st.sampled_from(terms))))
+        elif kind.endswith("lazy"):
+            try:
+                v, u, k = _f_lmul(cfg, triple(), triple())
+            except PrecisionExhausted:
+                continue
+            terms.append((v, -u if kind == "-lazy" and v is not None else u, k))
+        else:
+            terms.append(triple())
+    if len(terms) < 2:
+        terms.append(triple())
+    return cfg, terms
+
+
+@settings(deadline=None)
+@given(_sum_terms())
+def test_f_sum_is_the_fold(case):
+    """_f_sum reduces its terms once and gives exactly the triple that the
+    left fold of _f_add gives: a sum's class mod p^(least precision) does
+    not depend on its bracketing."""
+    cfg, terms = case
+    assert _f_sum(cfg, terms) == functools.reduce(
+        lambda s, t: _f_add(cfg, s, t), terms)
 
 
 # -- precision honesty of square roots and norm equations in L and E -------------
