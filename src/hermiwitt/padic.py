@@ -11,18 +11,17 @@ L and E (``QuadExtElement``) and the quaternions D (``quaternion``) share.
 An L or E element holds its two F-coordinates, a D element its four, as one
 flat tuple ``c`` of (val, unit, prec) int triples, and all their arithmetic
 runs on ``c`` through the ``_f_*`` kernel, which holds F's precision rules
-once: ``_e_mul`` is the product of L and E, and ``_d_mul`` that of D, four
-``_e_mul`` over L.  A product in them that only feeds a sum or a product
-keeps its unit unreduced (``_f_lmul``) for the sum to reduce once; no such
-unit leaves the kernel.  A D dot product (``_d_dot``) reduces each output
-coordinate once: ``_f_sum`` adds all of its products' terms, since a sum's
-class mod p^(least precision) does not depend on its bracketing, but
-B*tau(G) is still summed before its pi_F scaling, whose precision depends
-on the sum's valuation.  The involution, trace, inverse and ``in_f`` of
-L, E and D exist once, in ``QuadExt``; only a result is built as an
-object.  A divisor's unit is inverted once: an F divisor keeps it, and an
-inverse conj(x) / N(x) divides every coordinate by the norm through
-``_f_div``.
+once: ``_e_mul`` is the product of L and E, and the dot product ``_d_dot``
+that of D, a single product being the one-pair dot.  A product in them
+that only feeds a sum or a product keeps its unit unreduced (``_f_lmul``)
+for the sum to reduce once; no such unit leaves the kernel.  ``_d_dot``
+reduces each output coordinate once, by ``_f_sum``: a sum's class mod
+p^(least precision) does not depend on its bracketing, so one product has
+the digits and refusals of its straight-line fold.  The involution, trace,
+inverse and ``in_f`` of L, E and D exist once, in ``QuadExt``; only a
+result is built as an object.  A divisor's unit is inverted once: an F
+divisor keeps it, and an inverse conj(x) / N(x) divides every coordinate
+by the norm through ``_f_div``.
 """
 
 from __future__ import annotations
@@ -40,14 +39,33 @@ from .errors import (
 )
 
 
+# Miller-Rabin on the first 13 primes as bases decides primality exactly
+# below this bound, the least strong pseudoprime to all of them; the first
+# 12 alone are fooled by 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Whether n is prime, for n < _MR_BOUND: deterministic Miller-Rabin."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -164,22 +182,6 @@ def _e_norm(cfg: FieldConfig, d: tuple, x: tuple) -> tuple:
                   _f_neg(cfg, _f_mul(cfg, _f_lmul(cfg, d, x[1]), x[1])))
 
 
-def _d_mul(cfg: FieldConfig, r: tuple, x: tuple, y: tuple) -> tuple:
-    """(A + B*pi_D)(C + G*pi_D) = (A*C + (B*tau(G))*pi_F) + (A*G + B*tau(C))*pi_D
-    on the coordinates (a0, a1, b0, b1) of D, with A, B, C, G in L = F[u],
-    u^2 = r, and the L-products by ``_e_mul``, in this order."""
-    a0, a1, b0, b1 = x
-    c0, c1, g0, g1 = y
-    pi = cfg._pi._t
-    s0, s1 = _e_mul(cfg, r, (a0, a1), (c0, c1))
-    t0, t1 = _e_mul(cfg, r, (b0, b1), (g0, _f_neg(cfg, g1)))
-    t0, t1 = _f_lmul(cfg, t0, pi), _f_lmul(cfg, t1, pi)
-    s0, s1 = _f_add(cfg, s0, t0), _f_add(cfg, s1, t1)
-    u0, u1 = _e_mul(cfg, r, (a0, a1), (g0, g1))
-    w0, w1 = _e_mul(cfg, r, (b0, b1), (c0, _f_neg(cfg, c1)))
-    return (s0, s1, _f_add(cfg, u0, w0), _f_add(cfg, u1, w1))
-
-
 def _f_sum(cfg: FieldConfig, terms: list) -> tuple:
     """The left fold of _f_add over two or more terms, exactly, with one
     reduction: every term aligned to the least valuation, added, reduced
@@ -194,19 +196,26 @@ def _f_sum(cfg: FieldConfig, terms: list) -> tuple:
     if v is None or v >= k:
         return _f_zero(cfg, k)
     ppow = cfg.ppow
-    s = sum([u * ppow(tv - v) for tv, u, _ in terms if tv is not None]) % ppow(k - v)
+    s = 0
+    for tv, u, _ in terms:
+        if tv is not None:
+            s += u if tv == v else u * ppow(tv - v)
+    s %= ppow(k - v)
+    if s % cfg.p:
+        return (v, s, k)
     if s == 0:
         return _f_zero(cfg, k)
     w = _vp(s, cfg.p)
-    return (v + w, s // ppow(w) if w else s, k)
+    return (v + w, s // ppow(w), k)
 
 
 def _d_dot(cfg: FieldConfig, r: tuple, xs: list, ys: list) -> tuple:
-    """sum_i xs[i] * ys[i] on D-coordinates: every F-product by _d_mul's
-    rule and in its order, so the same refusal comes first, and each output
-    coordinate's terms summed by one _f_sum.  B*tau(G) is summed before its
-    pi_F scaling, as in _d_mul: the scaled sum's precision depends on its
-    valuation, which cancellation can raise."""
+    """sum_i xs[i] * ys[i] on D-coordinates (a0, a1, b0, b1), D's one product
+    kernel (x * y is the one-pair dot): each pair is (A + B*pi_D)(C + G*pi_D)
+    = (A*C + (B*tau(G))*pi_F) + (A*G + B*tau(C))*pi_D over L = F[u], u^2 = r,
+    its F-products in this fixed order, and each output coordinate is one
+    _f_sum, the exact fold of _f_add.  B*tau(G) is summed before its pi_F
+    scaling, whose precision depends on the sum's valuation."""
     lmul, pi = _f_lmul, cfg._pi._t
     s0, s1, s2, s3 = [], [], [], []
     for (a0, a1, b0, b1), (c0, c1, g0, g1) in zip(xs, ys):
@@ -282,6 +291,8 @@ class FieldConfig:
     precision: int = 32
 
     def __post_init__(self):
+        if self.p >= _MR_BOUND:
+            raise ValueError(f"p must be below {_MR_BOUND}, got {self.p}")
         if not _is_prime(self.p) or self.p < 3:
             raise ValueError(f"p must be an odd prime, got {self.p}")
         if self.precision < 1:

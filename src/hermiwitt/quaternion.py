@@ -6,14 +6,14 @@ w = pi_D, w^2 = pi_F and theta = tau, ramified over L.  An element holds L
 as its ``field`` and the F-coordinates (a0, a1, b0, b1) of a = a0 + a1*u and
 b = b0 + b1*u.  Its ring layer, nu_D, ``conj``, ``trd`` and the inverse
 conj(x) / Nrd(x) are the shared ones; this module adds the twisted product
-(``padic._d_mul``), Nrd and the orthogonal anti-involution rho, which fixes
-L and pi_D: its symmetric space is L + F*pi_D, its skew space F*u*pi_D.
+(the one-pair ``padic._d_dot``), Nrd and the orthogonal anti-involution rho,
+which fixes L and pi_D: symmetric space L + F*pi_D, skew space F*u*pi_D.
 """
 
 from __future__ import annotations
 
 from .errors import PrecisionExhausted
-from .padic import (FElement, FieldConfig, QuadExt, QuadExtElement, _d_mul,
+from .padic import (FElement, FieldConfig, QuadExt, QuadExtElement, _d_dot,
                     _e_norm, _f_add, _f_mul, _f_neg, tau_conj)
 
 
@@ -74,7 +74,7 @@ class QuaternionElement(QuadExt):
         if o is None:
             return NotImplemented
         L = self.field
-        return self._of(_d_mul(L.cfg, L.delta._t, self.c, o.c))
+        return self._of(_d_dot(L.cfg, L.delta._t, (self.c,), (o.c,)))
 
     def rho(self) -> QuaternionElement:
         """The orthogonal anti-involution: a + b*pi_D -> a + tau(b)*pi_D."""

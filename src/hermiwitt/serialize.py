@@ -98,7 +98,10 @@ def f_from_json(cfg: FieldConfig, obj) -> FElement:
     else:
         unit = 0
         for i, d in enumerate(digits):
-            unit += _int(d, "digit") * cfg.p**i
+            d = _int(d, "digit")
+            if not 0 <= d < cfg.p:
+                raise MalformedInput(f"digit {d} is not in 0..{cfg.p - 1}")
+            unit += d * cfg.p**i
         if unit % cfg.p == 0:
             raise MalformedInput("unit part must not be divisible by p")
         val = _int(val, "val")

@@ -27,7 +27,10 @@ def cfg7():
 def _products(monkeypatch, cls):
     """count(fn, *args): how many times fn(*args) calls cls.__mul__, plus,
     for quaternions, the products that hermitian's fused D dot takes, one
-    per pair of entries it is given."""
+    per pair of entries it is given.  No product counts twice: __mul__
+    calls quaternion's own binding of padic._d_dot, and only hermitian's
+    binding is patched here, so a row_dot counts its pairs and a multiply
+    counts once."""
     def count(fn, *args):
         calls = [0]
 

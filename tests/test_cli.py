@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -144,12 +145,17 @@ def _endo_doc(eps, wtd_odd, lift=False):
         {"epsilon": 1, "gram": [[_f_elem(val=0, digits=[True])]]})],
     ["decompose", "--form", json.dumps(
         {"epsilon": 1, "gram": [[_f_elem(val=0, digits="12")]]})],
+    ["decompose", "--form", json.dumps(
+        {"epsilon": 1, "gram": [[_f_elem(val=0, digits=[7, 1], prec=3)]]})],
+    ["decompose", "--form", json.dumps(
+        {"epsilon": 1, "gram": [[_f_elem(val=0, digits=[1, -3], prec=3)]]})],
 ], ids=["digit", "val", "epsilon-2", "epsilon-x", "transfer-epsilon-2",
         "gram-empty", "tower-gram-empty", "H-empty", "H-ragged", "H-non-square",
         "endo-epsilon-x", "endo-h-class-bogus", "endo-m-x",
         "endo-wtd-odd-bogus", "endo-wtd-odd-g1-skew", "endo-wtd-odd-string",
         "endo-null-witt-class-bogus", "digit-float", "val-float",
-        "epsilon-true", "digit-true", "digits-string"])
+        "epsilon-true", "digit-true", "digits-string", "digit-above-p",
+        "digit-negative"])
 def test_malformed_json_exits_1(capsys, argv):
     rc = run(argv)
     captured = capsys.readouterr()
@@ -576,6 +582,35 @@ def test_help_is_returned_not_raised(capsys, argv):
     rc, out = run_cli(capsys, *argv)
     assert rc == 0
     assert out.startswith("usage: hermiwitt")
+
+
+def test_large_prime_answers_quickly(capsys):
+    """A prime near 10^18 is certified by Miller-Rabin, not trial division:
+    the request answers within 2 s (an alarm stops it otherwise)."""
+    def too_slow(signum, frame):
+        raise TimeoutError("classify at p = 10^18 + 3 took over 2 s")
+
+    old = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        rc, out = run_cli(capsys, "--prime", "1000000000000000003", "classify",
+                          "--epsilon", "1", "--element", '"1"')
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert (rc, out) == (0, '{"anisotropic_dim":1,"class":["g1"]}\n')
+
+
+@pytest.mark.parametrize("prime", [
+    "1000000000000000001",  # 101 * 9901 * 999999000001
+    "318665857834031151167461",  # strong pseudoprime to the first 12 primes
+    "3317044064679887385961981",  # Miller-Rabin's exactness bound
+], ids=["composite-1e18", "psi12", "mr-bound"])
+def test_composite_or_huge_prime_exits_1(capsys, prime):
+    rc = run(["--prime", prime, "classify", "--epsilon", "1", "--element", '"1"'])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith("error: p must be")
 
 
 def test_error_text_is_independent_of_hash_seed():

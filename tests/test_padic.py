@@ -27,6 +27,7 @@ from hermiwitt.padic import (
     _f_neg,
     _f_sum,
     _f_zero,
+    _is_prime,
     find_nonsquare_unit_L,
     legendre,
     norm_trace_L,
@@ -234,6 +235,18 @@ def test_tonelli_shanks_against_enumeration():
         for a in squares:
             s = sqrt_mod_p(a, p)
             assert s * s % p == a
+
+
+def test_is_prime_against_trial_division():
+    """Miller-Rabin agrees with trial division below 20000, and on the
+    strong pseudoprimes to the bases 2..7 and 2..23 (3215031751 and
+    3825123056546413051, both composite)."""
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(20000) if _is_prime(n) != trial(n)] == []
+    assert not _is_prime(3215031751) and not _is_prime(3825123056546413051)
+    assert _is_prime(1000000000000000003) and _is_prime(2**61 - 1)
 
 
 def test_norm_equation_solver(cfg5):
@@ -703,7 +716,8 @@ def test_kernel_results_are_canonical():
                        lambda: x.shift(k)]
                 if kind != "F":
                     ops += [lambda: x.norm(), lambda: x.trace()]
-                ops += [lambda: row_dot([x, y, x], [y, y, x]),
+                ops += [lambda: row_dot([x], [y]),
+                        lambda: row_dot([x, y, x], [y, y, x]),
                         lambda: dmat_mul([[x, y], [y, x]], [[y, x], [x, y]])]
                 for op in ops:
                     try:
