@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -168,6 +169,55 @@ def test_random_configs_match_closed_form(cfg5):
         for fm in out:
             ok, diags = en.validate(fm)
             assert ok, diags
+
+
+def _damaged_lifts(cfg, seed, n):
+    """n seeded lifts from selftest's random configurations; one in three
+    is damaged: a lift value set to 0, -1 or an odd number, h_class moved
+    by one generator, the last value raised by 1, or a second null block."""
+    r = rg.rng(seed)
+    for i in range(n):
+        entries, eps, m, h = st._random_token_config(cfg, r)
+        if i % 3 == 0:
+            kind = r.randrange(4)
+            k = r.randrange(len(entries))
+            if kind == 0:
+                f = r.choice([0, -1, 2 * r.randint(0, 3) + 1])
+                entries[k] = en.LiftEntry(entries[k].token, f)
+            elif kind == 1:
+                gens = ["g1", "galpha", "gpi"] if eps == 1 else ["gskew"]
+                h = h + WittClassD.of(eps, r.choice(gens))
+            elif kind == 2:
+                entries[-1] = en.LiftEntry(entries[-1].token, entries[-1].f + 1)
+            else:
+                entries.append(en.LiftEntry(
+                    en.EndoClassToken("z2", "simple_null", 1), 2 * r.randint(1, 3)))
+        yield entries, eps, m, h
+
+
+def test_enumeration_outcomes_pinned(cfg5):
+    """The JSON of every parameter enumerate_parameters returns on 1500
+    seeded lifts, a third of them damaged, or the class and message of its
+    refusal, hashes to the recorded digest: a rewrite of the enumeration
+    keeps every parameter, their order and every refusal."""
+    out = []
+    for entries, eps, m, h in _damaged_lifts(cfg5, 23, 1500):
+        try:
+            res = en.enumerate_parameters(entries, eps, m, h)
+            out.append([json.dumps(sz.parameter_to_json(fm), sort_keys=True)
+                        for fm in res])
+        except (InvalidParameter, InfeasibleLift) as exc:
+            out.append((type(exc).__name__, str(exc)))
+    messages = ("at most one null class can occur",
+                "lift value must be positive on support",
+                "divisibility fails on", "lift parity contradicts",
+                "no parity assignment matches the lift")
+    refused = [o[1] for o in out if isinstance(o, tuple)]
+    assert {m for m in messages for msg in refused
+            if msg.startswith(m)} == set(messages)
+    assert len(refused) == 500
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == \
+        "233d878c1bbfa5f97f16c2e2fc82f05aeb0d666a92ec8142341b182074becd23"
 
 
 def test_parameter_json_roundtrip():
