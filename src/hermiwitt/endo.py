@@ -237,8 +237,13 @@ class LiftEntry:
 def enumerate_parameters(entries, epsilon: int, m: int,
                          h_class: WittClassD) -> list[EndoParameter]:
     """All valid endo-parameters with the given grouped lift and ambient
-    Witt class.  For each simple non-null fixed class both same-parity
-    towers appear; a null class value is pinned by the Witt-sum constraint."""
+    Witt class.  The product runs over the (token, f1, f2) choices of the
+    non-null classes: both same-parity towers of each simple non-null
+    class, the hyperbolic type of each non-simple pair.  The null block,
+    if any, has no choice: its type is the Witt class that the sum still
+    lacks, and its f1 follows from f = 2 f1 + 2 diman, so an element
+    whose f is odd or whose f1 is negative or odd has no null block and is
+    skipped.  validate certifies each parameter that is kept."""
     nulls = [e for e in entries if e.token.kind == "simple_null"]
     if len(nulls) > 1:
         raise InvalidParameter("at most one null class can occur")
@@ -254,50 +259,28 @@ def enumerate_parameters(entries, epsilon: int, m: int,
         elif tok.kind == "simple_nonnull":
             if f % 2 != tok.aniso_parity % 2:
                 raise InfeasibleLift(f"lift parity contradicts {tok.id}")
-            opts = []
             if f % 2:
-                f1 = (f - 1) // 2
-                opts.append((tok, f1, WittType.simple(tok, 1, 0)))
-                opts.append((tok, f1, WittType.simple(tok, 1, 1)))
+                choices.append([(tok, f // 2, WittType.simple(tok, 1, s))
+                                for s in (0, 1)])
             else:
-                opts.append((tok, f // 2, WittType.hyperbolic()))
-                if f // 2 - 1 >= 0:
-                    opts.append((tok, f // 2 - 1, WittType.simple(tok, 2)))
-            choices.append(opts)
-        else:
-            choices.append([("null", tok, f)])
+                choices.append([(tok, f // 2, WittType.hyperbolic()),
+                                (tok, f // 2 - 1, WittType.simple(tok, 2))])
     out = []
-    for combo in itertools.product(*choices):
-        support = []
+    for support in itertools.product(*choices):
         used = WittClassD.zero(epsilon)
-        null_item = None
-        ok = True
-        for item in combo:
-            if item[0] == "null":
-                null_item = item
+        for _, _, f2 in support:
+            used = used + f2.wt_d(epsilon)
+        if nulls:
+            tok, f = nulls[0].token, nulls[0].f
+            f2 = WittType.null((h_class + used).coords)
+            f1 = f // 2 - f2.diman()
+            if f % 2 or f1 < 0 or f1 % 2:
                 continue
-            support.append(item)
-            used = used + item[2].wt_d(epsilon)
-        if null_item is not None:
-            _, tok, f = null_item
-            if f % 2:
-                ok = False
-            else:
-                need = h_class + used  # XOR difference
-                f2 = WittType.null(need.coords)
-                f1 = f // 2 - f2.diman()
-                if f1 < 0 or f1 % 2:
-                    ok = False
-                else:
-                    support.append((tok, f1, f2))
-        else:
-            if used != h_class:
-                ok = False
-        if not ok:
+            support += ((tok, f1, f2),)
+        elif used != h_class:
             continue
-        fm = EndoParameter(epsilon, m, h_class, tuple(support))
-        valid, _ = validate(fm)
-        if valid:
+        fm = EndoParameter(epsilon, m, h_class, support)
+        if validate(fm)[0]:
             out.append(fm)
     if not out:
         raise InfeasibleLift("no parity assignment matches the lift")

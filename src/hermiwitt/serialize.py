@@ -3,11 +3,12 @@ elements, quaternions, forms, E(x)D forms, endo-parameters and lifts.
 
 All big integers are serialized as strings.  F-elements are emitted as
 {"base": "F", "val": v, "digits": [d0, ...], "prec": k} with base-p digits
-of the unit part, little-endian, and the absolute precision k; on input k
-is capped at the configured precision and may be omitted for full
-precision, and a bare integer string is accepted as shorthand.  L-elements
-(and E-elements) are {"a": <F>, "b": <F>}, quaternions {"a": <L>, "b": <L>},
-forms {"epsilon": e, "rank": n, "gram": [[...]]}.  A reader checks each
+of the unit part, little-endian, and the absolute precision k; on input an
+element that gives k lists at most k - val digits, k is capped at the
+configured precision and may be omitted for full precision, and a bare
+integer string is accepted as shorthand.  L-elements (and E-elements) are
+{"a": <F>, "b": <F>}, quaternions {"a": <L>, "b": <L>}, forms
+{"epsilon": e, "rank": n, "gram": [[...]]}.  A reader checks each
 piece of a document before it uses it, most through _field and _items, so a
 missing or ill-typed piece raises MalformedInput.
 """
@@ -113,6 +114,9 @@ def f_from_json(cfg: FieldConfig, obj) -> FElement:
         raise MalformedInput(f"prec must be a positive integer, got {prec!r}")
     if val is not None and val >= prec:
         raise MalformedInput("val must be below prec")
+    if val is not None and len(digits) > prec - val:
+        raise MalformedInput(
+            f"{len(digits)} digits at val {val} exceed prec {prec}")
     # adding O(p^prec) caps the absolute precision at prec
     return x + cfg.f_zero().shift(prec - cfg.precision)
 
@@ -183,7 +187,8 @@ def edform_from_json(cfg: FieldConfig, obj):
         raise MalformedInput("E(x)D form must carry 'delta' and 'H'")
     delta = f_from_json(cfg, obj["delta"])
     data = split(cfg, delta)
-    H = [[e_from_json(data.E, x) for x in row] for row in _square(obj["H"], "H")]
+    H = [[e_from_json(data.E, x) for x in row]
+         for row in _square(obj["H"], "H", obj.get("t"))]
     ed = EDForm(data, _epsilon(obj, "E(x)D form"), tuple(tuple(r) for r in H))
     if not ed.validate():
         raise MalformedInput("H is not eps-hermitian nondegenerate over E")
