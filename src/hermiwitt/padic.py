@@ -17,11 +17,21 @@ that only feeds a sum or a product keeps its unit unreduced (``_f_lmul``)
 for the sum to reduce once; no such unit leaves the kernel.  ``_d_dot``
 reduces each output coordinate once, by ``_f_sum``: a sum's class mod
 p^(least precision) does not depend on its bracketing, so one product has
-the digits and refusals of its straight-line fold.  The involution, trace,
-inverse and ``in_f`` of L, E and D exist once, in ``QuadExt``; only a
-result is built as an object.  A divisor's unit is inverted once: an F
-divisor keeps it, and an inverse conj(x) / N(x) divides every coordinate
-by the norm through ``_f_div``.
+the digits and refusals of its straight-line fold.  When every coordinate
+and constant (r, pi_F, the delta of E or L) is integral and known to N
+digits, ``_d_dot`` and ``_e_mul`` compute each output coordinate as one
+integer mod p^N, and claim exactly the digits of their tracked paths:
+for x, y integral and known to N, ``_f_lmul`` gives k = min(N, v + min(N -
+xv, N - yv)) = N; its zero branches give N + v >= N, capped at N; the
+pi_F scaling gives min(k + 1, v + N), capped at N.  So every term the sum
+sees is known to N digits, nothing can raise, and the sum's class mod p^N
+does not depend on its bracketing.  Any other input takes the tracked
+path, ``_d_dot_tracked`` or ``_e_mul_tracked``.
+
+The involution, trace, inverse and ``in_f`` of L, E and D exist once, in
+``QuadExt``; only a result is built as an object.  A divisor's unit is
+inverted once: an F divisor keeps it, and an inverse conj(x) / N(x)
+divides every coordinate by the norm through ``_f_div``.
 """
 
 from __future__ import annotations
@@ -167,9 +177,45 @@ def _f_shift(cfg: FieldConfig, x: tuple, k: int) -> tuple:
     return _f_make(cfg, v + k, u, prec + k)
 
 
+def _f_ints(cfg: FieldConfig, ts) -> list | None:
+    """The integer p^val * unit of each triple (0 for a zero) when every one
+    is integral and known to N digits, where F's product rule keeps all N
+    digits of every product and sum (module docstring); else None."""
+    n, ppow, out = cfg.precision, cfg.ppow, []
+    for v, u, k in ts:
+        if k != n or v is not None and v < 0:
+            return None
+        out.append(0 if v is None else u * ppow(v) if v else u)
+    return out
+
+
+def _f_reduce(cfg: FieldConfig, v: int, s: int, k: int) -> tuple:
+    """p^v * s known to k > v digits: s mod p^(k - v), stripped of p once."""
+    ppow, p = cfg.ppow, cfg.p
+    s %= ppow(k - v)
+    if s % p:
+        return (v, s, k)
+    if s == 0:
+        return _f_zero(cfg, k)
+    w = _vp(s, p)
+    return (v + w, s // ppow(w), k)
+
+
 def _e_mul(cfg: FieldConfig, d: tuple, x: tuple, y: tuple) -> tuple:
-    """(x0 + x1*w)(y0 + y1*w) with w^2 = d on coordinate pairs of F-triples:
-    x0*y0 + d*(x1*y1), x0*y1 + x1*y0, in this order."""
+    """(x0 + x1*w)(y0 + y1*w) with w^2 = d on coordinate pairs of F-triples,
+    as integers mod p^N when d, x and y are integral and known to N digits,
+    else by _e_mul_tracked."""
+    m = _f_ints(cfg, (*x, *y, d))
+    if m is None:
+        return _e_mul_tracked(cfg, d, x, y)
+    x0, x1, y0, y1, d = m
+    return (_f_reduce(cfg, 0, x0 * y0 + d * (x1 * y1), cfg.precision),
+            _f_reduce(cfg, 0, x0 * y1 + x1 * y0, cfg.precision))
+
+
+def _e_mul_tracked(cfg: FieldConfig, d: tuple, x: tuple, y: tuple) -> tuple:
+    """_e_mul by F's precision rules: x0*y0 + d*(x1*y1), x0*y1 + x1*y0, in
+    this order."""
     x0, x1 = x
     y0, y1 = y
     return (_f_add(cfg, _f_lmul(cfg, x0, y0), _f_lmul(cfg, d, _f_lmul(cfg, x1, y1))),
@@ -200,22 +246,34 @@ def _f_sum(cfg: FieldConfig, terms: list) -> tuple:
     for tv, u, _ in terms:
         if tv is not None:
             s += u if tv == v else u * ppow(tv - v)
-    s %= ppow(k - v)
-    if s % cfg.p:
-        return (v, s, k)
-    if s == 0:
-        return _f_zero(cfg, k)
-    w = _vp(s, cfg.p)
-    return (v + w, s // ppow(w), k)
+    return _f_reduce(cfg, v, s, k)
 
 
 def _d_dot(cfg: FieldConfig, r: tuple, xs: list, ys: list) -> tuple:
     """sum_i xs[i] * ys[i] on D-coordinates (a0, a1, b0, b1), D's one product
     kernel (x * y is the one-pair dot): each pair is (A + B*pi_D)(C + G*pi_D)
-    = (A*C + (B*tau(G))*pi_F) + (A*G + B*tau(C))*pi_D over L = F[u], u^2 = r,
-    its F-products in this fixed order, and each output coordinate is one
-    _f_sum, the exact fold of _f_add.  B*tau(G) is summed before its pi_F
-    scaling, whose precision depends on the sum's valuation."""
+    = (A*C + (B*tau(G))*pi_F) + (A*G + B*tau(C))*pi_D over L = F[u], u^2 = r.
+    When r and every coordinate are integral and known to N digits, each
+    output coordinate is one integer polynomial mod p^N (pi_F = p is too);
+    else _d_dot_tracked."""
+    ms = [_f_ints(cfg, (*x, *y, r)) for x, y in zip(xs, ys)]
+    if None in ms:
+        return _d_dot_tracked(cfg, r, xs, ys)
+    p, n, s0, s1, s2, s3 = cfg.p, cfg.precision, 0, 0, 0, 0
+    for a0, a1, b0, b1, c0, c1, g0, g1, r in ms:
+        s0 += a0 * c0 + r * a1 * c1 + p * (b0 * g0 - r * b1 * g1)
+        s1 += a0 * c1 + a1 * c0 + p * (b1 * g0 - b0 * g1)
+        s2 += a0 * g0 + r * a1 * g1 + b0 * c0 - r * b1 * c1
+        s3 += a0 * g1 + a1 * g0 + b1 * c0 - b0 * c1
+    return (_f_reduce(cfg, 0, s0, n), _f_reduce(cfg, 0, s1, n),
+            _f_reduce(cfg, 0, s2, n), _f_reduce(cfg, 0, s3, n))
+
+
+def _d_dot_tracked(cfg: FieldConfig, r: tuple, xs: list, ys: list) -> tuple:
+    """_d_dot by F's precision rules: each pair's F-products in this fixed
+    order, and each output coordinate one _f_sum, the exact fold of _f_add.
+    B*tau(G) is summed before its pi_F scaling, whose precision depends on
+    the sum's valuation."""
     lmul, pi = _f_lmul, cfg._pi._t
     s0, s1, s2, s3 = [], [], [], []
     for (a0, a1, b0, b1), (c0, c1, g0, g1) in zip(xs, ys):
@@ -420,10 +478,7 @@ class FElement(Ring):
 
     @classmethod
     def from_int(cls, cfg: FieldConfig, n: int) -> FElement:
-        if n == 0:
-            return cls._zeroish(cfg, cfg.precision)
-        v = _vp(abs(n), cfg.p)
-        return cls._make(cfg, v, n // cfg.p**v, cfg.precision)
+        return cls(cfg, *_f_reduce(cfg, 0, n, cfg.precision))
 
     # -- predicates -------------------------------------------------------
     def is_zero(self) -> bool:

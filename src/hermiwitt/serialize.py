@@ -4,11 +4,11 @@ elements, quaternions, forms, E(x)D forms, endo-parameters and lifts.
 All big integers are serialized as strings.  F-elements are emitted as
 {"base": "F", "val": v, "digits": [d0, ...], "prec": k} with base-p digits
 of the unit part, little-endian, and the absolute precision k; on input an
-element that gives k lists at most k - val digits, k is capped at the
-configured precision and may be omitted for full precision, and a bare
-integer string is accepted as shorthand.  L-elements (and E-elements) are
-{"a": <F>, "b": <F>}, quaternions {"a": <L>, "b": <L>}, forms
-{"epsilon": e, "rank": n, "gram": [[...]]}.  A reader checks each
+element that gives k lists at most k - val digits, a zero (val null) lists
+none, k is capped at the configured precision and may be omitted for full
+precision, and a bare integer string is accepted as shorthand.  L-elements
+(and E-elements) are {"a": <F>, "b": <F>}, quaternions {"a": <L>, "b":
+<L>}, forms {"epsilon": e, "rank": n, "gram": [[...]]}.  A reader checks each
 piece of a document before it uses it, most through _field and _items, so a
 missing or ill-typed piece raises MalformedInput.
 """
@@ -60,8 +60,10 @@ def _epsilon(obj, what: str) -> int:
 
 def _square(rows, what: str, n=None) -> list:
     """rows, checked to be a non-empty square list of lists, with n rows
-    when n is given."""
-    if n is None and isinstance(rows, list):
+    when n, the declared size, is given."""
+    if n is not None:
+        n = _int(n, f"the declared size of {what}")
+    elif isinstance(rows, list):
         n = len(rows)
     if not (isinstance(rows, list) and rows and len(rows) == n
             and all(isinstance(r, list) and len(r) == n for r in rows)):
@@ -95,6 +97,8 @@ def f_from_json(cfg: FieldConfig, obj) -> FElement:
     if not isinstance(digits, list):
         raise MalformedInput("digits must be a list")
     if val is None:
+        if digits:
+            raise MalformedInput("a zero (val null) lists no digits")
         x = cfg.f_zero()
     else:
         unit = 0

@@ -153,13 +153,19 @@ def _endo_doc(eps, wtd_odd, lift=False):
         {"epsilon": 1, "delta": "2", "t": 5, "H": [["1", "0"], ["0", "1"]]})],
     ["decompose", "--form", json.dumps(
         {"epsilon": 1, "gram": [[_f_elem(val=0, digits=[1, 2, 3, 4], prec=2)]]})],
+    ["transfer", "--form", json.dumps(
+        {"epsilon": 1, "delta": "2", "t": True, "H": [["1"]]})],
+    ["decompose", "--form", json.dumps({"epsilon": 1, "rank": True, "gram": [["1"]]})],
+    ["decompose", "--form", json.dumps(
+        {"epsilon": 1, "gram": [[_f_elem(val=None, digits=[1, 2, 3], prec=2)]]})],
 ], ids=["digit", "val", "epsilon-2", "epsilon-x", "transfer-epsilon-2",
         "gram-empty", "tower-gram-empty", "H-empty", "H-ragged", "H-non-square",
         "endo-epsilon-x", "endo-h-class-bogus", "endo-m-x",
         "endo-wtd-odd-bogus", "endo-wtd-odd-g1-skew", "endo-wtd-odd-string",
         "endo-null-witt-class-bogus", "digit-float", "val-float",
         "epsilon-true", "digit-true", "digits-string", "digit-above-p",
-        "digit-negative", "transfer-t-mismatch", "digits-beyond-prec"])
+        "digit-negative", "transfer-t-mismatch", "digits-beyond-prec",
+        "transfer-t-true", "rank-true", "zero-with-digits"])
 def test_malformed_json_exits_1(capsys, argv):
     rc = run(argv)
     captured = capsys.readouterr()

@@ -21,6 +21,10 @@ from hermiwitt.padic import (
     FieldConfig,
     QuadExtElement,
     QuadExtField,
+    _d_dot,
+    _d_dot_tracked,
+    _e_mul,
+    _e_mul_tracked,
     _f_add,
     _f_lmul,
     _f_make,
@@ -782,6 +786,73 @@ def test_f_sum_is_the_fold(case):
     cfg, terms = case
     assert _f_sum(cfg, terms) == functools.reduce(
         lambda s, t: _f_add(cfg, s, t), terms)
+
+
+@st.composite
+def _kernel_operands(draw):
+    """A config, a product kernel and its operands: _d_dot on 1-4 pairs of
+    D-coordinates with u^2 = r, or _e_mul over L or over the ramified
+    E = F(sqrt(p*r)).  The constant r or delta is known to N digits or to
+    N - 1.  The coordinates at a drawn set of places (none, one, or many)
+    are of one kind that fails the integral-at-N guard: known to fewer
+    digits, of negative valuation, zeros known to fewer digits, or of
+    valuation -3..-1 known to 1-3 digits, whose products can refuse.  The
+    rest are integral and known to N digits, zeros too."""
+    cfg = draw(st.sampled_from(_SUM_CONFIGS))
+    p, N, r = cfg.p, cfg.precision, cfg.nonresidue_r
+
+    def unit():
+        return draw(st.integers(0, p ** (N - 1) - 1)) * p + draw(st.integers(1, p - 1))
+
+    kind = draw(st.integers(0, 3))
+
+    def off():
+        if kind == 0:
+            return _f_make(cfg, draw(st.integers(0, 2)), unit(), N - draw(st.integers(1, 3)))
+        if kind == 1:
+            return _f_make(cfg, draw(st.integers(-3, -1)), unit(), N)
+        if kind == 2:
+            return _f_zero(cfg, draw(st.integers(1, N - 1)))
+        return _f_make(cfg, draw(st.integers(-3, -1)), unit(), draw(st.integers(1, 3)))
+
+    def integral():
+        if draw(st.integers(0, 4)) == 0:
+            return _f_zero(cfg, N)
+        return _f_make(cfg, draw(st.integers(0, 3)), unit(), N)
+
+    known = N - draw(st.integers(0, 1))
+    if draw(st.booleans()):
+        kernel, tracked, n, width = _d_dot, _d_dot_tracked, draw(st.integers(1, 4)), 4
+        const = _f_make(cfg, 0, r, known)
+    else:
+        kernel, tracked, n, width = _e_mul, _e_mul_tracked, 1, 2
+        const = _f_make(cfg, draw(st.integers(0, 1)), r, known)
+    places = draw(st.sets(st.integers(0, 2 * n * width - 1)))
+    c = [off() if i in places else integral() for i in range(2 * n * width)]
+    elements = [tuple(c[i:i + width]) for i in range(0, len(c), width)]
+    x, y = elements[:n], elements[n:]
+    if kernel is _e_mul:
+        x, y = x[0], y[0]
+    return cfg, kernel, tracked, const, x, y
+
+
+def _outcome(kernel, *args):
+    try:
+        return kernel(*args)
+    except HermiwittError as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None)
+@given(_kernel_operands())
+def test_integral_products_are_the_tracked_path(case):
+    """_d_dot and _e_mul, which multiply as integers mod p^N when every
+    coordinate and the constant are integral and known to N digits, give
+    the triples of their tracked paths, or the same refusal: on such inputs
+    F's precision rule keeps N digits on every term, and a sum's class mod
+    p^N does not depend on its bracketing."""
+    cfg, kernel, tracked, const, x, y = case
+    assert _outcome(kernel, cfg, const, x, y) == _outcome(tracked, cfg, const, x, y)
 
 
 # -- precision honesty of square roots and norm equations in L and E -------------

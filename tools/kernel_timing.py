@@ -1,0 +1,100 @@
+"""Per-call time of the L/E and D product kernels of one checkout.
+
+Usage, from anywhere::
+
+    python3 tools/kernel_timing.py ROOT
+
+ROOT is the root of a hermiwitt checkout; its ``src/hermiwitt/padic.py`` is
+imported and timed in this process.  At (p, N) = (5, 32) and (13, 128) the
+script times ``_d_dot`` on one pair and on three pairs of D-coordinate
+tuples, and ``_e_mul`` on pairs of L-coordinates (w^2 = the nonresidue r),
+each with two kinds of seeded operands:
+
+- ``integral``: every coordinate a p-adic unit known to N digits;
+- ``prec_below_N``: the same units known to N - 1 digits.
+
+A round times one batch of calls of every case in turn, so that a drift in
+the machine's speed falls on all cases alike, and the printed figure is the
+median over the rounds of each case's time per call, in microseconds.  The
+one line printed is a JSON object: the checkout, the Python version, the
+rounds and the batch size, and ``us`` by configuration and case.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import random
+import statistics
+import sys
+import time
+
+CONFIGS = ((5, 32), (13, 128))
+ROUNDS = 41
+BATCH = 64
+
+
+def _operands(padic, cfg, prec: int, rng: random.Random):
+    """BATCH operand tuples per kernel: (r, xs, ys) for the one- and
+    three-pair D dots, (d, x, y) for the L product."""
+    p, N = cfg.p, cfg.precision
+
+    def unit():
+        return padic._f_make(cfg, 0, rng.randrange(p ** (N - 1)) * p + rng.randint(1, p - 1), prec)
+
+    def coords(n):
+        return tuple(unit() for _ in range(n))
+
+    r = cfg.L_field.delta._t
+    return {
+        "d_dot_1pair": [(r, [coords(4)], [coords(4)]) for _ in range(BATCH)],
+        "d_dot_3pair": [(r, [coords(4) for _ in range(3)], [coords(4) for _ in range(3)])
+                        for _ in range(BATCH)],
+        "e_mul": [(r, coords(2), coords(2)) for _ in range(BATCH)],
+    }
+
+
+def timings(padic) -> dict:
+    """{"p,N": {"kernel/operands": median µs per call}} for padic's kernels."""
+    kernels = {"d_dot_1pair": padic._d_dot, "d_dot_3pair": padic._d_dot,
+               "e_mul": padic._e_mul}
+    cases = []
+    for p, N in CONFIGS:
+        cfg = padic.FieldConfig(p, N)
+        rng = random.Random(p * 1000 + N)
+        for kind, prec in (("integral", N), ("prec_below_N", N - 1)):
+            for name, args in _operands(padic, cfg, prec, rng).items():
+                cases.append((f"{p},{N}", f"{name}/{kind}", kernels[name], cfg, args))
+    samples = {(c, name): [] for c, name, *_ in cases}
+    for _ in range(ROUNDS):
+        for c, name, kernel, cfg, args in cases:
+            t0 = time.perf_counter()
+            for a in args:
+                kernel(cfg, *a)
+            samples[c, name].append((time.perf_counter() - t0) / BATCH * 1e6)
+    out = {}
+    for (c, name), xs in samples.items():
+        out.setdefault(c, {})[name] = round(statistics.median(xs), 2)
+    return out
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print(__doc__.split("\n\n")[1].strip(), file=sys.stderr)
+        return 2
+    root = os.path.abspath(argv[0])
+    if not os.path.isfile(os.path.join(root, "src", "hermiwitt", "__init__.py")):
+        print(f"error: {root} is not a hermiwitt checkout", file=sys.stderr)
+        return 2
+    sys.path.insert(0, os.path.join(root, "src"))
+    from hermiwitt import padic
+
+    print(json.dumps({"root": root, "python": platform.python_version(),
+                      "rounds": ROUNDS, "batch": BATCH, "us": timings(padic)}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
