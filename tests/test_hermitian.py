@@ -29,6 +29,7 @@ from hermiwitt.hermitian import (
     hL_evaluate,
     is_isometry,
     l_coordinates,
+    lmat_det,
     reduced_norm,
     row_reduce,
     sesquilinear,
@@ -797,6 +798,82 @@ def test_form_layer_pinned():
     assert len(out) == 3 * (12 * 8 + 18 + 16)
     assert hashlib.sha256(repr(out).encode()).hexdigest() == \
         "76604b4a5656f5bd4ff8c601bdff0b47913ec0d42e3fb20b282217cd33edbedb"
+
+
+def _elimination_cases(p, N):
+    """Seeded thunks (name, fn) at (p, N), on inputs of truncated and of
+    full-precision coordinates at ranks 1-3: dmat_inv and dmat_solve (a
+    right block one column wider) over F, L, E = F(sqrt p),
+    E = F(sqrt(p r)) and D; lmat_det over the commutative four;
+    reduced_norm over D; and diagonalize, with its congruence_basis, of
+    eps-hermitian forms over L, both E and D, on a zero diagonal too."""
+    cfg = FieldConfig(p, N)
+    r = random.Random(5 * p + N)
+    rings = {"L": cfg.L_field, "E_pi": QuadExtField(cfg, cfg.pi(), "E"),
+             "E_pir": QuadExtField(cfg, cfg.f(p * cfg.nonresidue_r), "E")}
+
+    def element(ring, coarse):
+        if ring == "F":
+            return _pinned_f(cfg, r, coarse)
+        if ring == "D":
+            return _pinned_quat(cfg, r, coarse)
+        return rings[ring].el(_pinned_f(cfg, r, coarse), _pinned_f(cfg, r, coarse))
+
+    def herm(ring, eps, n, coarse, zero_diag):
+        if ring == "D":
+            return _pinned_herm(cfg, r, eps, n, coarse, zero_diag)
+        E = rings[ring]
+        M = [[None] * n for _ in range(n)]
+        for i in range(n):
+            c = _pinned_f(cfg, r, coarse)
+            M[i][i] = E.zero() if zero_diag else E.el(c, 0) if eps == 1 else E.el(0, c)
+            for j in range(i + 1, n):
+                M[i][j] = element(ring, coarse)
+                M[j][i] = M[i][j].bar() if eps == 1 else -M[i][j].bar()
+        return M
+
+    cases = []
+    for coarse in (True, False):
+        for n in (1, 2, 3):
+            for ring in ("F", "L", "E_pi", "E_pir", "D"):
+                for _ in range(2):
+                    A = [[element(ring, coarse) for _ in range(n)] for _ in range(n)]
+                    B = [[element(ring, coarse) for _ in range(n + 1)]
+                         for _ in range(n)]
+                    cases.append(("dmat_inv", lambda A=A: dmat_inv(A)))
+                    cases.append(("dmat_solve", lambda A=A, B=B: dmat_solve(A, B)))
+                    if ring == "D":
+                        cases.append(("reduced_norm", lambda A=A: reduced_norm(A)))
+                    else:
+                        cases.append(("lmat_det", lambda A=A: lmat_det(A)))
+                if ring == "F":
+                    continue
+                for eps in (1, -1):
+                    for zero_diag in ((False, True) if n > 1 else (False,)):
+                        f = HermitianForm.from_rows(
+                            eps, herm(ring, eps, n, coarse, zero_diag))
+                        cases.append(("diagonalize", lambda f=f: (
+                            lambda d: (congruence_basis(d), d.entries,
+                                       d.hyperbolic_pairs))(diagonalize(f))))
+    return cases
+
+
+def test_elimination_outcomes_pinned():
+    """The (val, unit, prec) of every output of dmat_inv, dmat_solve,
+    lmat_det, reduced_norm and diagonalize on seeded low-precision inputs
+    at (3, 8), (5, 10) and (13, 40), or the class and message of the
+    exception raised, hashes to the recorded digest: a rewrite of the
+    elimination updates keeps every digit and every refusal."""
+    out = []
+    for p, N in ((3, 8), (5, 10), (13, 40)):
+        for name, fn in _elimination_cases(p, N):
+            try:
+                out.append((name, digest(fn())))
+            except HermiwittError as exc:
+                out.append((name, type(exc).__name__, str(exc)))
+    assert len(out) == 3 * (2 * 3 * 5 * 2 * 3 + 2 * 4 * 2 * 5)
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == \
+        "ec2cc88234161561793d8a2d4e16825041ff7584fb00d79581f87008d062c483"
 
 
 def test_form_json_roundtrip(cfg5):
