@@ -24,7 +24,7 @@ from .errors import (
     PrecisionExhausted,
     Singular,
 )
-from .padic import FieldConfig, _d_dot, tau_conj
+from .padic import FieldConfig, QuadExtElement, _d_dot, _e_mul, tau_conj
 from .quaternion import QuaternionElement
 
 
@@ -101,10 +101,12 @@ def row_reduce(M, ncols: int, full_rank: bool = False) -> dict:
     """Gauss-Jordan elimination, in place, of the rows of M on its first
     ncols columns, over F, L, E or D alike.  Each column's pivot is chosen
     by _pivot among the rows not yet used, moved up, scaled to 1 from the
-    left and cleared from every other row by e - c*f on whole rows, whatever
-    c reads: an entry indistinguishable from zero is only known mod p^prec.
-    A column without pivot is skipped or, when full_rank is set, raises
-    Singular before any further arithmetic.  Returns {pivot column: row}."""
+    left and cleared from every other row by e - c*f (_axpy), whatever c
+    reads: an entry indistinguishable from zero is only known mod p^prec.
+    Only columns not yet pivot columns are updated, so pivot columns are
+    stale on return; no caller reads them.  A column without pivot is
+    skipped or, when full_rank is set, raises Singular before any further
+    arithmetic.  Returns {pivot column: row}."""
     pivots, r = {}, 0
     for col in range(ncols):
         piv = _pivot((i, M[i][col]) for i in range(r, len(M)))
@@ -113,12 +115,15 @@ def row_reduce(M, ncols: int, full_rank: bool = False) -> dict:
                 raise Singular("matrix not invertible at tracked precision")
             continue
         M[r], M[piv] = M[piv], M[r]
-        inv = M[r][col].inv()
-        M[r] = [inv * e for e in M[r]]
-        for i in range(len(M)):
-            if i != r:
-                c = M[i][col]
-                M[i] = [e - c * f for e, f in zip(M[i], M[r])]
+        pr, inv = M[r], M[r][col].inv()
+        live = [j for j in range(len(pr)) if j != col and j not in pivots]
+        for j in live:
+            pr[j] = inv * pr[j]
+        for row in M:
+            if row is not pr:
+                nc = -row[col]
+                for j in live:
+                    row[j] = _axpy(row[j], nc, pr[j])
         pivots[col] = r
         r += 1
     return pivots
@@ -143,8 +148,8 @@ def lmat_det(A):
     with the same interface), by fraction-producing forward elimination with
     the _pivot rule.  Unlike row_reduce it never normalizes the pivot row,
     which keeps the determinant's certified digits.  Each pivot is inverted
-    once, and every row below it is cleared on the columns right of it, the
-    ones read again."""
+    and negated once, and every row below it is cleared on the columns
+    right of it, the ones read again, by e - c*f (_axpy)."""
     n = len(A)
     M = [row[:] for row in A]
     det = None
@@ -158,12 +163,26 @@ def lmat_det(A):
             sign = -sign
         d = M[col][col]
         det = d if det is None else det * d
-        dinv = d.inv() if col + 1 < n else None
+        ndinv = -d.inv() if col + 1 < n else None
         for r in range(col + 1, n):
-            c = M[r][col] * dinv
-            M[r][col + 1:] = [e - c * f for e, f in
+            nc = M[r][col] * ndinv
+            M[r][col + 1:] = [_axpy(e, nc, f) for e, f in
                               zip(M[r][col + 1:], M[col][col + 1:])]
     return det if sign == 1 else -det
+
+
+def _axpy(e, x, y):
+    """e + x*y, the elimination update e - c*f as _axpy(e, -c, f): one
+    _d_dot over D or _e_mul over L and E with e as the addend, one reduction
+    per coordinate.  -c keeps c's valuation and precision, so every digit
+    and refusal is e - c*f's.  F keeps e + x*y."""
+    if type(e) is type(x) is type(y) is QuaternionElement:
+        L = e.field
+        return e._of(_d_dot(L.cfg, L.delta._t, (x.c,), (y.c,), e.c))
+    if type(e) is type(x) is type(y) is QuadExtElement:
+        E = e.field
+        return e._of(_e_mul(E.cfg, E.delta._t, x.c, y.c, e.c))
+    return e + x * y
 
 
 def vec_apply(A, x):
@@ -324,8 +343,9 @@ def _columns(G, rows, pivots, sols):
     applied to the columns of G in the given rows: G E for the step's E."""
     for k, s in sols.items():
         for q, c in zip(pivots, s):
+            nc = -c
             for a in rows:
-                G[a][k] = G[a][k] - G[a][q] * c
+                G[a][k] = _axpy(G[a][k], G[a][q], nc)
 
 
 def _eliminate(G, pivots, sols):
@@ -338,9 +358,9 @@ def _eliminate(G, pivots, sols):
     _columns(G, pivots + rest, pivots, sols)
     for j, s in sols.items():
         for q, c in zip(pivots, s):
-            rc = c.bar()
+            nrc = -c.bar()
             for k in rest:
-                G[j][k] = G[j][k] - rc * G[q][k]
+                G[j][k] = _axpy(G[j][k], nrc, G[q][k])
 
 
 def diagonalize(form: HermitianForm) -> DiagonalForm:

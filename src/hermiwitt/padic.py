@@ -12,7 +12,8 @@ An L or E element holds its two F-coordinates, a D element its four, as one
 flat tuple ``c`` of (val, unit, prec) int triples, and all their arithmetic
 runs on ``c`` through the ``_f_*`` kernel, which holds F's precision rules
 once: ``_e_mul`` is the product of L and E, and the dot product ``_d_dot``
-that of D, a single product being the one-pair dot.  A product in them
+that of D, a single product being the one-pair dot; both take an addend e,
+one more term of the sum, for an elimination update e - c*f.  A product in them
 that only feeds a sum or a product keeps its unit unreduced (``_f_lmul``)
 for the sum to reduce once; no such unit leaves the kernel.  ``_d_dot``
 reduces each output coordinate once, by ``_f_sum``: a sum's class mod
@@ -201,25 +202,29 @@ def _f_reduce(cfg: FieldConfig, v: int, s: int, k: int) -> tuple:
     return (v + w, s // ppow(w), k)
 
 
-def _e_mul(cfg: FieldConfig, d: tuple, x: tuple, y: tuple) -> tuple:
+def _e_mul(cfg: FieldConfig, d: tuple, x: tuple, y: tuple,
+           e: tuple | None = None) -> tuple:
     """(x0 + x1*w)(y0 + y1*w) with w^2 = d on coordinate pairs of F-triples,
-    as integers mod p^N when d, x and y are integral and known to N digits,
-    else by _e_mul_tracked."""
+    plus the addend e when given, as integers mod p^N when d, x, y and e
+    are integral and known to N digits, else by _e_mul_tracked."""
     m = _f_ints(cfg, (*x, *y, d))
-    if m is None:
-        return _e_mul_tracked(cfg, d, x, y)
-    x0, x1, y0, y1, d = m
-    return (_f_reduce(cfg, 0, x0 * y0 + d * (x1 * y1), cfg.precision),
-            _f_reduce(cfg, 0, x0 * y1 + x1 * y0, cfg.precision))
+    es = (0, 0) if e is None else _f_ints(cfg, e)
+    if m is None or es is None:
+        return _e_mul_tracked(cfg, d, x, y, e)
+    (x0, x1, y0, y1, d), (e0, e1) = m, es
+    return (_f_reduce(cfg, 0, e0 + x0 * y0 + d * (x1 * y1), cfg.precision),
+            _f_reduce(cfg, 0, e1 + x0 * y1 + x1 * y0, cfg.precision))
 
 
-def _e_mul_tracked(cfg: FieldConfig, d: tuple, x: tuple, y: tuple) -> tuple:
+def _e_mul_tracked(cfg: FieldConfig, d: tuple, x: tuple, y: tuple,
+                   e: tuple | None = None) -> tuple:
     """_e_mul by F's precision rules: x0*y0 + d*(x1*y1), x0*y1 + x1*y0, in
-    this order."""
+    this order, each then added to e's coordinate when e is given."""
     x0, x1 = x
     y0, y1 = y
-    return (_f_add(cfg, _f_lmul(cfg, x0, y0), _f_lmul(cfg, d, _f_lmul(cfg, x1, y1))),
-            _f_add(cfg, _f_lmul(cfg, x0, y1), _f_lmul(cfg, x1, y0)))
+    t = (_f_add(cfg, _f_lmul(cfg, x0, y0), _f_lmul(cfg, d, _f_lmul(cfg, x1, y1))),
+         _f_add(cfg, _f_lmul(cfg, x0, y1), _f_lmul(cfg, x1, y0)))
+    return t if e is None else (_f_add(cfg, e[0], t[0]), _f_add(cfg, e[1], t[1]))
 
 
 def _e_norm(cfg: FieldConfig, d: tuple, x: tuple) -> tuple:
@@ -249,17 +254,20 @@ def _f_sum(cfg: FieldConfig, terms: list) -> tuple:
     return _f_reduce(cfg, v, s, k)
 
 
-def _d_dot(cfg: FieldConfig, r: tuple, xs: list, ys: list) -> tuple:
-    """sum_i xs[i] * ys[i] on D-coordinates (a0, a1, b0, b1), D's one product
-    kernel (x * y is the one-pair dot): each pair is (A + B*pi_D)(C + G*pi_D)
+def _d_dot(cfg: FieldConfig, r: tuple, xs: list, ys: list,
+           e: tuple | None = None) -> tuple:
+    """e + sum_i xs[i] * ys[i] on D-coordinates (a0, a1, b0, b1), e = 0 if
+    not given: D's one product kernel (x * y is the one-pair dot, an update
+    e - c*f is e + (-c)*f).  Each pair is (A + B*pi_D)(C + G*pi_D)
     = (A*C + (B*tau(G))*pi_F) + (A*G + B*tau(C))*pi_D over L = F[u], u^2 = r.
-    When r and every coordinate are integral and known to N digits, each
-    output coordinate is one integer polynomial mod p^N (pi_F = p is too);
-    else _d_dot_tracked."""
+    When r, e and every coordinate are integral and known to N digits, each
+    output coordinate is one integer polynomial mod p^N (pi_F = p is too),
+    started at e's integer; else _d_dot_tracked."""
     ms = [_f_ints(cfg, (*x, *y, r)) for x, y in zip(xs, ys)]
-    if None in ms:
-        return _d_dot_tracked(cfg, r, xs, ys)
-    p, n, s0, s1, s2, s3 = cfg.p, cfg.precision, 0, 0, 0, 0
+    es = (0, 0, 0, 0) if e is None else _f_ints(cfg, e)
+    if None in ms or es is None:
+        return _d_dot_tracked(cfg, r, xs, ys, e)
+    (s0, s1, s2, s3), p, n = es, cfg.p, cfg.precision
     for a0, a1, b0, b1, c0, c1, g0, g1, r in ms:
         s0 += a0 * c0 + r * a1 * c1 + p * (b0 * g0 - r * b1 * g1)
         s1 += a0 * c1 + a1 * c0 + p * (b1 * g0 - b0 * g1)
@@ -269,13 +277,14 @@ def _d_dot(cfg: FieldConfig, r: tuple, xs: list, ys: list) -> tuple:
             _f_reduce(cfg, 0, s2, n), _f_reduce(cfg, 0, s3, n))
 
 
-def _d_dot_tracked(cfg: FieldConfig, r: tuple, xs: list, ys: list) -> tuple:
+def _d_dot_tracked(cfg: FieldConfig, r: tuple, xs: list, ys: list,
+                   e: tuple | None = None) -> tuple:
     """_d_dot by F's precision rules: each pair's F-products in this fixed
-    order, and each output coordinate one _f_sum, the exact fold of _f_add.
-    B*tau(G) is summed before its pi_F scaling, whose precision depends on
-    the sum's valuation."""
+    order, and each output coordinate one _f_sum, the exact fold of _f_add,
+    led by e's coordinate if given.  B*tau(G) is summed before its pi_F
+    scaling, whose precision depends on the sum's valuation."""
     lmul, pi = _f_lmul, cfg._pi._t
-    s0, s1, s2, s3 = [], [], [], []
+    s0, s1, s2, s3 = ([], [], [], []) if e is None else ([t] for t in e)
     for (a0, a1, b0, b1), (c0, c1, g0, g1) in zip(xs, ys):
         ng1, nc1 = _f_neg(cfg, g1), _f_neg(cfg, c1)
         s0 += (lmul(cfg, a0, c0), lmul(cfg, r, lmul(cfg, a1, c1)))

@@ -25,12 +25,13 @@ def cfg7():
 
 
 def _products(monkeypatch, cls):
-    """count(fn, *args): how many times fn(*args) calls cls.__mul__, plus,
-    for quaternions, the products that hermitian's fused D dot takes, one
-    per pair of entries it is given.  No product counts twice: __mul__
-    calls quaternion's own binding of padic._d_dot, and only hermitian's
-    binding is patched here, so a row_dot counts its pairs and a multiply
-    counts once."""
+    """count(fn, *args): how many times fn(*args) calls cls.__mul__, plus
+    the products that hermitian's own bindings of the kernels take: for
+    quaternions, one per pair of entries its D dot is given, a row_dot or
+    an elimination update e - c*f alike; for L and E, one per _e_mul call
+    of an elimination update.  No product counts twice: __mul__ calls
+    padic's or quaternion's own binding of the kernel, and only
+    hermitian's binding is patched here."""
     def count(fn, *args):
         calls = [0]
 
@@ -44,7 +45,11 @@ def _products(monkeypatch, cls):
             m.setattr(cls, "__mul__", counting(cls.__mul__, lambda x, y: 1))
             if cls is QuaternionElement:
                 m.setattr(hermitian, "_d_dot", counting(
-                    hermitian._d_dot, lambda cfg, r, xs, ys: min(len(xs), len(ys))))
+                    hermitian._d_dot,
+                    lambda cfg, r, xs, ys, e=None: min(len(xs), len(ys))))
+            else:
+                m.setattr(hermitian, "_e_mul", counting(
+                    hermitian._e_mul, lambda cfg, d, x, y, e=None: 1))
             fn(*args)
         return calls[0]
 

@@ -270,9 +270,11 @@ def test_twist_examples(cfg5, quaternion_products):
     with pytest.raises(NotSelfAdjoint):
         twist(m, [[one, zero], [zero, known_mod_25]])
     # M gamma is formed once, for the sign test and as the new Gram; forming
-    # it twice took 135 quaternion multiplies on this rank-3 form
+    # it twice took 135 quaternion multiplies on this rank-3 form, and
+    # certifying M and gamma by row_reduces that cleared their settled
+    # pivot columns too took 108
     form = rg.rand_form(cfg5, rg.rng(5), 1, 3)
-    assert quaternion_products(twist, form, one) == 108
+    assert quaternion_products(twist, form, one) == 72
 
 
 def test_trace_lift_examples(cfg5):
@@ -334,14 +336,16 @@ def test_cayley_isometry_multiply_count(cfg5, quaternion_products):
     """The skew test bar(X)^T M + M X = 0 certifies M by row_reduce on M
     alone, not on [M | I], and g = (1 - X)^(-1)(1 + X) is one row_reduce on
     [1 - X | 1 + X], with no inverse formed and then multiplied: a rank-3
-    Cayley isometry takes 135 quaternion multiplies (27 + 54 for the skew
-    test, 54 for the solve).  Inverting 1 - X and multiplying took 162, and
-    testing skewness through sigma_h's M^(-1) as well took 189.  Checking
-    the result with is_isometry, bar(g)^T (M g), takes 54."""
+    Cayley isometry takes 99 quaternion multiplies (9 + 54 for the skew
+    test, 36 for the solve), since row_reduce leaves the settled pivot
+    columns stale.  Clearing them too took 135 (27 + 54 + 54), inverting
+    1 - X and multiplying 162, and testing skewness through sigma_h's
+    M^(-1) as well 189.  Checking the result with is_isometry,
+    bar(g)^T (M g), takes 54."""
     r = rg.rng(11)
     form = rg.rand_form(cfg5, r, 1, 3)
     X = rg.rand_skew_adjoint(cfg5, r, form)
-    assert quaternion_products(cayley_isometry, X, form) == 135
+    assert quaternion_products(cayley_isometry, X, form) == 99
     g = cayley_isometry(X, form)
     assert quaternion_products(is_isometry, g, form) == 54
 
@@ -458,13 +462,13 @@ def test_row_reduce_free_column_before_pivot(cfg5, ring):
 
 
 def test_dmat_inv_multiply_count(cfg5, quaternion_products):
-    """row_reduce clears every other row of [A | I] in full, settled pivot
-    columns included: a rank-3 D inverse takes 54 quaternion multiplies.
-    Leaving the settled pivot columns stale would take 36; that change must
-    show that it turns no refusal into a digit exact arithmetic refutes."""
+    """row_reduce scales and clears only the columns of [A | I] that are not
+    pivot columns yet, and leaves the settled ones stale: a rank-3 D
+    inverse takes 36 quaternion multiplies, where clearing whole rows took
+    54."""
     r = rg.rng(3)
     A = [[rg.rand_quat(cfg5, r) for _ in range(3)] for _ in range(3)]
-    assert quaternion_products(dmat_inv, A) == 54
+    assert quaternion_products(dmat_inv, A) == 36
 
 
 def _tracked_and_exact(cfg, r, kind, n, cols=None, draw=truncated):

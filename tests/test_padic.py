@@ -792,12 +792,13 @@ def test_f_sum_is_the_fold(case):
 def _kernel_operands(draw):
     """A config, a product kernel and its operands: _d_dot on 1-4 pairs of
     D-coordinates with u^2 = r, or _e_mul over L or over the ramified
-    E = F(sqrt(p*r)).  The constant r or delta is known to N digits or to
-    N - 1.  The coordinates at a drawn set of places (none, one, or many)
-    are of one kind that fails the integral-at-N guard: known to fewer
-    digits, of negative valuation, zeros known to fewer digits, or of
-    valuation -3..-1 known to 1-3 digits, whose products can refuse.  The
-    rest are integral and known to N digits, zeros too."""
+    E = F(sqrt(p*r)), and an addend e of the product's width.  The constant
+    r or delta is known to N digits or to N - 1.  The coordinates at a
+    drawn set of places (none, one, or many) are of one kind that fails the
+    integral-at-N guard: known to fewer digits, of negative valuation,
+    zeros known to fewer digits, or of valuation -3..-1 known to 1-3
+    digits, whose products can refuse.  The rest are integral and known to
+    N digits, zeros too."""
     cfg = draw(st.sampled_from(_SUM_CONFIGS))
     p, N, r = cfg.p, cfg.precision, cfg.nonresidue_r
 
@@ -827,13 +828,13 @@ def _kernel_operands(draw):
     else:
         kernel, tracked, n, width = _e_mul, _e_mul_tracked, 1, 2
         const = _f_make(cfg, draw(st.integers(0, 1)), r, known)
-    places = draw(st.sets(st.integers(0, 2 * n * width - 1)))
-    c = [off() if i in places else integral() for i in range(2 * n * width)]
+    places = draw(st.sets(st.integers(0, (2 * n + 1) * width - 1)))
+    c = [off() if i in places else integral() for i in range((2 * n + 1) * width)]
     elements = [tuple(c[i:i + width]) for i in range(0, len(c), width)]
-    x, y = elements[:n], elements[n:]
+    x, y, e = elements[:n], elements[n:2 * n], elements[2 * n]
     if kernel is _e_mul:
         x, y = x[0], y[0]
-    return cfg, kernel, tracked, const, x, y
+    return cfg, kernel, tracked, const, x, y, e
 
 
 def _outcome(kernel, *args):
@@ -851,8 +852,24 @@ def test_integral_products_are_the_tracked_path(case):
     the triples of their tracked paths, or the same refusal: on such inputs
     F's precision rule keeps N digits on every term, and a sum's class mod
     p^N does not depend on its bracketing."""
-    cfg, kernel, tracked, const, x, y = case
+    cfg, kernel, tracked, const, x, y, _ = case
     assert _outcome(kernel, cfg, const, x, y) == _outcome(tracked, cfg, const, x, y)
+
+
+@settings(deadline=None)
+@given(_kernel_operands())
+def test_fused_update_is_the_two_step(case):
+    """_d_dot and _e_mul given an addend e, the fused elimination update,
+    give the triples of the two steps, the product and then each output
+    coordinate added to e's by _f_add, or the same refusal: the addend is
+    one more term of the exact fold, and its integer enters the
+    integral-at-N path only when e passes that path's guard too."""
+    cfg, kernel, _, const, x, y, e = case
+
+    def two_step():
+        return tuple(_f_add(cfg, a, t) for a, t in zip(e, kernel(cfg, const, x, y)))
+
+    assert _outcome(kernel, cfg, const, x, y, e) == _outcome(two_step)
 
 
 # -- precision honesty of square roots and norm equations in L and E -------------

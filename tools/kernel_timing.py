@@ -7,8 +7,13 @@ Usage, from anywhere::
 ROOT is the root of a hermiwitt checkout; its ``src/hermiwitt/padic.py`` is
 imported and timed in this process.  At (p, N) = (5, 32) and (13, 128) the
 script times ``_d_dot`` on one pair and on three pairs of D-coordinate
-tuples, and ``_e_mul`` on pairs of L-coordinates (w^2 = the nonresidue r),
-each with two kinds of seeded operands:
+tuples, and ``_e_mul`` on pairs of L-coordinates (w^2 = the nonresidue r).
+It times the elimination update e - c*f too, over D (``d_update_1pair``)
+and over L (``e_update``): as one kernel call given -c and the addend e,
+and as the two steps ``*_2step``, the product c*f and then each coordinate
+negated and added to e's, as ``QuadExt.__sub__`` does.  A checkout whose
+kernels take no addend times the two steps only.  Every case runs on two
+kinds of seeded operands:
 
 - ``integral``: every coordinate a p-adic unit known to N digits;
 - ``prec_below_N``: the same units known to N - 1 digits.
@@ -22,6 +27,7 @@ rounds and the batch size, and ``us`` by configuration and case.
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import platform
@@ -37,7 +43,8 @@ BATCH = 64
 
 def _operands(padic, cfg, prec: int, rng: random.Random):
     """BATCH operand tuples per kernel: (r, xs, ys) for the one- and
-    three-pair D dots, (d, x, y) for the L product."""
+    three-pair D dots, (d, x, y) for the L product, and those plus the
+    addend e for the updates."""
     p, N = cfg.p, cfg.precision
 
     def unit():
@@ -52,20 +59,37 @@ def _operands(padic, cfg, prec: int, rng: random.Random):
         "d_dot_3pair": [(r, [coords(4) for _ in range(3)], [coords(4) for _ in range(3)])
                         for _ in range(BATCH)],
         "e_mul": [(r, coords(2), coords(2)) for _ in range(BATCH)],
+        "d_update_1pair": [(r, [coords(4)], [coords(4)], coords(4)) for _ in range(BATCH)],
+        "e_update": [(r, coords(2), coords(2), coords(2)) for _ in range(BATCH)],
     }
+
+
+def _two_step(padic, kernel):
+    """e - c*f in two steps: the product, then e + (-t) coordinate by
+    coordinate."""
+    def update(cfg, k, x, y, e):
+        t = kernel(cfg, k, x, y)
+        return tuple(padic._f_add(cfg, a, padic._f_neg(cfg, b)) for a, b in zip(e, t))
+    return update
 
 
 def timings(padic) -> dict:
     """{"p,N": {"kernel/operands": median µs per call}} for padic's kernels."""
     kernels = {"d_dot_1pair": padic._d_dot, "d_dot_3pair": padic._d_dot,
-               "e_mul": padic._e_mul}
+               "e_mul": padic._e_mul,
+               "d_update_1pair_2step": _two_step(padic, padic._d_dot),
+               "e_update_2step": _two_step(padic, padic._e_mul)}
+    if "e" in inspect.signature(padic._d_dot).parameters:
+        kernels.update(d_update_1pair=padic._d_dot, e_update=padic._e_mul)
     cases = []
     for p, N in CONFIGS:
         cfg = padic.FieldConfig(p, N)
         rng = random.Random(p * 1000 + N)
         for kind, prec in (("integral", N), ("prec_below_N", N - 1)):
             for name, args in _operands(padic, cfg, prec, rng).items():
-                cases.append((f"{p},{N}", f"{name}/{kind}", kernels[name], cfg, args))
+                for k in (name, name + "_2step"):
+                    if k in kernels:
+                        cases.append((f"{p},{N}", f"{k}/{kind}", kernels[k], cfg, args))
     samples = {(c, name): [] for c, name, *_ in cases}
     for _ in range(ROUNDS):
         for c, name, kernel, cfg, args in cases:
