@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -355,10 +356,11 @@ def test_htilde_beta_pinned():
         "e40d6d7a3e49b1b12c53e1737caddf1e293a41d4645e9540b90f5dc9e626489c"
 
 
-def _known_to(cfg, x):
+def _known_to(cfg, x, k=None):
     """The quaternion over cfg that knows the coordinates of x, an element
-    with more digits, to at most cfg.precision digits."""
-    cs = [known_to(cfg, q, min(c.prec, cfg.precision))
+    with more digits, to at most k digits (k = cfg.precision if not given)."""
+    k = cfg.precision if k is None else k
+    cs = [known_to(cfg, q, min(c.prec, k))
           for c, q in zip(coords(x), lift(x, cfg.p))]
     return Q(cfg.l(*cs[:2]), cfg.l(*cs[2:]))
 
@@ -388,6 +390,45 @@ def test_htilde_beta_is_precision_honest():
                            for row, rrow in zip(H, ref) for x, y in zip(row, rrow)
                            for c, q in zip(coords(x), lift(y, p)))
         assert answered >= 60, (p, N, answered)
+
+
+def _htilde_outcomes(p, N, draws):
+    """compute_htilde_beta on the realized pairs built at 4N and their
+    conjugates, each drawn `draws` times with every Gram entry cut to
+    N - 0..3 digits and every beta entry to N - 0..2 (random.Random(5)):
+    per input the digests of H and of the frame, or the exception's class
+    and message."""
+    cfg, rnd, out = FieldConfig(p, N), random.Random(5), []
+    for pair in _realized_pairs(p, 4 * N):
+        for form, b in (pair[:2], pair[2:]):
+            for _ in range(draws):
+                low = HermitianForm.from_rows(form.epsilon, [
+                    [_known_to(cfg, x, N - rnd.randint(0, 3)) for x in row]
+                    for row in form.gram])
+                lb = [[_known_to(cfg, x, N - rnd.randint(0, 2)) for x in row]
+                      for row in b]
+                try:
+                    ht = mo.compute_htilde_beta(low, lb)
+                except HermiwittError as exc:
+                    out.append((type(exc).__name__, str(exc)))
+                    continue
+                out.append((digest(ht.edform.H), digest(ht.frame)))
+    return out
+
+
+def test_htilde_beta_outcomes_pinned():
+    """Every answer (the digits of H and of the frame) and every refusal
+    (class and message) of compute_htilde_beta on damaged inputs, two per
+    plain or conjugated realized pair at (3, 8), (5, 10), (7, 12) and
+    (13, 40), hashes to the recorded digest: a rewrite of the lift, of Phi
+    or of the frame search moves no digit, no frame vector and no
+    refusal."""
+    out = []
+    for p, N in ((3, 8), (5, 10), (7, 12), (13, 40)):
+        out += _htilde_outcomes(p, N, 2)
+    assert len(out) == 576
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == \
+        "d50825e1fcbc0dcd27fd16fcc7dccdf791c7cffcdbc505b89e667851bae53924"
 
 
 def test_conjugated_pairs_keep_their_tower():
