@@ -17,6 +17,15 @@ transported involution Phi0 theta Phi0^(-1) needs no inverse, since
 theta = sigma_E (x) rho is diagonal on the D-basis (signs _RHO_SIGNS); and
 quat_of_row solves against the first rows of the images when it is asked.
 
+Phi runs on (val, unit, prec) triples: _matrix_of_tensor forms each
+F-coordinate of each entry as one _f_sum of the products that the fold over
+E-objects forms, in the fold's order, so no digit and no refusal moves.
+h~_beta builds its tensors and searches its frame on triples too.  The frame
+search (_echelon_add) keeps its greedy rule, the first candidate independent
+of those taken gets in, each row led by its first entry not
+indistinguishable from zero: row_reduce's least-valuation pivot would pick
+another frame at low precision and so move digits of H.
+
 Forms over E (x) D live on sums of t copies of the simple right module
 (rows E^(1x2)); in the standard frame such a form is encoded by a t x t
 matrix H over E with H = eps sigma(H)^T, the pairing being
@@ -27,6 +36,7 @@ modules correspond to even t, with Gram over E (x) D recoverable blockwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     DegenerateForm,
@@ -42,6 +52,13 @@ from .padic import (
     FieldConfig,
     QuadExtElement,
     QuadExtField,
+    _f_add,
+    _f_div,
+    _f_lmul,
+    _f_mul,
+    _f_neg,
+    _f_sum,
+    _f_zero,
     solve_norm_equation,
 )
 from .quaternion import QuaternionElement
@@ -103,14 +120,6 @@ def tensor_from_quat(E: QuadExtField, d: QuaternionElement):
     return tuple(E.from_f(c) for c in quat_f_coords(d))
 
 
-def tensor_scale(e: QuadExtElement, ten):
-    return tuple(e * c for c in ten)
-
-
-def tensor_add(t1, t2):
-    return tuple(a + b for a, b in zip(t1, t2))
-
-
 def tensor_lambda_apply(cfg: FieldConfig, ten, lam_scale: FElement | None = None):
     """(lambda_beta (x) id_D): kill the beta-part of each E-coefficient and
     reassemble the quaternion; optionally post-scale by an F-unit (every
@@ -146,8 +155,16 @@ class SplitData:
     u2: FElement
 
     # -- conversions ---------------------------------------------------------
+    @cached_property
+    def _imgs_c(self):
+        """imgs as coordinate pairs, the operands of _matrix_of_tensor."""
+        return tuple(tuple(tuple(e.c for e in row) for row in g) for g in self.imgs)
+
     def to_matrix(self, ten):
-        return _matrix_of_tensor(self.imgs, ten)
+        E = self.E
+        out = _matrix_of_tensor(self.cfg, E.delta._t, self._imgs_c,
+                                [e.c for e in ten])
+        return [[E.of(c) for c in row] for row in out]
 
     def to_tensor(self, X):
         return _tensor_of_matrix(self.mphi_inv, X)
@@ -223,13 +240,27 @@ def _basis_images(E: QuadExtField, Gu, Gpi):
     return [dmat_scalar(E.one(), 2), Gu, Gpi, dmat_mul(Gu, Gpi)]
 
 
-def _matrix_of_tensor(imgs, ten):
-    """Phi in tensor coordinates: ten[0] + ten[1] Gu + ten[2] Gpi +
-    ten[3] Gu Gpi, for imgs = _basis_images(E, Gu, Gpi)."""
-    out = dmat_scalar(ten[0], 2)
-    for c, g in zip(ten[1:], imgs[1:]):
-        out = [[out[i][j] + c * g[i][j] for j in range(2)] for i in range(2)]
-    return out
+def _matrix_of_tensor(cfg: FieldConfig, d: tuple, imgs, ten):
+    """Phi in tensor coordinates, ten[0] + ten[1] Gu + ten[2] Gpi +
+    ten[3] Gu Gpi, on coordinate pairs: ten holds the four (a, b) pairs of
+    its E-coefficients, E = F[w] with w^2 = d, and imgs those of the entries
+    of _basis_images(E, Gu, Gpi).  Each F-coordinate of an entry is one
+    _f_sum of the products the E-object fold forms: ten[0]'s coordinate on
+    the diagonal and a zero known to N digits off it, then for k = 1, 2, 3
+    t.a*g.a and d*(t.b*g.b) for the a-coordinate, t.a*g.b and t.b*g.a for
+    the b-coordinate (t = ten[k], g its image's entry).  The products are
+    formed k by k and entry by entry, as the fold forms them, so the first
+    to refuse is the fold's; a sum's class mod p^(least precision) does not
+    depend on its bracketing, so every digit is the fold's too."""
+    lmul, (t0a, t0b), zero = _f_lmul, ten[0], _f_zero(cfg, cfg.precision)
+    acc = [[([t0a], [t0b]) if i == j else ([zero], [zero]) for j in (0, 1)]
+           for i in (0, 1)]
+    for (ta, tb), g in zip(ten[1:], imgs[1:]):
+        for row, grow in zip(acc, g):
+            for (sa, sb), (ga, gb) in zip(row, grow):
+                sa += (lmul(cfg, ta, ga), lmul(cfg, d, lmul(cfg, tb, gb)))
+                sb += (lmul(cfg, ta, gb), lmul(cfg, tb, ga))
+    return [[(_f_sum(cfg, sa), _f_sum(cfg, sb)) for sa, sb in row] for row in acc]
 
 
 def _tensor_of_matrix(mphi_inv, X):
@@ -526,19 +557,25 @@ def max_anisotropic_edform(data: SplitData, epsilon: int) -> EDForm:
 # the category equivalence
 # ---------------------------------------------------------------------------
 
-def _echelon_add(echelon, vec) -> bool:
-    """Reduce vec against the echelon rows, each clearing the entry at its
-    leading index; append the remainder to echelon and return True unless it
-    is indistinguishable from zero."""
-    red = vec[:]
-    for prow in echelon:
-        lead = next(i for i, x in enumerate(prow) if not x.is_zero())
-        if not red[lead].is_zero():
-            c = red[lead] / prow[lead]
-            red = [a - c * b for a, b in zip(red, prow)]
-    if all(x.is_zero() for x in red):
+def _echelon_add(cfg: FieldConfig, echelon, vec) -> bool:
+    """Reduce vec, a list of F-triples, against the echelon rows, each
+    clearing the entry at its lead index, its first entry not
+    indistinguishable from zero, by a - c*b with c = vec[lead] / row[lead];
+    append the remainder to echelon and return True unless it is
+    indistinguishable from zero.  A row is kept as (row, lead, the inverse
+    of its lead unit), the inverse taken once."""
+    red = vec
+    for row, lead, inv in echelon:
+        x = red[lead]
+        if x[0] is not None:
+            c = _f_div(cfg, x, row[lead], inv)
+            red = [_f_add(cfg, a, _f_neg(cfg, _f_mul(cfg, c, b)))
+                   for a, b in zip(red, row)]
+    lead = next((i for i, t in enumerate(red) if t[0] is not None), None)
+    if lead is None:
         return False
-    echelon.append(red)
+    v, u, k = red[lead]
+    echelon.append((red, lead, pow(u, -1, cfg.ppow(k - v))))
     return True
 
 
@@ -649,25 +686,38 @@ class HtildeBeta:
     frame: tuple                # E-basis g_1..g_n of V e1 (D-coordinate vectors)
 
     def pair(self, v, w):
+        """h~_beta(v, w) = 1 (x) h(v, w) + beta (x) h(v, beta w)/delta in
+        tensor coordinates."""
         E = self.split.E
-        return _htilde_pair(E, E.delta.inv(), bar_row(self.form.gram, v),
-                            w, vec_apply(self.beta, w))
+        dinv, left = E.delta.inv(), bar_row(self.form.gram, v)
+        bw = vec_apply(self.beta, w)
+        h0 = row_dot(left, w)
+        h1 = row_dot(left, bw).scale_f(dinv)
+        return tuple(E.of(c) for c in _htilde_tensor(E.cfg, h0.c, h1.c))
 
 
-def _htilde_pair(E: QuadExtField, dinv: FElement, left, w, bw):
-    """h~_beta(v, w) = 1 (x) h(v, w) + beta (x) h(v, beta w)/delta in tensor
-    coordinates, from left = bar_row(h, v), w, bw = beta w and 1/delta."""
-    h0 = row_dot(left, w)
-    h1 = row_dot(left, bw).scale_f(dinv)
-    return tensor_add(tensor_from_quat(E, h0),
-                      tensor_scale(E.gen(), tensor_from_quat(E, h1)))
+def _htilde_tensor(cfg: FieldConfig, h0: tuple, h1: tuple):
+    """1 (x) h0 + w (x) h1 in tensor coordinates, as four (a, b) pairs of
+    E-coordinates, from the D-coordinates of h0 and h1: the digits and
+    refusals of 1 (x) h0 + w (1 (x) h1) over E-objects.  w (x, 0) is
+    (0*x + d*(1*0), 0*0 + 1*x); the kernel calls dropped here give zeros
+    known to N digits or more, which cap nothing.  0*x is a zero known to
+    N + v(x) digits, so it caps h0's coordinate when v(x) < 0, and 1*x caps
+    x at N + v(x)."""
+    zero, one = _f_zero(cfg, cfg.precision), (0, 1, cfg.precision)
+    return tuple((_f_add(cfg, a, _f_lmul(cfg, zero, x)), _f_mul(cfg, one, x))
+                 for a, x in zip(h0, h1))
 
 
 def compute_htilde_beta(form: HermitianForm, beta) -> HtildeBeta:
     """Construct h~_beta for a skew beta generating a quadratic field.  The
     E-basis g_1..g_n of V e1 is picked by an echelon search from the images
     e1 (d e_i), d in (1, u, pi_D, u pi_D), each built in closed form, and
-    H_ij is the e1-entry of h~_beta(g_i, g_j) over u1."""
+    H_ij is the e1-entry of h~_beta(g_i, g_j) over u1.  Both run on
+    F-triples: the search on the candidates' coordinates, greedily (the
+    first independent candidate gets in, as the pinned frames require), and
+    each entry through _htilde_tensor and Phi on coordinate pairs, all four
+    entries of Phi read and the three off e1 checked to vanish."""
     cfg = form.cfg
     if not form.rank or not validate(form):
         raise DegenerateForm("invalid input form")
@@ -681,7 +731,7 @@ def compute_htilde_beta(form: HermitianForm, beta) -> HtildeBeta:
     dbasis = [QuaternionElement.one(cfg), u, pi, u * pi]
 
     def flat(v):
-        return [c for q in v for c in quat_f_coords(q)]
+        return [t for q in v for t in q.c]
 
     # e1 = sum_k (a_k + b_k w) (x) d_k acts as v -> v A + (beta v) B, so it
     # maps d e_i to e_i (d A) + beta_{:,i} (d B); its tensor coordinates are
@@ -694,27 +744,28 @@ def compute_htilde_beta(form: HermitianForm, beta) -> HtildeBeta:
              for i in range(n) for dA, dB in dAB)
     frame, echelon = [], []
     for v in cands:
-        if not _echelon_add(echelon, flat(v)):
+        if not _echelon_add(cfg, echelon, flat(v)):
             continue
         bv = vec_apply(beta, v)
         frame.append((v, bv))
         if len(frame) == n:
             break
-        _echelon_add(echelon, flat(bv))     # the generator of E acting on v
+        _echelon_add(cfg, echelon, flat(bv))    # the generator of E acting on v
     if len(frame) < n:
         raise DegenerateForm("frame extraction failed")
 
-    u1inv, dinv = data.u1.inv(), delta.inv()
+    u1inv, dinv, d = data.u1.inv(), delta.inv(), E.delta._t
     H = []
     for gi, _ in frame:
         left = bar_row(form.gram, gi)
         row = []
         for gj, bgj in frame:
-            val = data.to_matrix(_htilde_pair(E, dinv, left, gj, bgj))
-            if not (val[0][1].is_zero() and val[1][0].is_zero()
-                    and val[1][1].is_zero()):
+            ten = _htilde_tensor(cfg, row_dot(left, gj).c,
+                                 row_dot(left, bgj).scale_f(dinv).c)
+            (x, x01), (x10, x11) = _matrix_of_tensor(cfg, d, data._imgs_c, ten)
+            if any(t[0] is not None for t in (*x01, *x10, *x11)):
                 raise DegenerateForm("frame vectors are not e1-adapted")
-            row.append(val[0][0].scale_f(u1inv))
+            row.append(E.of(x).scale_f(u1inv))
         H.append(row)
     ed = EDForm(data, form.epsilon, tuple(tuple(r) for r in H))
     if not ed.validate():

@@ -652,6 +652,12 @@ class QuadExtField:
     def from_f(self, x: FElement) -> QuadExtElement:
         return QuadExtElement(self, x, self.cfg.f_zero())
 
+    def of(self, c: tuple) -> QuadExtElement:
+        """The element whose F-coordinates are the pair c of triples."""
+        x = object.__new__(QuadExtElement)
+        x.field, x.c = self, c
+        return x
+
     def is_norm(self, x: FElement) -> bool:
         """Decide x in N_{E|F}(E^x)."""
         v = x.valuation()

@@ -10,6 +10,7 @@ matrices over D too large for their regular representation.
 
 from fractions import Fraction
 
+from hermiwitt.hermitian import dmat_scalar
 from hermiwitt.padic import FElement
 
 
@@ -221,6 +222,42 @@ class ExactD:
             pair_cols.extend([basis[i], basis[j]])
         cols = entry_cols + pair_cols
         return [[cols[j][i] for j in range(n)] for i in range(n)], entries
+
+
+def matrix_of_tensor(imgs, ten):
+    """Phi in tensor coordinates over E-objects, ten[0] + ten[1] Gu +
+    ten[2] Gpi + ten[3] Gu Gpi folded term by term: the reference for
+    morita._matrix_of_tensor, which runs on coordinate pairs."""
+    out = dmat_scalar(ten[0], 2)
+    for c, g in zip(ten[1:], imgs[1:]):
+        out = [[out[i][j] + c * g[i][j] for j in range(2)] for i in range(2)]
+    return out
+
+
+def htilde_tensor(E, h0, h1):
+    """1 (x) h0 + w (1 (x) h1) over E-objects, w the generator of E, from
+    the four F-coordinates of each of h0 and h1: the reference for
+    morita._htilde_tensor, which runs on triples."""
+    wh1 = [E.gen() * E.from_f(x) for x in h1]
+    return [E.from_f(a) + x for a, x in zip(h0, wh1)]
+
+
+def echelon_add(echelon, vec) -> bool:
+    """The frame search's echelon step over FElements: reduce vec against
+    the echelon rows, each clearing the entry at its first index not
+    indistinguishable from zero; append the remainder to echelon and return
+    True unless it is indistinguishable from zero.  The reference for
+    morita._echelon_add, which runs on triples."""
+    red = vec[:]
+    for prow in echelon:
+        lead = next(i for i, x in enumerate(prow) if not x.is_zero())
+        if not red[lead].is_zero():
+            c = red[lead] / prow[lead]
+            red = [a - c * b for a, b in zip(red, prow)]
+    if all(x.is_zero() for x in red):
+        return False
+    echelon.append(red)
+    return True
 
 
 def digest(x):

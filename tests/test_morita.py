@@ -2,6 +2,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hermiwitt.errors import (
     DegenerateForm,
@@ -22,12 +24,13 @@ from hermiwitt.hermitian import (
     validate as form_validate,
     vec_apply,
 )
-from hermiwitt.padic import FieldConfig
+from hermiwitt.padic import FElement, FieldConfig, QuadExtField
 from hermiwitt.quaternion import QuaternionElement as Q
 from hermiwitt import morita as mo
 from hermiwitt import randgen as rg
 from hermiwitt import wittclass as wc
-from oracle import coords, digest, honest, known_to, lift
+from oracle import (coords, digest, echelon_add, honest, htilde_tensor,
+                    known_to, lift, matrix_of_tensor)
 
 
 def test_split_validates(cfg5):
@@ -290,7 +293,7 @@ def test_htilde_beta_identities(cfg5):
                 v = [rg.rand_quat(cfg5, r) for _ in range(n)]
                 w = [rg.rand_quat(cfg5, r) for _ in range(n)]
                 bw = vec_apply([list(row) for row in ht.beta], w)
-                lhs = mo.tensor_scale(E.gen(), ht.pair(v, w))
+                lhs = [E.gen() * c for c in ht.pair(v, w)]
                 rhs = ht.pair(v, bw)
                 assert all((a - b).is_zero() for a, b in zip(lhs, rhs))
             # h_beta = tr_E o h~_beta, via lambda o tr_E = trd o (lambda (x) id)
@@ -354,6 +357,177 @@ def test_htilde_beta_pinned():
     assert len(out) == 288
     assert hashlib.sha256(repr(out).encode()).hexdigest() == \
         "e40d6d7a3e49b1b12c53e1737caddf1e293a41d4645e9540b90f5dc9e626489c"
+
+
+_ORACLE_CONFIGS = [FieldConfig(3, 8), FieldConfig(5, 10), FieldConfig(13, 40)]
+
+
+def _f_draw(draw, cfg, low=False):
+    """An F-element: a zero known to 1, 2 or N digits, or p^v * unit with
+    v = -2..4 known to N - 0..3 digits or, one time in four, to 1..3.  A
+    low one is a zero known to 1 digit or p^v * unit with v = -2..0 known
+    to 1..2 digits, whose products refuse in both ways."""
+    p, N = cfg.p, cfg.precision
+    if draw(st.integers(0, 5 - 3 * low)) == 0:
+        return FElement._zeroish(cfg, 1 if low else draw(st.sampled_from((1, 2, N))))
+    unit = draw(st.integers(0, p ** (N + 1))) * p + draw(st.integers(1, p - 1))
+    if low:
+        return FElement._make(cfg, draw(st.integers(-2, 0)), unit,
+                              draw(st.integers(1, 2)))
+    k = draw(st.integers(1, 3)) if draw(st.integers(0, 3)) == 0 \
+        else N - draw(st.integers(0, 3))
+    return FElement._make(cfg, draw(st.integers(-2, 4)), unit, k)
+
+
+def _field_draw(draw):
+    """A config and E = F(sqrt(r)) or F(sqrt(p)), delta known to N - 0..2
+    digits."""
+    cfg, ramified = draw(st.sampled_from(_ORACLE_CONFIGS)), draw(st.booleans())
+    delta = FElement._make(cfg, int(ramified), 1 if ramified else cfg.nonresidue_r,
+                           cfg.precision - draw(st.integers(0, 2)))
+    return cfg, QuadExtField(cfg, delta, "E")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except HermiwittError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _phi_operands(draw):
+    """A config, E by _field_draw, the SplitData of that E or None, the
+    images Phi reads (the split's, or drawn, with entries like the
+    tensor's) and a tensor of four E-elements drawn by _f_draw, in one case
+    in four all of them low, so that products in one entry refuse with
+    different messages."""
+    cfg, E = _field_draw(draw)
+    low = draw(st.integers(0, 3)) == 0
+
+    def e():
+        return E.el(_f_draw(draw, cfg, low), _f_draw(draw, cfg, low))
+
+    if draw(st.booleans()):
+        data = mo.split(cfg, E.delta)
+        E, imgs = data.E, data.imgs
+    else:
+        data = None
+        imgs = [None] + [((e(), e()), (e(), e())) for _ in range(3)]
+    return cfg, E, data, imgs, tuple(e() for _ in range(4))
+
+
+def _first_entry_case(ta, tb, ga, gb):
+    """A _phi_operands case at (3, 8) over E = F(sqrt(2)) whose only
+    refusing products are those of ten[1] = ta + tb w with the (0, 0) entry
+    ga + gb w of its image: every other coordinate is a zero known to N
+    digits, or 1."""
+    cfg = _ORACLE_CONFIGS[0]
+    E = QuadExtField(cfg, cfg.f(2), "E")
+    f = lambda v, k: FElement._make(cfg, v, 1, k) if v is not None \
+        else FElement._zeroish(cfg, k)
+    z = E.zero()
+    g1 = ((E.el(f(*ga), f(*gb)), z), (z, z))
+    return cfg, E, None, [None, g1, ((z, z), (z, z)), ((z, z), (z, z))], \
+        (E.one(), E.el(f(*ta), f(*tb)), E.one(), E.one())
+
+
+# (val, prec) of ta, tb, ga, gb.  In the a-coordinate t.a*g.a refuses with
+# "zero known to <= 0 digits" and t.b*g.b with "result precision <= 0"; in
+# the b-coordinate t.a*g.b and t.b*g.a refuse so, and the a-coordinate's
+# products answer: the fold's order picks the message
+@example(_first_entry_case((None, 1), (-1, 1), (-1, 1), (-1, 1)))
+@example(_first_entry_case((None, 1), (-2, 2), (0, 1), (-1, 3)))
+@settings(deadline=None)
+@given(_phi_operands())
+def test_phi_on_triples_is_the_object_fold(case):
+    """Phi on coordinate pairs (SplitData.to_matrix, or _matrix_of_tensor
+    on drawn images) gives, triple for triple, the matrix that the fold of
+    E-objects gives, or the same refusal, class and message: each
+    coordinate is one _f_sum of the fold's products, formed in its order."""
+    cfg, E, data, imgs, ten = case
+    if data is not None:
+        ours = _outcome(data.to_matrix, ten)
+    else:
+        ours = _outcome(mo._matrix_of_tensor, cfg, E.delta._t,
+                        [None] + [[[x.c for x in row] for row in g]
+                                  for g in imgs[1:]],
+                        [x.c for x in ten])
+        if isinstance(ours, list):
+            ours = [[E.of(c) for c in row] for row in ours]
+    ref = _outcome(matrix_of_tensor, imgs, ten)
+    if isinstance(ref, tuple):
+        assert ours == ref
+    else:
+        assert digest(ours) == digest(ref)
+
+
+@st.composite
+def _lift_operands(draw):
+    """A config, E by _field_draw, and the four F-coordinates of each of
+    h0 and h1, drawn by _f_draw, low in one case in four."""
+    cfg, E = _field_draw(draw)
+    low = draw(st.integers(0, 3)) == 0
+    h0, h1 = ([_f_draw(draw, cfg, low) for _ in range(4)] for _ in range(2))
+    return cfg, E, h0, h1
+
+
+@settings(deadline=None)
+@given(_lift_operands())
+def test_lift_tensor_on_triples_is_the_object_sum(case):
+    """1 (x) h0 + w (x) h1 on triples (_htilde_tensor) gives the tensor
+    that the sum over E-objects gives, triple for triple: among others the
+    zero known to N + v(h1_k) digits that w (h1_k, 0) adds to h0_k."""
+    cfg, E, h0, h1 = case
+    ours = _outcome(mo._htilde_tensor, cfg, [x._t for x in h0], [x._t for x in h1])
+    ref = _outcome(htilde_tensor, E, h0, h1)
+    if isinstance(ref, tuple):
+        assert ours == ref
+    else:
+        assert digest([E.of(c) for c in ours]) == digest(ref)
+
+
+@st.composite
+def _echelon_operands(draw):
+    """A config and 1-6 vectors of 1-8 F-elements for the frame search:
+    drawn by _f_draw, or c*x + y for earlier vectors x, y and a drawn c,
+    so that some are dependent at tracked precision."""
+    cfg = draw(st.sampled_from(_ORACLE_CONFIGS))
+    m = draw(st.integers(1, 8))
+    vecs = []
+    for _ in range(draw(st.integers(1, 6))):
+        if vecs and draw(st.booleans()):
+            x, y = draw(st.sampled_from(vecs)), draw(st.sampled_from(vecs))
+            c = _f_draw(draw, cfg)
+            try:
+                vecs.append([c * a + b for a, b in zip(x, y)])
+                continue
+            except HermiwittError:
+                pass
+        vecs.append([_f_draw(draw, cfg) for _ in range(m)])
+    return cfg, vecs
+
+
+@settings(deadline=None)
+@given(_echelon_operands())
+def test_echelon_on_triples_is_the_object_search(case):
+    """The frame search's echelon step on triples makes the accept/reject
+    decision of the FElement search on every vector, or the same refusal,
+    and keeps the same remainder, with its lead index and the inverse of
+    its lead unit."""
+    cfg, vecs = case
+    ref, ours = [], []
+    for vec in vecs:
+        got = _outcome(mo._echelon_add, cfg, ours, [x._t for x in vec])
+        assert got == _outcome(echelon_add, ref, vec)
+        if isinstance(got, tuple):
+            break
+        if got:
+            row, lead, inv = ours[-1]
+            assert row == [x._t for x in ref[-1]]
+            assert lead == next(i for i, x in enumerate(ref[-1]) if not x.is_zero())
+            v, u, k = row[lead]
+            assert u * inv % cfg.ppow(k - v) == 1
 
 
 def _known_to(cfg, x, k=None):

@@ -4,16 +4,19 @@ Usage, from anywhere::
 
     python3 tools/kernel_timing.py ROOT
 
-ROOT is the root of a hermiwitt checkout; its ``src/hermiwitt/padic.py`` is
-imported and timed in this process.  At (p, N) = (5, 32) and (13, 128) the
-script times ``_d_dot`` on one pair and on three pairs of D-coordinate
-tuples, and ``_e_mul`` on pairs of L-coordinates (w^2 = the nonresidue r).
+ROOT is the root of a hermiwitt checkout; its ``src/hermiwitt/padic.py`` and
+``morita.py`` are imported and timed in this process.  At (p, N) = (5, 32)
+and (13, 128) the script times ``_d_dot`` on one pair and on three pairs of
+D-coordinate tuples, and ``_e_mul`` on pairs of L-coordinates (w^2 = the
+nonresidue r).
 It times the elimination update e - c*f too, over D (``d_update_1pair``)
 and over L (``e_update``): as one kernel call given -c and the addend e,
 and as the two steps ``*_2step``, the product c*f and then each coordinate
 negated and added to e's, as ``QuadExt.__sub__`` does.  A checkout whose
-kernels take no addend times the two steps only.  Every case runs on two
-kinds of seeded operands:
+kernels take no addend times the two steps only.  ``phi_Eu`` and
+``phi_Epi`` time the splitting isomorphism Phi, ``SplitData.to_matrix`` on a
+tensor of four E-elements, for E = F(sqrt(r)) and E = F(sqrt(p)).  Every
+case runs on two kinds of seeded operands:
 
 - ``integral``: every coordinate a p-adic unit known to N digits;
 - ``prec_below_N``: the same units known to N - 1 digits.
@@ -41,10 +44,10 @@ ROUNDS = 41
 BATCH = 64
 
 
-def _operands(padic, cfg, prec: int, rng: random.Random):
+def _operands(padic, morita, cfg, prec: int, rng: random.Random):
     """BATCH operand tuples per kernel: (r, xs, ys) for the one- and
-    three-pair D dots, (d, x, y) for the L product, and those plus the
-    addend e for the updates."""
+    three-pair D dots, (d, x, y) for the L product, those plus the addend e
+    for the updates, and (SplitData, tensor) for Phi."""
     p, N = cfg.p, cfg.precision
 
     def unit():
@@ -53,8 +56,12 @@ def _operands(padic, cfg, prec: int, rng: random.Random):
     def coords(n):
         return tuple(unit() for _ in range(n))
 
+    def tensor(E):
+        return tuple(padic.QuadExtElement(
+            E, *[padic.FElement(cfg, *t) for t in coords(2)]) for _ in range(4))
+
     r = cfg.L_field.delta._t
-    return {
+    ops = {
         "d_dot_1pair": [(r, [coords(4)], [coords(4)]) for _ in range(BATCH)],
         "d_dot_3pair": [(r, [coords(4) for _ in range(3)], [coords(4) for _ in range(3)])
                         for _ in range(BATCH)],
@@ -62,6 +69,14 @@ def _operands(padic, cfg, prec: int, rng: random.Random):
         "d_update_1pair": [(r, [coords(4)], [coords(4)], coords(4)) for _ in range(BATCH)],
         "e_update": [(r, coords(2), coords(2), coords(2)) for _ in range(BATCH)],
     }
+    for name, delta in (("phi_Eu", cfg.f(cfg.nonresidue_r)), ("phi_Epi", cfg.pi())):
+        data = morita.split(cfg, delta)
+        ops[name] = [(data, tensor(data.E)) for _ in range(BATCH)]
+    return ops
+
+
+def _phi(cfg, data, ten):
+    return data.to_matrix(ten)
 
 
 def _two_step(padic, kernel):
@@ -73,12 +88,14 @@ def _two_step(padic, kernel):
     return update
 
 
-def timings(padic) -> dict:
-    """{"p,N": {"kernel/operands": median µs per call}} for padic's kernels."""
+def timings(padic, morita) -> dict:
+    """{"p,N": {"kernel/operands": median µs per call}} for padic's kernels
+    and morita's Phi."""
     kernels = {"d_dot_1pair": padic._d_dot, "d_dot_3pair": padic._d_dot,
                "e_mul": padic._e_mul,
                "d_update_1pair_2step": _two_step(padic, padic._d_dot),
-               "e_update_2step": _two_step(padic, padic._e_mul)}
+               "e_update_2step": _two_step(padic, padic._e_mul),
+               "phi_Eu": _phi, "phi_Epi": _phi}
     if "e" in inspect.signature(padic._d_dot).parameters:
         kernels.update(d_update_1pair=padic._d_dot, e_update=padic._e_mul)
     cases = []
@@ -86,7 +103,7 @@ def timings(padic) -> dict:
         cfg = padic.FieldConfig(p, N)
         rng = random.Random(p * 1000 + N)
         for kind, prec in (("integral", N), ("prec_below_N", N - 1)):
-            for name, args in _operands(padic, cfg, prec, rng).items():
+            for name, args in _operands(padic, morita, cfg, prec, rng).items():
                 for k in (name, name + "_2step"):
                     if k in kernels:
                         cases.append((f"{p},{N}", f"{k}/{kind}", kernels[k], cfg, args))
@@ -113,10 +130,11 @@ def main(argv=None) -> int:
         print(f"error: {root} is not a hermiwitt checkout", file=sys.stderr)
         return 2
     sys.path.insert(0, os.path.join(root, "src"))
-    from hermiwitt import padic
+    from hermiwitt import morita, padic
 
     print(json.dumps({"root": root, "python": platform.python_version(),
-                      "rounds": ROUNDS, "batch": BATCH, "us": timings(padic)}))
+                      "rounds": ROUNDS, "batch": BATCH,
+                      "us": timings(padic, morita)}))
     return 0
 
 
