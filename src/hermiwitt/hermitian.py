@@ -172,14 +172,15 @@ def lmat_det(A):
 
 
 def _axpy(e, x, y):
-    """e + x*y, the elimination update e - c*f as _axpy(e, -c, f): one
-    _d_dot over D or _e_mul over L and E with e as the addend, one reduction
-    per coordinate.  -c keeps c's valuation and precision, so every digit
-    and refusal is e - c*f's.  F keeps e + x*y."""
-    if type(e) is type(x) is type(y) is QuaternionElement:
+    """e + x*y over F, L, E or D, the one accumulate rule of the form layer:
+    one _d_dot over D or _e_mul over L and E with e as the addend, one
+    reduction per coordinate, and e + x*y over F.  The elimination update
+    e - c*f is _axpy(e, -c, f): -c keeps c's valuation and precision, so
+    every digit and refusal is e - c*f's.  The ring is read from e alone."""
+    if type(e) is QuaternionElement:
         L = e.field
         return e._of(_d_dot(L.cfg, L.delta._t, (x.c,), (y.c,), e.c))
-    if type(e) is type(x) is type(y) is QuadExtElement:
+    if type(e) is QuadExtElement:
         E = e.field
         return e._of(_e_mul(E.cfg, E.delta._t, x.c, y.c, e.c))
     return e + x * y
@@ -190,18 +191,19 @@ def vec_apply(A, x):
 
 
 def row_dot(row, x):
-    """sum_k row[k] * x[k], over F, L, E or D.  A D dot reduces each output
-    coordinate once (padic._d_dot, whose one pair is D's product): a sum's
-    class mod p^(least precision) does not depend on its bracketing, so no
-    digit and no refusal moves.  Any other dot folds s + a*b: _e_mul stays,
-    as a one-pair E dot timed up to 13% slower than it."""
-    if all(isinstance(e, QuaternionElement) for e in (*row, *x)):
+    """sum_k row[k] * x[k], over F, L, E or D, the ring read from row[0].  A
+    D dot reduces each output coordinate once (padic._d_dot, whose one pair
+    is D's product): a sum's class mod p^(least precision) does not depend
+    on its bracketing, so no digit and no refusal moves.  Any other dot
+    folds s = _axpy(s, a, b) after its first product: over L and E one
+    fused _e_mul per term, triple for triple the fold s + a*b."""
+    if type(row[0]) is QuaternionElement:
         L = row[0].field
         return row[0]._of(_d_dot(L.cfg, L.delta._t, [a.c for a in row],
                                  [b.c for b in x]))
     s = row[0] * x[0]
     for a, b in zip(row[1:], x[1:]):
-        s = s + a * b
+        s = _axpy(s, a, b)
     return s
 
 

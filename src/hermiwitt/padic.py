@@ -30,9 +30,9 @@ does not depend on its bracketing.  Any other input takes the tracked
 path, ``_d_dot_tracked`` or ``_e_mul_tracked``.
 
 The involution, trace, inverse and ``in_f`` of L, E and D exist once, in
-``QuadExt``; only a result is built as an object.  A divisor's unit is
-inverted once: an F divisor keeps it, and an inverse conj(x) / N(x)
-divides every coordinate by the norm through ``_f_div``.
+``QuadExt``; only a result is built as an object.  An F division inverts
+the divisor's unit, and an inverse conj(x) / N(x) inverts the norm's unit
+once and divides every coordinate by it through ``_f_div``.
 """
 
 from __future__ import annotations
@@ -386,9 +386,6 @@ class FieldConfig:
     def f_zero(self) -> FElement:
         return FElement._zeroish(self, self.precision)
 
-    def one(self) -> FElement:
-        return self.f(1)
-
     @cached_property
     def _pi(self) -> FElement:
         return self.f(self.p)
@@ -448,12 +445,11 @@ class FElement(Ring):
 
     ``val is None`` encodes an element indistinguishable from 0 (all known
     digits vanish); otherwise x = p^val * unit with unit a p-unit stored
-    modulo p^(prec - val).  Instances are immutable by convention; ``_uinv``
-    keeps the unit's inverse mod p^(prec - val) once the element divides,
-    and a quotient reduces it mod the smaller power it keeps: same digits.
+    modulo p^(prec - val).  Instances are immutable by convention; each
+    division inverts the divisor's unit mod p^(prec - val) afresh.
     """
 
-    __slots__ = ("cfg", "val", "unit", "prec", "_uinv")
+    __slots__ = ("cfg", "val", "unit", "prec")
 
     base = "F"
 
@@ -554,10 +550,7 @@ class FElement(Ring):
         cfg = self.cfg
         if o.val is None:
             raise DivisionByIndistinguishableZero(f"divisor is 0 mod p^{o.prec}")
-        try:
-            inv = o._uinv
-        except AttributeError:
-            inv = o._uinv = pow(o.unit, -1, cfg.ppow(o.rel_prec))
+        inv = pow(o.unit, -1, cfg.ppow(o.rel_prec))
         return FElement(cfg, *_f_div(cfg, self._t, o._t, inv))
 
     def __rtruediv__(self, other):

@@ -29,9 +29,9 @@ def _products(monkeypatch, cls):
     the products that hermitian's own bindings of the kernels take: for
     quaternions, one per pair of entries its D dot is given, a row_dot or
     an elimination update e - c*f alike; for L and E, one per _e_mul call
-    of an elimination update.  No product counts twice: __mul__ calls
-    padic's or quaternion's own binding of the kernel, and only
-    hermitian's binding is patched here."""
+    of an elimination update or of a row_dot term after the first.  No
+    product counts twice: __mul__ calls padic's or quaternion's own binding
+    of the kernel, and only hermitian's binding is patched here."""
     def count(fn, *args):
         calls = [0]
 

@@ -411,6 +411,20 @@ def test_endo_commands(capsys):
     assert "degree" in json.loads(out)["diagnostics"]
 
 
+def test_endo_validate_negative_f1_exits_2(capsys):
+    """A parameter with f1 = -1 parses, and endo-validate reports it as
+    invalid with exit 2: f1_negative, and the degree it makes negative."""
+    doc = json.loads(_endo_doc(1, ["g1"]))
+    doc["ambient"]["h_class"] = ["g1"]
+    doc["support"][0]["f1"] = -1
+    rc, out = run_cli(capsys, "endo-validate", "--input", json.dumps(doc))
+    assert rc == 2
+    res = json.loads(out)
+    assert res["valid"] is False
+    assert res["diagnostics"] == ["f1_negative:c0", "degree"]
+    assert res["degree"] == -2 and res["lift"] == {"c0": -1}
+
+
 # The exit code and stderr prefix of every library error class.
 VERDICTS = {sz.MalformedInput: (1, "error")}
 VERDICTS.update({cls: (3, "inconclusive") for cls in (

@@ -102,6 +102,32 @@ def test_validate_diagnostics():
     assert not ok and "witt_sum" in diags
 
 
+def test_validate_diagnostics_each_rule():
+    """Each per-token rule of validate on one parameter that breaks it
+    alone (m and h_class chosen so that the global constraints hold, except
+    where f1 < 0 makes the degree negative), with validate's exact list.
+    The per-class rules parity on a tower's diman and
+    null_tower_must_be_class without null_needs_zero_beta are not tested:
+    each needs a raw WittType(...) that WittType.simple refuses, and a raw
+    WittType(None, (1, 0)) even makes validate raise AttributeError in
+    wt_d, so no public constructor builds those states."""
+    t = tok_nn(1, 1, {"g1"})
+    null = en.EndoClassToken("n", "simple_null", 1)
+    pair = en.EndoClassToken("p", "nonsimple_pair", 1)
+    hyp, g1 = en.WittType.hyperbolic(), WittClassD.of(1, "g1")
+    cases = [
+        (1, g1, (t, -1, en.WittType.simple(t, 1, 0)), ["f1_negative:c1", "degree"]),
+        (2, g1, (pair, 2, en.WittType.null({"g1"})), ["nonsimple_needs_zero_type:p"]),
+        (1, WittClassD.zero(1), (pair, 1, hyp), ["divisibility:p"]),
+        (1, WittClassD.zero(1), (null, 1, hyp), ["divisibility:n"]),
+        (1, g1, (null, 0, en.WittType.simple(t, 1, 0)),
+         ["null_needs_zero_beta:n", "null_tower_must_be_class:n"]),
+        (2, WittClassD.zero(1), (t, 1, hyp), ["parity:c1"]),
+    ]
+    for m, h_class, item, want in cases:
+        assert en.validate(en.EndoParameter(1, m, h_class, (item,))) == (False, want)
+
+
 def test_enumerate_spec_examples():
     t1 = tok_nn(1, 1, {"g1"})
     t2 = tok_nn(2, 1, {"gpi"}, tag="n")

@@ -677,21 +677,58 @@ def test_trace_transfer_lambda_independence(cfg5):
             assert wc.class_of_form(mo.trace_transfer(ed, cfg5.f(c))) == base
 
 
-def test_witt_tower_evaluation_consistency(cfg5):
-    r = rg.rng(107)
-    data = mo.split(cfg5, cfg5.f(cfg5.nonresidue_r))
-    E = data.E
-    ed = mo.functor_Ge(rg.rand_eform(data, r, 1, 2), data, 1)
-    h, beta = mo.realize_instance(ed)
-    wt = mo.witt_tower_of(h, beta)
-    for _ in range(5):
-        x = [E.el(rg.rand_f(cfg5, r, 0, 1), rg.rand_f(cfg5, r, 0, 1)),
-             E.el(rg.rand_f(cfg5, r, 0, 1), rg.rand_f(cfg5, r, 0, 1))]
-        try:
-            f = data.idempotent_from_line(x)
-        except Exception:
-            continue
-        assert wt.value_at(f) == wt.value_at_direct(f)
+def test_witt_tower_evaluation_consistency():
+    """value_at (the class at e1 scaled by the similitude factor) equals
+    value_at_direct (F_f of the form, classified) at random idempotents f,
+    over E = F(sqrt(r)), F(sqrt(p)) and F(sqrt(p r)), eps = +-1 and
+    t = 1..3, at p = 3, 5, 7, 13.  An odd t takes EWittClass.scale's
+    odd-rank branch, whose norm test moves the class at some f."""
+    compared = moved = 0
+    for p in (3, 5, 7, 13):
+        cfg = FieldConfig(p, 32)
+        r = rg.rng(107 + p)
+        for delta in (cfg.f(cfg.nonresidue_r), cfg.pi(), cfg.f(p * cfg.nonresidue_r)):
+            data = mo.split(cfg, delta)
+            E = data.E
+            for eps in (1, -1):
+                for t in (1, 2, 3):
+                    ed = mo.functor_Ge(rg.rand_eform(data, r, eps, t), data, eps)
+                    wt = mo.witt_tower_of(*mo.realize_instance(ed))
+                    for _ in range(4):
+                        x = [E.el(rg.rand_f(cfg, r, 0, 1), rg.rand_f(cfg, r, 0, 1))
+                             for _ in range(2)]
+                        try:
+                            f = data.idempotent_from_line(x)
+                        except DegenerateForm:
+                            continue
+                        value = wt.value_at(f)
+                        assert value == wt.value_at_direct(f)
+                        compared += 1
+                        moved += value != wt.class_at_e1
+    assert compared >= 250 and moved >= 20
+
+
+def test_beta_normalize_rescales():
+    """beta and p^k beta (k = 1, 2) give one Witt tower: _beta_normalize
+    scales p^k beta, whose square has valuation 2k or 2k + 1, back by
+    pi_F^(-k), so the class at e1 and the trace class agree, over F(u) and
+    F(pi_D), eps = +-1, t = 1..3, at p = 3, 5, 13 and N = 40."""
+    for p in (3, 5, 13):
+        cfg = FieldConfig(p, 40)
+        r = rg.rng(p * 1000 + 40)
+        for delta in (cfg.f(cfg.nonresidue_r), cfg.pi()):
+            data = mo.split(cfg, delta)
+            for eps in (1, -1):
+                for t in (1, 2, 3):
+                    ed = mo.functor_Ge(rg.rand_eform(data, r, eps, t), data, eps)
+                    h, beta = mo.realize_instance(ed)
+                    base = mo.witt_tower_of(h, beta)
+                    for k in (1, 2):
+                        pk = cfg.f(p ** k)
+                        scaled = mo.witt_tower_of(
+                            h, [[q.scale_f(pk) for q in row] for row in beta])
+                        assert scaled.class_at_e1 == base.class_at_e1
+                        assert scaled.trace_class() == base.trace_class()
 
 
 def test_tower_conjugation_remark(cfg5):

@@ -108,18 +108,18 @@ def test_division_precision_loss(cfg5):
 
 
 def test_one_modular_inverse_per_divisor(cfg5, modular_inverses):
-    """Divisions by one F-element share one modular inverse of its unit: a
-    D inverse with four nonzero coordinates divides them all by its Nrd
-    and takes 1 (one per coordinate took 4), an L or E inverse divides
-    both coordinates by its norm and takes 1 (2 before), and dividing
-    three elements by the same d takes 1."""
+    """An inverse divides by one modular inverse of its norm's unit: a D
+    inverse with four nonzero coordinates divides them all by its Nrd and
+    takes 1 (one per coordinate took 4), an L or E inverse divides both
+    coordinates by its norm and takes 1 (2 before).  F keeps no inverse on
+    the divisor, so dividing three elements by the same d takes 3."""
     x = Q.make(cfg5, cfg5.l(3, 4), cfg5.l(2, 7))
     assert all(not c.is_zero() for c in coords(x.conj()))
     assert modular_inverses(x.inv) == 1
     for field in (cfg5.L_field, QuadExtField(cfg5, cfg5.pi(), "E")):
         assert modular_inverses(field.el(3, 4).inv) == 1
     d = cfg5.f(7) / cfg5.f(2)
-    assert modular_inverses(lambda: [cfg5.f(k) / d for k in (1, 2, 3)]) == 1
+    assert modular_inverses(lambda: [cfg5.f(k) / d for k in (1, 2, 3)]) == 3
 
 
 def test_tau_examples(cfg5):
@@ -705,7 +705,8 @@ def test_kernel_results_are_canonical():
     zero holds unit 0 and 0 < prec <= N, any other coordinate val < prec
     <= N and a unit 0 < unit < p^(prec - val) prime to p.  The product
     kernel leaves units unreduced between its own steps; none may leave
-    it, since equality, hashing, _uinv and serialization read the unit."""
+    it, since equality, hashing, division and serialization read the
+    unit."""
     from hermiwitt.hermitian import dmat_mul, row_dot
 
     checked = 0

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from hermiwitt.errors import IndistinguishableZero
+from hermiwitt.errors import IndistinguishableZero, PrecisionExhausted
 from hermiwitt.padic import FElement, QuadExtElement, QuadExtField
 from hermiwitt.quaternion import QuaternionElement as Q, congruent_mod_nuD, quat_mul
 from hermiwitt import randgen as rg
@@ -50,6 +52,34 @@ def test_congruence_examples(cfg5):
     assert congruent_mod_nuD(one, one + pi)
     assert congruent_mod_nuD(one, one + pi.scale_f(cfg5.pi()))
     assert not congruent_mod_nuD(pi, pi * pi)
+
+
+def test_congruence_of_an_element_with_itself(cfg5):
+    """congruent_mod_nuD(d, d) is True wherever nu_D(d) answers, at full
+    precision and on coordinates known to fewer digits: d - d is 0 known to
+    d's own digits, and nu_D certifies a valuation only below them.  The
+    window check refuses a d2 whose digits end at or below nu_D(d):
+    pi_F^3 (nu_D = 6) against 0 known to 3 digits of F (nu_D >= 6)."""
+    r = random.Random(29)
+    for d in (Q.one(cfg5), Q.pi_D(cfg5), Q.u_elem(cfg5) * Q.pi_D(cfg5),
+              Q.one(cfg5).scale_f(cfg5.f(5 ** 5))):
+        assert congruent_mod_nuD(d, d)
+    checked = 0
+    for _ in range(200):
+        d = Q(*[cfg5.l(*[FElement._make(cfg5, r.randint(-1, 3), r.randint(1, 4),
+                                        r.randint(4, 32)) if r.random() < 0.7
+                         else FElement._zeroish(cfg5, r.randint(1, 32))
+                         for _ in range(2)]) for _ in range(2)])
+        try:
+            d.nu_D()
+        except (IndistinguishableZero, PrecisionExhausted):
+            continue
+        assert congruent_mod_nuD(d, d)
+        checked += 1
+    assert checked >= 100
+    zero3 = cfg5.l(FElement._zeroish(cfg5, 3), FElement._zeroish(cfg5, 3))
+    with pytest.raises(PrecisionExhausted, match="^congruence window exceeds precision$"):
+        congruent_mod_nuD(Q.one(cfg5).scale_f(cfg5.f(5 ** 3)), Q(zero3, zero3))
 
 
 def test_rho_antimultiplicative_seeded(cfg5):

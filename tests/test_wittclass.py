@@ -2,6 +2,7 @@ import pytest
 
 from hermiwitt.errors import EpsilonMismatch, IndistinguishableZero, WrongSymmetryType
 from hermiwitt.hermitian import DiagonalForm, HermitianForm
+from hermiwitt.padic import FieldConfig
 from hermiwitt.quaternion import QuaternionElement as Q
 from hermiwitt.wittclass import (
     WittClassD,
@@ -121,6 +122,22 @@ def test_oracle_vs_classify_seeded(cfg5):
         same = classify_line(d, 1) == classify_line(d2, 1)
         assert equivalence_oracle(d, d2) == same
         assert is_isotropic(DiagonalForm(1, (d, -d2), 0)) == same
+
+
+def test_skew_oracle_vs_classify_seeded():
+    """The skew branch of equivalence_oracle (each side reduced to u pi_D by
+    _reduce_skew, the witness checked) agrees with classify_line(., -1) on
+    seeded skew pairs, and finds rho(y) d y equivalent to d, at p = 3, 5,
+    7, 13 and at (13, 128)."""
+    for p, N in ((3, 32), (5, 32), (7, 32), (13, 32), (13, 128)):
+        cfg = FieldConfig(p, N)
+        r = rg.rng(73 + p + N)
+        for _ in range(40):
+            d, d2 = rg.rand_skew(cfg, r), rg.rand_skew(cfg, r)
+            same = classify_line(d, -1) == classify_line(d2, -1)
+            assert equivalence_oracle(d, d2) == same
+            y = rg.rand_quat(cfg, r)
+            assert equivalence_oracle(d, y.rho() * d * y)
 
 
 def test_scaling_invariance_seeded(cfg5):
