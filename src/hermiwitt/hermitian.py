@@ -466,23 +466,13 @@ def l_embedding(X):
     """The 2n x 2n matrix over L of a D-matrix X acting on V with L-basis
     (e_1..e_n, e_1 pi_D .. e_n pi_D): blocks [[A, B pi_F], [tau(B), tau(A)]]
     for X = A + B pi_D."""
-    n = len(X)
-    cfg = X[0][0].cfg
-    pf = cfg.pi()
+    pf = X[0][0].cfg.pi()
     top, bot = [], []
-    for i in range(n):
-        r1, r2 = [], []
-        for j in range(n):
-            r1.append(X[i][j].a)
-            r2.append(tau_conj(X[i][j].b))
-        top.append(r1)
-        bot.append(r2)
-    rows = []
-    for i in range(n):
-        rows.append(top[i] + [X[i][j].b.scale_f(pf) for j in range(n)])
-    for i in range(n):
-        rows.append(bot[i] + [tau_conj(X[i][j].a) for j in range(n)])
-    return rows
+    for row in X:
+        ab = [(x.a, x.b) for x in row]
+        top.append([a for a, _ in ab] + [b.scale_f(pf) for _, b in ab])
+        bot.append([tau_conj(b) for _, b in ab] + [tau_conj(a) for a, _ in ab])
+    return top + bot
 
 
 def reduced_norm(X):

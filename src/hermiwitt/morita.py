@@ -345,10 +345,9 @@ def _build_split(cfg: FieldConfig, delta: FElement, w_choice: int) -> SplitData:
     C = cmat_inv(B)
     S = _e_gram_schmidt_basis(C, E)
     u_entries = [_fixed_to_f(sesquilinear(C, v, v)) for v in S]
-    # S holds the orthogonal basis as column vectors; m = sigma(S^T) makes
-    # m C sigma(m)^T = diag(u1, u2)
-    Smat = [[S[j][i] for j in range(2)] for i in range(2)]
-    m = dmat_bar_t(Smat)
+    # S lists the orthogonal basis; m, whose rows are sigma(v) for v in S,
+    # makes m C sigma(m)^T = diag(u1, u2)
+    m = [[x.bar() for x in v] for v in S]
     minv = cmat_inv(m)
     Gu = dmat_mul(m, dmat_mul(G0u, minv))
     Gpi = dmat_mul(m, dmat_mul(G0pi, minv))

@@ -107,11 +107,7 @@ def _f_make(cfg: FieldConfig, val: int, unit: int, prec: int) -> tuple:
         raise PrecisionExhausted("result precision <= 0")
     if val >= prec:
         return _f_zero(cfg, prec)
-    unit %= cfg.ppow(prec - val)
-    if unit == 0:
-        # cannot happen for a genuine unit; guard anyway
-        return _f_zero(cfg, prec)
-    return (val, unit, prec)
+    return _f_reduce(cfg, val, unit, prec)
 
 
 def _f_add(cfg: FieldConfig, x: tuple, y: tuple) -> tuple:

@@ -30,11 +30,11 @@ class QuaternionElement(QuadExt):
 
     @property
     def a(self) -> QuadExtElement:  # built on each read: hot paths read c
-        return QuadExtElement(self.field, *[FElement(self.cfg, *t) for t in self.c[:2]])
+        return self.field.of(self.c[:2])
 
     @property
     def b(self) -> QuadExtElement:
-        return QuadExtElement(self.field, *[FElement(self.cfg, *t) for t in self.c[2:]])
+        return self.field.of(self.c[2:])
 
     # -- constructors -------------------------------------------------------
     @staticmethod

@@ -1,8 +1,19 @@
 """Seeded invariant suites for every module, used by the CLI selftest and
-reused by the test suite.  Each suite returns (name, passed, failed)."""
+reused by the test suite.
+
+A suite is a generator ``fn(cfg, r, n=...)`` decorated with ``@_suite``: it
+draws its inputs from the seeded ``random.Random`` r and yields one bool per
+check.  ``@_suite`` turns it into ``fn(cfg, seed, **kw)``, which seeds r with
+``randgen.rng(seed)``, tallies the checks into ``{name, passed, failed}`` and
+merges in the dict the generator returns, if any (``wittclass_oracle``
+returns its ``inconclusive`` count).  It also appends the suite to
+``ALL_SUITES``, so ``run_all`` runs the suites in definition order; to add a
+suite, define it below the others."""
 
 from __future__ import annotations
 
+import functools
+import random
 from math import gcd
 
 from .errors import HermiwittError, OracleInconclusive
@@ -27,97 +38,96 @@ from . import morita as mo
 from . import randgen as rg
 from . import wittclass as wc
 
-
-def _suite(name, checks):
-    passed = sum(1 for c in checks if c)
-    return {"name": name, "passed": passed, "failed": len(checks) - passed}
+ALL_SUITES = []
 
 
-def padic_arith(cfg: FieldConfig, seed: int, n=1000):
-    r = rg.rng(seed)
-    checks = []
+def _suite(fn):
+    @functools.wraps(fn)
+    def suite(cfg: FieldConfig, seed: int, **kw):
+        checks = fn(cfg, rg.rng(seed), **kw)
+        record = {"name": fn.__name__, "passed": 0, "failed": 0}
+        while True:
+            try:
+                ok = next(checks)
+            except StopIteration as done:
+                return record | (done.value or {})
+            record["passed" if ok else "failed"] += 1
+    ALL_SUITES.append(suite)
+    return suite
+
+
+@_suite
+def padic_arith(cfg: FieldConfig, r: random.Random, n=1000):
     for _ in range(n):
         x, y = rg.rand_f(cfg, r), rg.rand_f(cfg, r)
-        checks.append((x * y).valuation() == x.valuation() + y.valuation())
+        yield (x * y).valuation() == x.valuation() + y.valuation()
         s = x + y
         if not s.is_zero():
             v = s.valuation()
             ok = v >= min(x.valuation(), y.valuation())
             if x.valuation() != y.valuation():
                 ok = ok and v == min(x.valuation(), y.valuation())
-            checks.append(ok)
-    return _suite("padic_arith", checks)
+            yield ok
 
 
-def padic_tau_norm(cfg: FieldConfig, seed: int, n=1000):
-    r = rg.rng(seed)
-    checks = []
+@_suite
+def padic_tau_norm(cfg: FieldConfig, r: random.Random, n=1000):
     for _ in range(n):
         x = rg.rand_l(cfg, r)
-        checks.append(tau_conj(tau_conj(x)).same(x))
-        checks.append((x * tau_conj(x)).b.is_zero())
-        checks.append((x + tau_conj(x)).b.is_zero())
-    return _suite("padic_tau_norm", checks)
+        yield tau_conj(tau_conj(x)).same(x)
+        yield (x * tau_conj(x)).b.is_zero()
+        yield (x + tau_conj(x)).b.is_zero()
 
 
-def padic_squares(cfg: FieldConfig, seed: int, n=300):
-    r = rg.rng(seed)
-    checks = []
+@_suite
+def padic_squares(cfg: FieldConfig, r: random.Random, n=300):
     for _ in range(n):
         x = rg.rand_f(cfg, r)
         sq = x * x
-        checks.append(sq.is_square())
+        yield sq.is_square()
         y = sq.sqrt()
-        checks.append((y * y - sq).is_zero())
+        yield (y * y - sq).is_zero()
         a, b = rg.rand_f(cfg, r, 0, 0), rg.rand_f(cfg, r, 0, 0)
-        checks.append((a * b).is_square() == (a.is_square() == b.is_square()))
-    return _suite("padic_squares", checks)
+        yield (a * b).is_square() == (a.is_square() == b.is_square())
 
 
-def quaternion_rho(cfg: FieldConfig, seed: int, n=1000):
-    r = rg.rng(seed)
-    checks = []
+@_suite
+def quaternion_rho(cfg: FieldConfig, r: random.Random, n=1000):
     for _ in range(n):
         x, y = rg.rand_quat(cfg, r), rg.rand_quat(cfg, r)
-        checks.append(((x * y).rho() - y.rho() * x.rho()).is_zero())
-        checks.append((x.rho().rho() - x).is_zero())
-    return _suite("quaternion_rho", checks)
+        yield ((x * y).rho() - y.rho() * x.rho()).is_zero()
+        yield (x.rho().rho() - x).is_zero()
 
 
-def quaternion_nrd(cfg: FieldConfig, seed: int, n=500):
-    r = rg.rng(seed)
-    checks = []
+@_suite
+def quaternion_nrd(cfg: FieldConfig, r: random.Random, n=500):
     for _ in range(n):
         x, y = rg.rand_quat(cfg, r), rg.rand_quat(cfg, r)
-        checks.append(((x * y).nrd() - x.nrd() * y.nrd()).is_zero())
-        checks.append((x.trd() - x.rho().trd()).is_zero())
-        checks.append((x.nrd() - x.rho().nrd()).is_zero())
-        checks.append(x.nu_D() == x.nrd().valuation())
-    return _suite("quaternion_nrd", checks)
+        yield ((x * y).nrd() - x.nrd() * y.nrd()).is_zero()
+        yield (x.trd() - x.rho().trd()).is_zero()
+        yield (x.nrd() - x.rho().nrd()).is_zero()
+        yield x.nu_D() == x.nrd().valuation()
 
 
-def quaternion_decomp(cfg: FieldConfig, seed: int, n=200):
-    r = rg.rng(seed)
+@_suite
+def quaternion_decomp(cfg: FieldConfig, r: random.Random, n=200):
     half = cfg.f(1) / 2
-    checks = []
     for _ in range(n):
         x = rg.rand_quat(cfg, r)
         s = (x + x.rho()).scale_f(half)
         k = (x - x.rho()).scale_f(half)
-        checks.append((s + k - x).is_zero())
-        checks.append(s.symmetry_type() in ("symmetric",) or s.is_zero())
-        checks.append(k.symmetry_type() in ("skew",) or k.is_zero())
+        yield (s + k - x).is_zero()
+        yield s.symmetry_type() in ("symmetric",) or s.is_zero()
+        yield k.symmetry_type() in ("skew",) or k.is_zero()
     basis = [QuaternionElement.one(cfg), QuaternionElement.u_elem(cfg),
              QuaternionElement.pi_D(cfg)]
-    checks.append(all(b.symmetry_type() == "symmetric" for b in basis))
-    checks.append((QuaternionElement.u_elem(cfg)
-                   * QuaternionElement.pi_D(cfg)).symmetry_type() == "skew")
-    return _suite("quaternion_decomp", checks)
+    yield all(b.symmetry_type() == "symmetric" for b in basis)
+    yield (QuaternionElement.u_elem(cfg)
+           * QuaternionElement.pi_D(cfg)).symmetry_type() == "skew"
 
 
-def hermitian_congruence(cfg: FieldConfig, seed: int, n=500):
-    r = rg.rng(seed)
-    checks = []
+@_suite
+def hermitian_congruence(cfg: FieldConfig, r: random.Random, n=500):
     for _ in range(n):
         eps = 1 if r.random() < 0.5 else -1
         rank = r.randint(1, 3)
@@ -126,14 +136,12 @@ def hermitian_congruence(cfg: FieldConfig, seed: int, n=500):
         f2 = HermitianForm.from_rows(eps, congruence(diag.rows(), S, S))
         i1, a1 = witt_decompose(diag)
         i2, a2 = witt_decompose(f2)
-        checks.append(i1 == i2
-                      and wc.class_of_diagonal(a1) == wc.class_of_diagonal(a2))
-    return _suite("hermitian_congruence", checks)
+        yield (i1 == i2
+               and wc.class_of_diagonal(a1) == wc.class_of_diagonal(a2))
 
 
-def hermitian_hyperbolic(cfg: FieldConfig, seed: int, n=100):
-    r = rg.rng(seed)
-    checks = []
+@_suite
+def hermitian_hyperbolic(cfg: FieldConfig, r: random.Random, n=100):
     for _ in range(n):
         eps = 1 if r.random() < 0.5 else -1
         rank = r.randint(1, 2)
@@ -141,32 +149,28 @@ def hermitian_hyperbolic(cfg: FieldConfig, seed: int, n=100):
         i1, a1 = witt_decompose(f)
         g = f.orthogonal_sum(HermitianForm.hyperbolic_plane(cfg, eps))
         i2, a2 = witt_decompose(g)
-        checks.append(i2 == i1 + 1
-                      and wc.class_of_diagonal(a1) == wc.class_of_diagonal(a2))
-    return _suite("hermitian_hyperbolic", checks)
+        yield (i2 == i1 + 1
+               and wc.class_of_diagonal(a1) == wc.class_of_diagonal(a2))
 
 
-def hermitian_nrd1(cfg: FieldConfig, seed: int, n=200):
-    r = rg.rng(seed)
-    checks = []
+@_suite
+def hermitian_nrd1(cfg: FieldConfig, r: random.Random, n=200):
     for _ in range(n):
         eps = 1 if r.random() < 0.5 else -1
         rank = r.randint(1, 3)
         form = rg.rand_form(cfg, r, eps, rank)
         X = rg.rand_skew_adjoint(cfg, r, form)
         g = cayley_isometry(X, form)
-        checks.append(is_isometry(g, form))
+        yield is_isometry(g, form)
         nrd = reduced_norm(g)
         diff = nrd - 1
-        checks.append(diff.is_zero() or diff.valuation() >= cfg.precision - 8)
-    return _suite("hermitian_nrd1", checks)
+        yield diff.is_zero() or diff.valuation() >= cfg.precision - 8
 
 
-def hermitian_twist(cfg: FieldConfig, seed: int, n=100):
+@_suite
+def hermitian_twist(cfg: FieldConfig, r: random.Random, n=100):
     # a scalar gamma is sigma_h-(skew-)adjoint only when the Gram entries
     # commute with it, so the suite twists F-entry diagonal forms
-    r = rg.rng(seed)
-    checks = []
     skew = QuaternionElement.u_elem(cfg) * QuaternionElement.pi_D(cfg)
     for _ in range(n):
         rank = r.randint(1, 2)
@@ -174,33 +178,30 @@ def hermitian_twist(cfg: FieldConfig, seed: int, n=100):
             1, [QuaternionElement.make(cfg, cfg.l(rg.rand_f(cfg, r), 0))
                 for _ in range(rank)])
         g = twist(f, skew)
-        checks.append(g.epsilon == -1 and validate(g))
+        yield g.epsilon == -1 and validate(g)
         back = twist(g, skew)
-        checks.append(back.epsilon == 1
-                      and wc.class_of_form(back) == wc.class_of_form(f))
-    return _suite("hermitian_twist", checks)
+        yield (back.epsilon == 1
+               and wc.class_of_form(back) == wc.class_of_form(f))
 
 
-def hermitian_trace_lift(cfg: FieldConfig, seed: int, n=20, pairs=50):
-    r = rg.rng(seed)
-    checks = []
+@_suite
+def hermitian_trace_lift(cfg: FieldConfig, r: random.Random, n=20, pairs=50):
     for _ in range(n):
         eps = 1 if r.random() < 0.5 else -1
         rank = r.randint(1, 3)
         form = rg.rand_form(cfg, r, eps, rank)
         hL = trace_lift_hL(form)
-        checks.append(len(hL) == 2 * rank)
+        yield len(hL) == 2 * rank
         for _ in range(pairs):
             v = [rg.rand_quat(cfg, r) for _ in range(rank)]
             w = [rg.rand_quat(cfg, r) for _ in range(rank)]
             lhs = hL_evaluate(hL, l_coordinates(v), l_coordinates(w)).trace()
             rhs = form.evaluate(v, w).trd()
-            checks.append((lhs - rhs).is_zero())
-    return _suite("hermitian_trace_lift", checks)
+            yield (lhs - rhs).is_zero()
 
 
-def wittclass_closure(cfg: FieldConfig, seed: int, n=2000):
-    r = rg.rng(seed)
+@_suite
+def wittclass_closure(cfg: FieldConfig, r: random.Random, n=2000):
     seen = set()
     for _ in range(n):
         d = rg.rand_symmetric(cfg, r)
@@ -220,20 +221,17 @@ def wittclass_closure(cfg: FieldConfig, seed: int, n=2000):
         d = rg.rand_skew(cfg, r)
         seen_skew.add(wc.classify_line(d, -1).coords)
     skew_group = set(seen_skew) | {frozenset()}
-    checks = [len(seen) == 3, len(group) == 8, len(skew_group) == 2]
-    return _suite("wittclass_closure", checks)
+    yield from (len(seen) == 3, len(group) == 8, len(skew_group) == 2)
 
 
-def wittclass_scaling(cfg: FieldConfig, seed: int, n=500):
-    r = rg.rng(seed)
-    checks = []
+@_suite
+def wittclass_scaling(cfg: FieldConfig, r: random.Random, n=500):
     for _ in range(n):
         d = rg.rand_symmetric(cfg, r)
         x = rg.rand_f(cfg, r)
-        checks.append(wc.classify_line(d, 1) == wc.classify_line(d.scale_f(x), 1))
+        yield wc.classify_line(d, 1) == wc.classify_line(d.scale_f(x), 1)
         dk = rg.rand_skew(cfg, r)
-        checks.append(wc.classify_line(dk, -1) == wc.classify_line(dk.scale_f(x), -1))
-    return _suite("wittclass_scaling", checks)
+        yield wc.classify_line(dk, -1) == wc.classify_line(dk.scale_f(x), -1)
 
 
 def _perturb(cfg, r, d):
@@ -247,64 +245,55 @@ def _perturb(cfg, r, d):
     return d + s
 
 
-def wittclass_congruence(cfg: FieldConfig, seed: int, n=500):
-    r = rg.rng(seed)
-    checks = []
+@_suite
+def wittclass_congruence(cfg: FieldConfig, r: random.Random, n=500):
     for _ in range(n):
         eps = 1 if r.random() < 0.7 else -1
         d = rg.rand_line_entry(cfg, r, eps)
         d2 = _perturb(cfg, r, d)
-        checks.append(congruent_mod_nuD(d, d2)
-                      and wc.classify_line(d, eps) == wc.classify_line(d2, eps))
-    return _suite("wittclass_congruence", checks)
+        yield (congruent_mod_nuD(d, d2)
+               and wc.classify_line(d, eps) == wc.classify_line(d2, eps))
 
 
-def wittclass_oracle(cfg: FieldConfig, seed: int, n=500):
-    r = rg.rng(seed)
-    checks = []
+@_suite
+def wittclass_oracle(cfg: FieldConfig, r: random.Random, n=500):
     inconclusive = 0
     for _ in range(n):
         d, d2 = rg.rand_symmetric(cfg, r), rg.rand_symmetric(cfg, r)
         same = wc.classify_line(d, 1) == wc.classify_line(d2, 1)
         try:
             iso = wc.is_isotropic(DiagonalForm(1, (d, -d2), 0))
-            checks.append(iso == same)
+            yield iso == same
             eq = wc.equivalence_oracle(d, d2)
-            checks.append(eq == same)
+            yield eq == same
         except OracleInconclusive:
             inconclusive += 1
-    out = _suite("wittclass_oracle", checks)
-    out["inconclusive"] = inconclusive
-    return out
+    return {"inconclusive": inconclusive}
 
 
-def wittclass_form_invariance(cfg: FieldConfig, seed: int, n=200):
-    r = rg.rng(seed)
-    checks = []
+@_suite
+def wittclass_form_invariance(cfg: FieldConfig, r: random.Random, n=200):
     for _ in range(n):
         eps = 1 if r.random() < 0.5 else -1
         rank = r.randint(1, 3)
         d = rg.rand_diagonal_form(cfg, r, eps, rank)
         S = rg.rand_invertible(cfg, r, rank)
         f2 = HermitianForm.from_rows(eps, congruence(d.rows(), S, S))
-        checks.append(wc.class_of_form(d) == wc.class_of_form(f2))
-    return _suite("wittclass_form_invariance", checks)
+        yield wc.class_of_form(d) == wc.class_of_form(f2)
 
 
-def morita_phi_relations(cfg: FieldConfig, seed: int):
-    checks = []
+@_suite
+def morita_phi_relations(cfg: FieldConfig, r: random.Random):
     for delta in (cfg.f(cfg.nonresidue_r), cfg.pi()):
         data = mo.split(cfg, delta)
-        checks.append(data.validate())
-        checks.append(data.e1().validate() and data.e2().validate())
-    return _suite("morita_phi_relations", checks)
+        yield data.validate()
+        yield data.e1().validate() and data.e2().validate()
 
 
-def morita_fe_sums(cfg: FieldConfig, seed: int, n=100):
-    r = rg.rng(seed)
+@_suite
+def morita_fe_sums(cfg: FieldConfig, r: random.Random, n=100):
     data = mo.split(cfg, cfg.f(cfg.nonresidue_r))
     E = data.E
-    checks = []
     for _ in range(n):
         eps = 1 if r.random() < 0.5 else -1
         t1, t2 = r.randint(1, 2), r.randint(1, 2)
@@ -314,15 +303,13 @@ def morita_fe_sums(cfg: FieldConfig, seed: int, n=100):
         c = mo.e_witt_class(mo.functor_Fe(s, data.e1()), E, eps)
         c1 = mo.e_witt_class(mo.functor_Fe(h1, data.e1()), E, eps)
         c2 = mo.e_witt_class(mo.functor_Fe(h2, data.e1()), E, eps)
-        checks.append(c == c1 + c2)
-    return _suite("morita_fe_sums", checks)
+        yield c == c1 + c2
 
 
-def morita_independence(cfg: FieldConfig, seed: int, n=50):
-    r = rg.rng(seed)
+@_suite
+def morita_independence(cfg: FieldConfig, r: random.Random, n=50):
     d1 = mo.split(cfg, cfg.f(cfg.nonresidue_r), w_choice=0)
     d2 = mo.split(cfg, cfg.f(cfg.nonresidue_r), w_choice=1)
-    checks = []
     for _ in range(n):
         eps = 1 if r.random() < 0.5 else -1
         t = r.randint(1, 2)
@@ -335,15 +322,13 @@ def morita_independence(cfg: FieldConfig, seed: int, n=50):
         h2 = mo.trace_transfer(ed2)
         c1 = mo.e_witt_class(mo.functor_Fe(ed1, d1.e1()), d1.E, eps)
         c2 = mo.e_witt_class(mo.functor_Fe(ed2, d2.e1()), d2.E, eps)
-        checks.append(c1.anisotropic_dim == c2.anisotropic_dim)
-        checks.append(wc.class_of_form(h1) == wc.class_of_form(h2))
-    return _suite("morita_independence", checks)
+        yield c1.anisotropic_dim == c2.anisotropic_dim
+        yield wc.class_of_form(h1) == wc.class_of_form(h2)
 
 
-def morita_trl(cfg: FieldConfig, seed: int, n=20):
-    r = rg.rng(seed)
+@_suite
+def morita_trl(cfg: FieldConfig, r: random.Random, n=20):
     data = mo.split(cfg, cfg.f(cfg.nonresidue_r))
-    checks = []
     for _ in range(n):
         eps = 1 if r.random() < 0.5 else -1
         t = r.randint(1, 2)
@@ -351,19 +336,16 @@ def morita_trl(cfg: FieldConfig, seed: int, n=20):
         base = wc.class_of_form(mo.trace_transfer(ed))
         for c in (1, 3, int(cfg.p) + 1):
             scaled = wc.class_of_form(mo.trace_transfer(ed, cfg.f(c)))
-            checks.append(scaled == base)
-    return _suite("morita_trl", checks)
+            yield scaled == base
 
 
-def endo_count_closed_form(cfg: FieldConfig, seed: int, n=200):
-    r = rg.rng(seed)
-    checks = []
+@_suite
+def endo_count_closed_form(cfg: FieldConfig, r: random.Random, n=200):
     for _ in range(n):
         entries, eps, m, h = _random_token_config(cfg, r)
         out = en.enumerate_parameters(entries, eps, m, h)
-        checks.append(len(out) == en.closed_form_count(entries))
-        checks.append(en.count_parameters(entries, eps, m, h) == len(out))
-    return _suite("endo_count_closed_form", checks)
+        yield len(out) == en.closed_form_count(entries)
+        yield en.count_parameters(entries, eps, m, h) == len(out)
 
 
 def _random_token_config(cfg, r):
@@ -406,9 +388,8 @@ def _random_token_config(cfg, r):
     return entries, eps, m, hsum
 
 
-def endo_equiv_relation(cfg: FieldConfig, seed: int, n=200):
-    r = rg.rng(seed)
-    checks = []
+@_suite
+def endo_equiv_relation(cfg: FieldConfig, r: random.Random, n=200):
     toks = []
     for i in range(3):
         toks.append(en.EndoClassToken(
@@ -426,18 +407,16 @@ def endo_equiv_relation(cfg: FieldConfig, seed: int, n=200):
         a, b, c = r.choice(pool), r.choice(pool), r.choice(pool)
         try:
             ab = en.witt_type_equiv(a, b, 1)
-            checks.append(en.witt_type_equiv(a, a, 1))
-            checks.append(ab == en.witt_type_equiv(b, a, 1))
+            yield en.witt_type_equiv(a, a, 1)
+            yield ab == en.witt_type_equiv(b, a, 1)
             if ab and en.witt_type_equiv(b, c, 1):
-                checks.append(en.witt_type_equiv(a, c, 1))
+                yield en.witt_type_equiv(a, c, 1)
         except en.IncomparableTokens:
-            checks.append(True)
-    return _suite("endo_equiv_relation", checks)
+            yield True
 
 
-def endo_selector_flip(cfg: FieldConfig, seed: int, n=100):
-    r = rg.rng(seed)
-    checks = []
+@_suite
+def endo_selector_flip(cfg: FieldConfig, r: random.Random, n=100):
     for _ in range(n):
         entries, eps, m, h = _random_token_config(cfg, r)
         out = en.enumerate_parameters(entries, eps, m, h)
@@ -451,20 +430,7 @@ def endo_selector_flip(cfg: FieldConfig, seed: int, n=100):
                 supp = list(fm.support)
                 supp[idx] = (tok, f1, flipped)
                 fm2 = en.EndoParameter(eps, m, h, tuple(supp))
-                checks.append(en.validate(fm2)[0])
-    return _suite("endo_selector_flip", checks)
-
-
-ALL_SUITES = [
-    padic_arith, padic_tau_norm, padic_squares,
-    quaternion_rho, quaternion_nrd, quaternion_decomp,
-    hermitian_congruence, hermitian_hyperbolic, hermitian_nrd1,
-    hermitian_twist, hermitian_trace_lift,
-    wittclass_closure, wittclass_scaling, wittclass_congruence,
-    wittclass_oracle, wittclass_form_invariance,
-    morita_phi_relations, morita_fe_sums, morita_independence, morita_trl,
-    endo_count_closed_form, endo_equiv_relation, endo_selector_flip,
-]
+                yield en.validate(fm2)[0]
 
 
 def run_all(cfg: FieldConfig, seed: int):

@@ -158,6 +158,12 @@ def _endo_doc(eps, wtd_odd, lift=False):
     ["decompose", "--form", json.dumps({"epsilon": 1, "rank": True, "gram": [["1"]]})],
     ["decompose", "--form", json.dumps(
         {"epsilon": 1, "gram": [[_f_elem(val=None, digits=[1, 2, 3], prec=2)]]})],
+    ["decompose", "--form", json.dumps(
+        {"epsilon": 1, "gram": [[_f_elem(val=0, digits=[0, 1])]]})],
+    ["decompose", "--form", json.dumps(
+        {"epsilon": 1, "gram": [[_f_elem(base="L", val=0, digits=[1])]]})],
+    ["endo-validate", "--input", json.dumps(
+        {"epsilon": 1, "ambient": {"m": 2, "h_class": []}, "support": {}})],
 ], ids=["digit", "val", "epsilon-2", "epsilon-x", "transfer-epsilon-2",
         "gram-empty", "tower-gram-empty", "H-empty", "H-ragged", "H-non-square",
         "endo-epsilon-x", "endo-h-class-bogus", "endo-m-x",
@@ -165,7 +171,8 @@ def _endo_doc(eps, wtd_odd, lift=False):
         "endo-null-witt-class-bogus", "digit-float", "val-float",
         "epsilon-true", "digit-true", "digits-string", "digit-above-p",
         "digit-negative", "transfer-t-mismatch", "digits-beyond-prec",
-        "transfer-t-true", "rank-true", "zero-with-digits"])
+        "transfer-t-true", "rank-true", "zero-with-digits",
+        "unit-divisible-by-p", "base-L", "support-object"])
 def test_malformed_json_exits_1(capsys, argv):
     rc = run(argv)
     captured = capsys.readouterr()
@@ -423,6 +430,20 @@ def test_endo_validate_negative_f1_exits_2(capsys):
     assert res["valid"] is False
     assert res["diagnostics"] == ["f1_negative:c0", "degree"]
     assert res["degree"] == -2 and res["lift"] == {"c0": -1}
+
+
+def test_endo_validate_tower_for_another_class_exits_2(capsys):
+    """A simple non-null token whose Witt type is a tower over beta = 0, not
+    over the token itself, is reported as tower_not_for_class with exit 2;
+    f1 = 0, so the degree 2 falls short of 2m = 4."""
+    doc = json.loads(_endo_doc(1, ["g1"]))
+    doc["ambient"] = {"m": 2, "h_class": ["g1"]}
+    doc["support"][0]["f2"] = {"beta": "ZERO", "tower": {"witt_class": ["g1"]}}
+    rc, out = run_cli(capsys, "endo-validate", "--input", json.dumps(doc))
+    assert rc == 2
+    res = json.loads(out)
+    assert res["valid"] is False
+    assert res["diagnostics"] == ["tower_not_for_class:c0", "degree"]
 
 
 # The exit code and stderr prefix of every library error class.

@@ -321,6 +321,12 @@ def test_cayley_examples(cfg5):
         assert (form.evaluate(gv, gw) - form.evaluate(v, w)).is_zero()
     with pytest.raises(NotSkewAdjoint):
         cayley_isometry(dmat_identity(cfg5, n), form)
+    # diag(1, -1) is sigma_h-skew on the hyperbolic plane, but 1 - X is
+    # diag(0, 2)
+    one, zero = Q.one(cfg5), Q.zero(cfg5)
+    with pytest.raises(Singular, match="^1 - X is not invertible$"):
+        cayley_isometry([[one, zero], [zero, -one]],
+                        HermitianForm.hyperbolic_plane(cfg5, 1))
 
 
 def test_cayley_refuses_a_degenerate_gram(cfg5):

@@ -706,7 +706,8 @@ def test_kernel_results_are_canonical():
     <= N and a unit 0 < unit < p^(prec - val) prime to p.  The product
     kernel leaves units unreduced between its own steps; none may leave
     it, since equality, hashing, division and serialization read the
-    unit."""
+    unit.  _f_make moves the powers of p out of a unit divisible by p into
+    the valuation."""
     from hermiwitt.hermitian import dmat_mul, row_dot
 
     checked = 0
@@ -738,6 +739,7 @@ def test_kernel_results_are_canonical():
                             assert 0 < c.unit < p ** (c.prec - c.val), c
                         checked += 1
     assert checked >= 30000
+    assert _f_make(FieldConfig(5, 32), 0, 35, 32) == (1, 7, 32)
 
 
 
