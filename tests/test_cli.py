@@ -106,64 +106,105 @@ def _endo_doc(eps, wtd_odd, lift=False):
     return json.dumps(dict(doc, support=[dict(tok, f1=0, f2=tower)]))
 
 
-@pytest.mark.parametrize("argv", [
-    ["decompose", "--form", json.dumps(
+@pytest.mark.parametrize("argv, err", [
+    (["decompose", "--form", json.dumps(
         {"epsilon": 1, "gram": [[_f_elem(val=0, digits=["x"])]]})],
-    ["decompose", "--form", json.dumps(
+     "error: digit must be an integer, got 'x'"),
+    (["decompose", "--form", json.dumps(
         {"epsilon": 1, "gram": [[_f_elem(val="x", digits=[1])]]})],
-    ["decompose", "--form", json.dumps({"epsilon": 2, "gram": [[{"a": "1"}]]})],
-    ["decompose", "--form", json.dumps({"epsilon": "x", "gram": [[{"a": "1"}]]})],
-    ["transfer", "--form", json.dumps(
+     "error: val must be an integer, got 'x'"),
+    (["decompose", "--form", json.dumps({"epsilon": 2, "gram": [[{"a": "1"}]]})],
+     "error: epsilon must be +1 or -1, got 2"),
+    (["decompose", "--form", json.dumps({"epsilon": "x", "gram": [[{"a": "1"}]]})],
+     "error: epsilon must be an integer, got 'x'"),
+    (["transfer", "--form", json.dumps(
         {"epsilon": 2, "delta": "2", "t": 1, "H": [[{"a": "1", "b": "0"}]]})],
-    ["decompose", "--form", json.dumps({"epsilon": 1, "gram": []})],
-    ["tower", "--form", json.dumps({"epsilon": 1, "gram": []}),
+     "error: epsilon must be +1 or -1, got 2"),
+    (["decompose", "--form", json.dumps({"epsilon": 1, "gram": []})],
+     "error: gram must be a non-empty square matrix of the declared size"),
+    (["tower", "--form", json.dumps({"epsilon": 1, "gram": []}),
      "--beta", json.dumps({"a": "0", "b": {"a": "0", "b": "1"}})],
-    ["transfer", "--form", json.dumps({"epsilon": 1, "delta": "2", "H": []})],
-    ["transfer", "--form", json.dumps(
+     "error: gram must be a non-empty square matrix of the declared size"),
+    (["transfer", "--form", json.dumps({"epsilon": 1, "delta": "2", "H": []})],
+     "error: H must be a non-empty square matrix of the declared size"),
+    (["transfer", "--form", json.dumps(
         {"epsilon": 1, "delta": "2", "H": [["1", "0"], ["0"]]})],
-    ["transfer", "--form", json.dumps(
+     "error: H must be a non-empty square matrix of the declared size"),
+    (["transfer", "--form", json.dumps(
         {"epsilon": 1, "delta": "2", "H": [["1", "0"]]})],
-    ["endo-validate", "--input", json.dumps(
+     "error: H must be a non-empty square matrix of the declared size"),
+    (["endo-validate", "--input", json.dumps(
         {"epsilon": "x", "ambient": {"m": 2, "h_class": []}, "support": []})],
-    ["endo-validate", "--input", json.dumps(
+     "error: epsilon must be an integer, got 'x'"),
+    (["endo-validate", "--input", json.dumps(
         {"epsilon": 1, "ambient": {"m": 2, "h_class": ["bogus"]}, "support": []})],
-    ["endo-count", "--input", json.dumps(
+     "error: h_class: bad coordinates {'bogus'} for eps=1"),
+    (["endo-count", "--input", json.dumps(
         {"epsilon": 1, "ambient": {"m": "x", "h_class": []}, "lift": []})],
-    ["endo-validate", "--input", _endo_doc(1, ["bogus"])],
-    ["endo-count", "--input", _endo_doc(-1, ["g1"], lift=True)],
-    ["endo-enumerate", "--input", _endo_doc(1, "g1", lift=True)],
-    ["endo-validate", "--input", json.dumps(
+     "error: m must be an integer, got 'x'"),
+    (["endo-validate", "--input", _endo_doc(1, ["bogus"])],
+     "error: wtd_odd: bad coordinates {'bogus'} for eps=1"),
+    (["endo-count", "--input", _endo_doc(-1, ["g1"], lift=True)],
+     "error: wtd_odd: bad coordinates {'g1'} for eps=-1"),
+    (["endo-enumerate", "--input", _endo_doc(1, "g1", lift=True)],
+     "error: wtd_odd must be a list of generator names"),
+    (["endo-validate", "--input", json.dumps(
         {"epsilon": 1, "ambient": {"m": 1, "h_class": []},
          "support": [{"id": "n", "kind": "simple_null", "degree": 1, "f1": 0,
                       "f2": {"beta": "ZERO", "tower": {"witt_class": ["bogus"]}}}]})],
-    ["decompose", "--form", json.dumps(
+     "error: witt_class: bad coordinates {'bogus'} for eps=1"),
+    (["decompose", "--form", json.dumps(
         {"epsilon": 1, "gram": [[_f_elem(val=0, digits=[1.9])]]})],
-    ["decompose", "--form", json.dumps(
+     "error: digit must be an integer, got 1.9"),
+    (["decompose", "--form", json.dumps(
         {"epsilon": 1, "gram": [[_f_elem(val=0.5, digits=[1])]]})],
-    ["decompose", "--form", json.dumps({"epsilon": True, "gram": [[{"a": "1"}]]})],
-    ["decompose", "--form", json.dumps(
+     "error: val must be an integer, got 0.5"),
+    (["decompose", "--form", json.dumps({"epsilon": True, "gram": [[{"a": "1"}]]})],
+     "error: epsilon must be an integer, got True"),
+    (["decompose", "--form", json.dumps(
         {"epsilon": 1, "gram": [[_f_elem(val=0, digits=[True])]]})],
-    ["decompose", "--form", json.dumps(
+     "error: digit must be an integer, got True"),
+    (["decompose", "--form", json.dumps(
         {"epsilon": 1, "gram": [[_f_elem(val=0, digits="12")]]})],
-    ["decompose", "--form", json.dumps(
+     "error: digits must be a list"),
+    (["decompose", "--form", json.dumps(
         {"epsilon": 1, "gram": [[_f_elem(val=0, digits=[7, 1], prec=3)]]})],
-    ["decompose", "--form", json.dumps(
+     "error: digit 7 is not in 0..4"),
+    (["decompose", "--form", json.dumps(
         {"epsilon": 1, "gram": [[_f_elem(val=0, digits=[1, -3], prec=3)]]})],
-    ["transfer", "--form", json.dumps(
+     "error: digit -3 is not in 0..4"),
+    (["transfer", "--form", json.dumps(
         {"epsilon": 1, "delta": "2", "t": 5, "H": [["1", "0"], ["0", "1"]]})],
-    ["decompose", "--form", json.dumps(
+     "error: H must be a non-empty square matrix of the declared size"),
+    (["decompose", "--form", json.dumps(
         {"epsilon": 1, "gram": [[_f_elem(val=0, digits=[1, 2, 3, 4], prec=2)]]})],
-    ["transfer", "--form", json.dumps(
+     "error: 4 digits at val 0 exceed prec 2"),
+    (["transfer", "--form", json.dumps(
         {"epsilon": 1, "delta": "2", "t": True, "H": [["1"]]})],
-    ["decompose", "--form", json.dumps({"epsilon": 1, "rank": True, "gram": [["1"]]})],
-    ["decompose", "--form", json.dumps(
+     "error: the declared size of H must be an integer, got True"),
+    (["decompose", "--form", json.dumps({"epsilon": 1, "rank": True, "gram": [["1"]]})],
+     "error: the declared size of gram must be an integer, got True"),
+    (["decompose", "--form", json.dumps(
         {"epsilon": 1, "gram": [[_f_elem(val=None, digits=[1, 2, 3], prec=2)]]})],
-    ["decompose", "--form", json.dumps(
+     "error: a zero (val null) lists no digits"),
+    (["decompose", "--form", json.dumps(
         {"epsilon": 1, "gram": [[_f_elem(val=0, digits=[0, 1])]]})],
-    ["decompose", "--form", json.dumps(
+     "error: unit part must not be divisible by p"),
+    (["decompose", "--form", json.dumps(
         {"epsilon": 1, "gram": [[_f_elem(base="L", val=0, digits=[1])]]})],
-    ["endo-validate", "--input", json.dumps(
+     "error: expected base F"),
+    (["endo-validate", "--input", json.dumps(
         {"epsilon": 1, "ambient": {"m": 2, "h_class": []}, "support": {}})],
+     "error: support must be a list"),
+    # two E(x)D forms that reach the E-form check: an entry indistinguishable
+    # from zero, and an H that is not eps-hermitian
+    (["transfer", "--form", json.dumps(
+        {"epsilon": 1, "delta": "2",
+         "H": [[{"a": {"val": None, "prec": 3}, "b": "0"}]]})],
+     "error: H is not eps-hermitian nondegenerate over E"),
+    (["transfer", "--form", json.dumps(
+        {"epsilon": 1, "delta": "2", "t": 2, "H": [["1", "2"], ["3", "1"]]})],
+     "error: H is not eps-hermitian nondegenerate over E"),
 ], ids=["digit", "val", "epsilon-2", "epsilon-x", "transfer-epsilon-2",
         "gram-empty", "tower-gram-empty", "H-empty", "H-ragged", "H-non-square",
         "endo-epsilon-x", "endo-h-class-bogus", "endo-m-x",
@@ -172,12 +213,30 @@ def _endo_doc(eps, wtd_odd, lift=False):
         "epsilon-true", "digit-true", "digits-string", "digit-above-p",
         "digit-negative", "transfer-t-mismatch", "digits-beyond-prec",
         "transfer-t-true", "rank-true", "zero-with-digits",
-        "unit-divisible-by-p", "base-L", "support-object"])
-def test_malformed_json_exits_1(capsys, argv):
+        "unit-divisible-by-p", "base-L", "support-object",
+        "transfer-H-zero", "transfer-H-non-hermitian"])
+def test_malformed_json_exits_1(capsys, argv, err):
     rc = run(argv)
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
-    assert captured.err.startswith("error:")
+    assert captured.err == err + "\n"
+
+
+_NON_HERMITIAN = json.dumps({"epsilon": 1, "gram": [["1", "2"], ["3", "1"]]})
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["decompose", "--form", _NON_HERMITIAN],
+     "invalid: not an eps-hermitian Gram matrix"),
+    (["tower", "--form", _NON_HERMITIAN, "--beta", '{"a":{"a":"0","b":"1"}}'],
+     "invalid: invalid input form"),
+], ids=["decompose", "tower"])
+def test_invalid_form_refusals_pinned(capsys, argv, err):
+    """A well-formed form that is not eps-hermitian exits 2, not 1."""
+    rc = run(argv)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == err + "\n"
 
 
 def _l(x):
