@@ -100,7 +100,7 @@ def _cmd_classify(cfg, args):
 
 def _cmd_decompose(cfg, args):
     form = sz.form_from_json(cfg, _load_json(args.form))
-    index, aniso = wc.witt_decompose(form)  # diagonalize validates the form
+    index, aniso = wc.witt_decompose(form)
     _emit({"witt_index": index,
            "anisotropic": [sz.quat_to_json(e) for e in aniso.entries],
            "witt_class": wc.class_of_diagonal(aniso).sorted_names()})
@@ -109,7 +109,7 @@ def _cmd_decompose(cfg, args):
 def _cmd_tower(cfg, args):
     form = sz.form_from_json(cfg, _load_json(args.form))
     beta = sz.beta_from_json(cfg, _load_json(args.beta), form.rank)
-    tower = mo.witt_tower_of(form, beta)  # compute_htilde_beta validates the form
+    tower = mo.witt_tower_of(form, beta)
     cls = tower.class_at_e1
     _emit({"tower_class": {"rank_parity": cls.rank_parity,
                            "disc_is_norm": cls.i_is_norm,

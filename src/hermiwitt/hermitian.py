@@ -263,8 +263,9 @@ def sesquilinear(M, x, y):
 
 @dataclass(frozen=True)
 class HermitianForm:
-    """Nondegenerate eps-hermitian form given by its Gram matrix over D
-    (or over E, where the E-side Witt class diagonalizes one)."""
+    """eps-hermitian form given by its Gram matrix over D (or over E, where
+    the E-side Witt class diagonalizes one), checked non-empty and
+    eps-hermitian when built; diagonalize certifies nondegeneracy."""
 
     epsilon: int
     gram: tuple  # tuple of tuples of QuaternionElement
@@ -272,6 +273,10 @@ class HermitianForm:
     def __post_init__(self):
         if self.epsilon not in (1, -1):
             raise ValueError("epsilon must be +1 or -1")
+        if not self.gram:
+            raise ValueError("a form needs a non-empty Gram matrix")
+        if not validate(self):
+            raise DegenerateForm("not an eps-hermitian Gram matrix")
 
     @staticmethod
     def from_rows(epsilon: int, rows) -> HermitianForm:
@@ -337,6 +342,7 @@ class DiagonalForm:
 
 
 def validate(form: HermitianForm) -> bool:
+    """Whether the Gram matrix is eps-hermitian: every form's build check."""
     return is_eps_hermitian(form.rows(), form.epsilon)
 
 
@@ -381,8 +387,6 @@ def diagonalize(form: HermitianForm) -> DiagonalForm:
     a congruence M <- bar(E)^T M E, so no h(v, w) is evaluated from scratch
     and a rank-6 form costs 140 quaternion multiplies.  The basis is not
     formed: the result keeps the steps that congruence_basis replays."""
-    if not validate(form):
-        raise DegenerateForm("not an eps-hermitian Gram matrix")
     G = form.rows()  # G[i][j] = h(b_i, b_j) for the current basis b
     one, active, entries, steps = G[0][0] ** 0, list(range(form.rank)), [], []
     while active:
@@ -488,8 +492,6 @@ def trace_lift_hL(form: HermitianForm):
     """The unique L-bilinear eps-symmetric form h_L with
     tr_{L|F} o h_L = trd_{D|F} o h; returned as its 2n x 2n Gram matrix over
     L in the basis (e_1..e_n, e_1 pi_D .. e_n pi_D)."""
-    if not validate(form):
-        raise DegenerateForm("invalid hermitian form")
     # l_embedding's blocks, with its lower block row scaled by pi_F
     n = len(form.gram)
     pf = form.cfg.pi()

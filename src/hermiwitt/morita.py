@@ -82,7 +82,6 @@ from .hermitian import (
     row_reduce,
     sesquilinear,
     sigma_h_signs,
-    validate,
     vec_apply,
 )
 from .wittclass import class_of_form
@@ -440,11 +439,21 @@ class IdempotentE:
 @dataclass(frozen=True)
 class EDForm:
     """eps-hermitian form over E (x) D on t copies of the simple module,
-    encoded by the t x t matrix H over E (H = eps sigma(H)^T)."""
+    encoded by the t x t matrix H over E (H = eps sigma(H)^T), eps-hermitian
+    and inverted by cmat_inv at tracked precision by construction."""
 
     split: SplitData
     epsilon: int
     H: tuple
+
+    def __post_init__(self):
+        if is_eps_hermitian(self.rows(), self.epsilon):
+            try:
+                cmat_inv(self.rows())
+                return
+            except Singular:
+                pass
+        raise DegenerateForm("H is not eps-hermitian nondegenerate over E")
 
     @property
     def t(self) -> int:
@@ -452,15 +461,6 @@ class EDForm:
 
     def rows(self):
         return [list(r) for r in self.H]
-
-    def validate(self) -> bool:
-        if not is_eps_hermitian(self.rows(), self.epsilon):
-            return False
-        try:
-            cmat_inv(self.rows())
-        except Singular:
-            return False
-        return True
 
     def value(self, X, Y):
         """h~(X, Y) as a 2x2 matrix over E, for t x 2 coordinate matrices."""
@@ -603,13 +603,9 @@ def functor_Fe(form: EDForm, idem: IdempotentE):
 def functor_Ge(hE, data: SplitData, epsilon: int) -> EDForm:
     """G_e1: inverse functor on the canonical idempotent; on the standard
     frame it is H = u1^(-1) hE."""
-    E = data.E
     u1inv = data.u1.inv()
     H = [[x.scale_f(u1inv) for x in row] for row in hE]
-    form = EDForm(data, epsilon, tuple(tuple(r) for r in H))
-    if not form.validate():
-        raise DegenerateForm("G_e input must be nondegenerate eps-hermitian")
-    return form
+    return EDForm(data, epsilon, tuple(tuple(r) for r in H))
 
 
 def similitude_scale(e: IdempotentE, f: IdempotentE):
@@ -718,8 +714,6 @@ def compute_htilde_beta(form: HermitianForm, beta) -> HtildeBeta:
     each entry through _htilde_tensor and Phi on coordinate pairs, all four
     entries of Phi read and the three off e1 checked to vanish."""
     cfg = form.cfg
-    if not form.rank or not validate(form):
-        raise DegenerateForm("invalid input form")
     beta, delta = _beta_normalize(cfg, form, beta)
     data = split(cfg, delta)
     E = data.E
@@ -767,8 +761,6 @@ def compute_htilde_beta(form: HermitianForm, beta) -> HtildeBeta:
             row.append(E.of(x).scale_f(u1inv))
         H.append(row)
     ed = EDForm(data, form.epsilon, tuple(tuple(r) for r in H))
-    if not ed.validate():
-        raise DegenerateForm("h~_beta is degenerate at tracked precision")
     return HtildeBeta(form, tuple(tuple(r) for r in beta), data, ed,
                       tuple(tuple(v) for v, _ in frame))
 
@@ -789,10 +781,7 @@ def trace_transfer(form: EDForm, lam_scale: FElement | None = None) -> Hermitian
         xs = [h.scale_f(data.u1) for h in row]
         gram.append([tensor_lambda_apply(cfg, tuple(c * x for c in col), lam_scale)
                      for x in xs])
-    out = HermitianForm.from_rows(form.epsilon, gram)
-    if not validate(out):
-        raise DegenerateForm("trace transfer produced an invalid form")
-    return out
+    return HermitianForm.from_rows(form.epsilon, gram)
 
 
 def trace_transfer_e_to_f(hE, field: QuadExtField):

@@ -116,7 +116,8 @@ def _f_add(cfg: FieldConfig, x: tuple, y: tuple) -> tuple:
     k = xk if xk < yk else yk
     if xv is None or yv is None:
         v, u = (yv, yu) if xv is None else (xv, xu)
-        return _f_zero(cfg, k) if v is None else _f_make(cfg, v, u, k)
+        return (_f_zero(cfg, k) if v is None or v >= k
+                else (v, u % cfg.ppow(k - v), k))
     ppow = cfg.ppow
     if xv < yv:
         v, s = xv, xu + yu * ppow(yv - xv)

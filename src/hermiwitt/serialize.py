@@ -16,7 +16,7 @@ missing or ill-typed piece raises MalformedInput.
 from __future__ import annotations
 
 from .endo import EndoClassToken, EndoParameter, LiftEntry, WittType
-from .errors import MalformedInput
+from .errors import DegenerateForm, MalformedInput
 from .hermitian import HermitianForm
 from .morita import EDForm, split
 from .padic import FElement, FieldConfig, QuadExtElement, QuadExtField
@@ -191,12 +191,12 @@ def edform_from_json(cfg: FieldConfig, obj):
         raise MalformedInput("E(x)D form must carry 'delta' and 'H'")
     delta = f_from_json(cfg, obj["delta"])
     data = split(cfg, delta)
-    H = [[e_from_json(data.E, x) for x in row]
-         for row in _square(obj["H"], "H", obj.get("t"))]
-    ed = EDForm(data, _epsilon(obj, "E(x)D form"), tuple(tuple(r) for r in H))
-    if not ed.validate():
-        raise MalformedInput("H is not eps-hermitian nondegenerate over E")
-    return ed
+    H = tuple(tuple(e_from_json(data.E, x) for x in row)
+              for row in _square(obj["H"], "H", obj.get("t")))
+    try:
+        return EDForm(data, _epsilon(obj, "E(x)D form"), H)
+    except DegenerateForm as ex:
+        raise MalformedInput(str(ex)) from ex
 
 
 def token_to_json(tok: EndoClassToken) -> dict:

@@ -229,7 +229,7 @@ _NON_HERMITIAN = json.dumps({"epsilon": 1, "gram": [["1", "2"], ["3", "1"]]})
     (["decompose", "--form", _NON_HERMITIAN],
      "invalid: not an eps-hermitian Gram matrix"),
     (["tower", "--form", _NON_HERMITIAN, "--beta", '{"a":{"a":"0","b":"1"}}'],
-     "invalid: invalid input form"),
+     "invalid: not an eps-hermitian Gram matrix"),
 ], ids=["decompose", "tower"])
 def test_invalid_form_refusals_pinned(capsys, argv, err):
     """A well-formed form that is not eps-hermitian exits 2, not 1."""

@@ -63,9 +63,13 @@ from oracle import (
 def test_validate_examples(cfg5):
     one = Q.one(cfg5)
     assert validate(HermitianForm.diagonal(1, [one]))
-    assert not validate(HermitianForm.diagonal(-1, [one]))
+    # 1 is not skew: the form is refused when it is built
+    with pytest.raises(DegenerateForm, match="^not an eps-hermitian Gram matrix$"):
+        HermitianForm.diagonal(-1, [one])
     skew = Q.u_elem(cfg5) * Q.pi_D(cfg5)
     assert validate(HermitianForm.diagonal(-1, [skew]))
+    with pytest.raises(ValueError, match="^a form needs a non-empty Gram matrix$"):
+        HermitianForm.from_rows(1, [])
 
 
 def test_diagonalize_examples(cfg5):

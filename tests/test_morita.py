@@ -15,7 +15,6 @@ from hermiwitt.errors import (
 from hermiwitt.hermitian import (
     HermitianForm,
     congruence,
-    diagonalize,
     dmat_inv,
     dmat_is_zero,
     dmat_mul,
@@ -258,9 +257,10 @@ def test_splitting_independence(cfg5):
         eps = 1 if r.random() < 0.5 else -1
         t = r.randint(1, 2)
         H = rg.rand_eform(d1, r, eps, t)
-        ed1 = mo.EDForm(d1, eps, tuple(tuple(x) for x in H))
-        ed2 = mo.EDForm(d2, eps, tuple(tuple(x) for x in H))
-        if not (ed1.validate() and ed2.validate()):
+        try:
+            ed1 = mo.EDForm(d1, eps, tuple(tuple(x) for x in H))
+            ed2 = mo.EDForm(d2, eps, tuple(tuple(x) for x in H))
+        except DegenerateForm:
             continue
         c1 = mo.e_witt_class(mo.functor_Fe(ed1, d1.e1()), d1.E, eps)
         c2 = mo.e_witt_class(mo.functor_Fe(ed2, d2.e1()), d2.E, eps)
@@ -268,6 +268,18 @@ def test_splitting_independence(cfg5):
         assert c1.is_hyperbolic() == c2.is_hyperbolic()
         assert wc.class_of_form(mo.trace_transfer(ed1)) == \
             wc.class_of_form(mo.trace_transfer(ed2))
+
+
+def test_edform_is_checked_when_built(cfg5):
+    """An E(x)D form whose H is not eps-hermitian, or is singular at tracked
+    precision, is refused when it is built."""
+    data = mo.split(cfg5, cfg5.f(2))
+    E = data.E
+    with pytest.raises(DegenerateForm, match="^H is not eps-hermitian nondegenerate over E$"):
+        mo.EDForm(data, 1, ((E.el(1), E.el(2)), (E.el(3), E.el(1))))
+    zero = E.from_f(FElement(cfg5, None, 0, 3))  # known to 3 digits only
+    with pytest.raises(DegenerateForm, match="^H is not eps-hermitian nondegenerate over E$"):
+        mo.EDForm(data, 1, ((zero,),))
 
 
 def test_htilde_beta_identities(cfg5):
@@ -623,14 +635,12 @@ def test_conjugated_pairs_keep_their_tower():
 
 
 def test_public_classifiers_refuse_non_hermitian_gram(cfg5):
-    """diagonalize, class_of_form and e_witt_class each refuse a Gram matrix
-    that is not eps-hermitian, at either sign for e_witt_class."""
+    """A Gram matrix that is not eps-hermitian is refused when its form is
+    built, so no classifier sees it, and e_witt_class refuses one at either
+    sign."""
     one, pi = Q.one(cfg5), Q.pi_D(cfg5)
-    form = HermitianForm.from_rows(1, [[one, pi], [-pi, one]])
     with pytest.raises(DegenerateForm):
-        diagonalize(form)
-    with pytest.raises(DegenerateForm):
-        wc.class_of_form(form)
+        HermitianForm.from_rows(1, [[one, pi], [-pi, one]])
     E = mo.split(cfg5, cfg5.f(cfg5.nonresidue_r)).E
     for eps in (1, -1):
         H = [[E.one(), E.gen()], [E.gen(), E.one()]]
