@@ -578,27 +578,54 @@ def test_htilde_beta_is_precision_honest():
         assert answered >= 60, (p, N, answered)
 
 
-def _htilde_outcomes(p, N, draws):
-    """compute_htilde_beta on the realized pairs built at 4N and their
-    conjugates, each drawn `draws` times with every Gram entry cut to
-    N - 0..3 digits and every beta entry to N - 0..2 (random.Random(5)):
-    per input the digests of H and of the frame, or the exception's class
-    and message."""
-    cfg, rnd, out = FieldConfig(p, N), random.Random(5), []
+def _damaged_pairs(p, N, draws):
+    """The realized pairs built at 4N and their conjugates, each drawn
+    `draws` times with every Gram entry cut to N - 0..3 digits and every
+    beta entry to N - 0..2 (random.Random(5))."""
+    cfg, rnd = FieldConfig(p, N), random.Random(5)
     for pair in _realized_pairs(p, 4 * N):
         for form, b in (pair[:2], pair[2:]):
             for _ in range(draws):
                 low = HermitianForm.from_rows(form.epsilon, [
                     [_known_to(cfg, x, N - rnd.randint(0, 3)) for x in row]
                     for row in form.gram])
-                lb = [[_known_to(cfg, x, N - rnd.randint(0, 2)) for x in row]
-                      for row in b]
-                try:
-                    ht = mo.compute_htilde_beta(low, lb)
-                except HermiwittError as exc:
-                    out.append((type(exc).__name__, str(exc)))
-                    continue
-                out.append((digest(ht.edform.H), digest(ht.frame)))
+                yield low, [[_known_to(cfg, x, N - rnd.randint(0, 2)) for x in row]
+                            for row in b]
+
+
+def _refusal(f, *args):
+    """f(*args), or the class and message of the HermiwittError it raises."""
+    try:
+        return f(*args)
+    except HermiwittError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _htilde_outcomes(p, N, draws):
+    """compute_htilde_beta on _damaged_pairs: per input the digests of H and
+    of the frame, or the exception's class and message."""
+    out = []
+    for low, lb in _damaged_pairs(p, N, draws):
+        ht = _refusal(mo.compute_htilde_beta, low, lb)
+        out.append(ht if isinstance(ht, tuple)
+                   else (digest(ht.edform.H), digest(ht.frame)))
+    return out
+
+
+def _tower_outcomes(p, N, draws):
+    """witt_tower_of on _damaged_pairs, then trace_class: per input the
+    tower's (rank_parity, i_is_norm, anisotropic_dim) at e1 and the trace
+    class's sorted names, each replaced by the class and message of its
+    refusal."""
+    out = []
+    for low, lb in _damaged_pairs(p, N, draws):
+        tower = _refusal(mo.witt_tower_of, low, lb)
+        if isinstance(tower, tuple):
+            out.append(tower)
+            continue
+        c = tower.class_at_e1
+        out.append(((c.rank_parity, c.i_is_norm, c.anisotropic_dim),
+                    _refusal(lambda: tower.trace_class().sorted_names())))
     return out
 
 
@@ -615,6 +642,20 @@ def test_htilde_beta_outcomes_pinned():
     assert len(out) == 576
     assert hashlib.sha256(repr(out).encode()).hexdigest() == \
         "d50825e1fcbc0dcd27fd16fcc7dccdf791c7cffcdbc505b89e667851bae53924"
+
+
+def test_tower_outcomes_pinned():
+    """Every Witt tower at e1 and trace class, and every refusal (class and
+    message) of either, that witt_tower_of gives on the damaged inputs of
+    test_htilde_beta_outcomes_pinned hashes to the recorded digest: a
+    change to F_e or to the checks of its Gram moves no class and no
+    refusal."""
+    out = []
+    for p, N in ((3, 8), (5, 10), (7, 12), (13, 40)):
+        out += _tower_outcomes(p, N, 2)
+    assert len(out) == 576
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == \
+        "7c83c82a714be77d6b31fc2912aeb39bc9929a010a8ed3b1337494c6ff622978"
 
 
 def test_conjugated_pairs_keep_their_tower():
