@@ -212,7 +212,13 @@ def row_dot(row, x):
 # ---------------------------------------------------------------------------
 
 def is_eps_hermitian(M, epsilon: int) -> bool:
-    """Whether M = eps * bar(M)^T at tracked precision."""
+    """Whether M = eps * bar(M)^T at tracked precision: the one check of
+    every form's Gram matrix, over D and over E.  Raises ValueError when
+    eps is not +1 or -1, or when M is empty."""
+    if epsilon not in (1, -1):
+        raise ValueError("epsilon must be +1 or -1")
+    if not M:
+        raise ValueError("a form needs a non-empty Gram matrix")
     combine = dmat_sub if epsilon == 1 else dmat_add
     return dmat_is_zero(combine(M, dmat_bar_t(M)))
 
@@ -264,17 +270,13 @@ def sesquilinear(M, x, y):
 @dataclass(frozen=True)
 class HermitianForm:
     """eps-hermitian form given by its Gram matrix over D (or over E, where
-    the E-side Witt class diagonalizes one), checked non-empty and
-    eps-hermitian when built; diagonalize certifies nondegeneracy."""
+    the E-side Witt class diagonalizes one), checked by is_eps_hermitian
+    when built; diagonalize certifies nondegeneracy."""
 
     epsilon: int
     gram: tuple  # tuple of tuples of QuaternionElement
 
     def __post_init__(self):
-        if self.epsilon not in (1, -1):
-            raise ValueError("epsilon must be +1 or -1")
-        if not self.gram:
-            raise ValueError("a form needs a non-empty Gram matrix")
         if not validate(self):
             raise DegenerateForm("not an eps-hermitian Gram matrix")
 
@@ -285,8 +287,7 @@ class HermitianForm:
     @staticmethod
     def diagonal(epsilon: int, entries) -> HermitianForm:
         entries = list(entries)
-        cfg = entries[0].cfg
-        zero = QuaternionElement.zero(cfg)
+        zero = QuaternionElement.zero(entries[0].cfg) if entries else None
         n = len(entries)
         return HermitianForm.from_rows(
             epsilon,

@@ -584,20 +584,13 @@ def functor_Fe(form: EDForm, idem: IdempotentE):
     r_i eps, eps the first row of e not indistinguishable from zero, and
     tr_E h~(r_i eps, r_j eps) = sum_k u_k (sigma(eps_k) (H_ij eps_k)): the
     definition u_mat sigma(X)^T (H Y) without its zero and unit factors,
-    multiplied in the same order.  Nondegeneracy of the output is verified
-    on every call."""
+    multiplied in the same order.  e_witt_class checks the Gram: its
+    HermitianForm refuses one not eps-hermitian, diagonalize a degenerate one."""
     data = form.split
     x1, x2 = idem.line()
     s1, s2 = x1.sigma(), x2.sigma()
-    gram = [[(s1 * (h * x1)).scale_f(data.u1) + (s2 * (h * x2)).scale_f(data.u2)
+    return [[(s1 * (h * x1)).scale_f(data.u1) + (s2 * (h * x2)).scale_f(data.u2)
              for h in row] for row in form.H]
-    if not is_eps_hermitian(gram, form.epsilon):
-        raise AssertionError("F_e output failed the hermitian check")
-    try:
-        cmat_inv(gram)
-    except Singular:
-        raise DegenerateForm("F_e produced a degenerate form (construction bug)")
-    return gram
 
 
 def functor_Ge(hE, data: SplitData, epsilon: int) -> EDForm:

@@ -50,18 +50,18 @@ def rand_quat(cfg: FieldConfig, r: random.Random, min_val=-1, max_val=2) -> Quat
                              rand_l(cfg, r, min_val, max_val))
 
 
-def rand_symmetric(cfg: FieldConfig, r: random.Random, min_val=-1, max_val=2) -> QuaternionElement:
+def rand_symmetric(cfg: FieldConfig, r: random.Random) -> QuaternionElement:
     """Random nonzero rho-symmetric element a + b pi_D, b in F."""
-    a = rand_l(cfg, r, min_val, max_val)
-    b = cfg.l(rand_f(cfg, r, min_val, max_val), 0)
+    a = rand_l(cfg, r)
+    b = cfg.l(rand_f(cfg, r, -1, 2), 0)
     if r.random() < 0.2:
         b = cfg.L_field.zero()
     d = QuaternionElement(a, b)
     return d if not d.is_zero() else QuaternionElement.one(cfg)
 
 
-def rand_skew(cfg: FieldConfig, r: random.Random, min_val=-1, max_val=2) -> QuaternionElement:
-    c = rand_f(cfg, r, min_val, max_val)
+def rand_skew(cfg: FieldConfig, r: random.Random) -> QuaternionElement:
+    c = rand_f(cfg, r, -1, 2)
     return QuaternionElement(cfg.L_field.zero(), cfg.l(0, c))
 
 

@@ -184,14 +184,14 @@ def hermitian_twist(cfg: FieldConfig, r: random.Random, n=100):
 
 
 @_suite
-def hermitian_trace_lift(cfg: FieldConfig, r: random.Random, n=20, pairs=50):
+def hermitian_trace_lift(cfg: FieldConfig, r: random.Random, n=20):
     for _ in range(n):
         eps = 1 if r.random() < 0.5 else -1
         rank = r.randint(1, 3)
         form = rg.rand_form(cfg, r, eps, rank)
         hL = trace_lift_hL(form)
         yield len(hL) == 2 * rank
-        for _ in range(pairs):
+        for _ in range(50):
             v = [rg.rand_quat(cfg, r) for _ in range(rank)]
             w = [rg.rand_quat(cfg, r) for _ in range(rank)]
             lhs = hL_evaluate(hL, l_coordinates(v), l_coordinates(w)).trace()

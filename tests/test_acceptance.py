@@ -97,7 +97,7 @@ def test_criterion_5_reduced_norm(cfg):
 
 
 def test_criterion_6_trace_lift(cfg):
-    res = st.hermitian_trace_lift(cfg, SEED + 6, n=20, pairs=50)
+    res = st.hermitian_trace_lift(cfg, SEED + 6, n=20)
     ok = res["passed"] == 20 + 20 * 50 and res["failed"] == 0
     report(6, ok, f"20 forms x 50 vector pairs, exact at tracked precision, "
                   f"{res['failed']} failures")

@@ -70,6 +70,8 @@ def test_validate_examples(cfg5):
     assert validate(HermitianForm.diagonal(-1, [skew]))
     with pytest.raises(ValueError, match="^a form needs a non-empty Gram matrix$"):
         HermitianForm.from_rows(1, [])
+    with pytest.raises(ValueError, match="^a form needs a non-empty Gram matrix$"):
+        HermitianForm.diagonal(1, [])
 
 
 def test_diagonalize_examples(cfg5):

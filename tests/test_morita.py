@@ -272,7 +272,8 @@ def test_splitting_independence(cfg5):
 
 def test_edform_is_checked_when_built(cfg5):
     """An E(x)D form whose H is not eps-hermitian, or is singular at tracked
-    precision, is refused when it is built."""
+    precision, is refused when it is built, and so is one whose eps is not
+    +1 or -1 or whose H is empty, with HermitianForm's messages."""
     data = mo.split(cfg5, cfg5.f(2))
     E = data.E
     with pytest.raises(DegenerateForm, match="^H is not eps-hermitian nondegenerate over E$"):
@@ -280,6 +281,10 @@ def test_edform_is_checked_when_built(cfg5):
     zero = E.from_f(FElement(cfg5, None, 0, 3))  # known to 3 digits only
     with pytest.raises(DegenerateForm, match="^H is not eps-hermitian nondegenerate over E$"):
         mo.EDForm(data, 1, ((zero,),))
+    with pytest.raises(ValueError, match="^epsilon must be \\+1 or -1$"):
+        mo.EDForm(data, 2, ((E.gen(),),))  # gen is skew, but 2 is no sign
+    with pytest.raises(ValueError, match="^a form needs a non-empty Gram matrix$"):
+        mo.EDForm(data, 1, ())
 
 
 def test_htilde_beta_identities(cfg5):
