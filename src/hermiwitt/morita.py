@@ -40,6 +40,7 @@ from functools import cached_property
 
 from .errors import (
     DegenerateForm,
+    EpsilonMismatch,
     NoSimilitudeFound,
     NotASquare,
     NotInD,
@@ -467,7 +468,10 @@ class EDForm:
         return dmat_mul(self.split.u_mat, congruence(self.rows(), X, Y))
 
     def orthogonal_sum(self, other: EDForm) -> EDForm:
-        assert other.split is self.split and other.epsilon == self.epsilon
+        if other.epsilon != self.epsilon:
+            raise EpsilonMismatch("cannot sum forms of different epsilon")
+        if other.split is not self.split:
+            raise ValueError("cannot sum forms over different splits")
         rows = dmat_blockdiag(self.H, other.H)
         return EDForm(self.split, self.epsilon, tuple(tuple(r) for r in rows))
 
@@ -505,7 +509,10 @@ class EWittClass:
         return 0 if self.i_is_norm else 2
 
     def __add__(self, other: EWittClass):
-        assert self.field.same_field(other.field) and self.epsilon == other.epsilon
+        if other.epsilon != self.epsilon:
+            raise EpsilonMismatch("cannot add Witt classes of different epsilon")
+        if not self.field.same_field(other.field):
+            raise ValueError("cannot add Witt classes over different fields")
         par = self.rank_parity ^ other.rank_parity
         i = self.i_is_norm == other.i_is_norm
         if self.rank_parity and other.rank_parity:

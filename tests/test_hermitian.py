@@ -1,4 +1,3 @@
-import hashlib
 import random
 from fractions import Fraction
 
@@ -44,6 +43,7 @@ from hermiwitt.quaternion import QuaternionElement as Q
 from hermiwitt import randgen as rg
 from hermiwitt import wittclass as wc
 from hermiwitt.wittclass import witt_decompose
+import pins
 from oracle import (
     ExactD,
     coords,
@@ -797,6 +797,12 @@ def _form_layer_cases(p, N):
     return cases
 
 
+def _form_layer_outcomes():
+    return [(((p, N), name), pins.outcome(lambda: digest(fn())))
+            for p, N in ((3, 8), (5, 10), (13, 40))
+            for name, fn in _form_layer_cases(p, N)]
+
+
 def test_form_layer_pinned():
     """The (val, unit, prec) of every output of sigma_h_adjoint,
     cayley_isometry, twist, diagonalize and similitude_scale on seeded
@@ -804,16 +810,7 @@ def test_form_layer_pinned():
     message of the exception raised, hashes to the recorded digest: a
     rewrite of the inverses, solves and adjointness tests behind them keeps
     every digit and every refusal."""
-    out = []
-    for p, N in ((3, 8), (5, 10), (13, 40)):
-        for name, fn in _form_layer_cases(p, N):
-            try:
-                out.append((name, digest(fn())))
-            except HermiwittError as exc:
-                out.append((name, type(exc).__name__, str(exc)))
-    assert len(out) == 3 * (12 * 8 + 18 + 16)
-    assert hashlib.sha256(repr(out).encode()).hexdigest() == \
-        "76604b4a5656f5bd4ff8c601bdff0b47913ec0d42e3fb20b282217cd33edbedb"
+    pins.check("form_layer")
 
 
 def _elimination_cases(p, N):
@@ -874,22 +871,19 @@ def _elimination_cases(p, N):
     return cases
 
 
+def _elimination_outcomes():
+    return [(((p, N), name), pins.outcome(lambda: digest(fn())))
+            for p, N in ((3, 8), (5, 10), (13, 40))
+            for name, fn in _elimination_cases(p, N)]
+
+
 def test_elimination_outcomes_pinned():
     """The (val, unit, prec) of every output of dmat_inv, dmat_solve,
     lmat_det, reduced_norm and diagonalize on seeded low-precision inputs
     at (3, 8), (5, 10) and (13, 40), or the class and message of the
     exception raised, hashes to the recorded digest: a rewrite of the
     elimination updates keeps every digit and every refusal."""
-    out = []
-    for p, N in ((3, 8), (5, 10), (13, 40)):
-        for name, fn in _elimination_cases(p, N):
-            try:
-                out.append((name, digest(fn())))
-            except HermiwittError as exc:
-                out.append((name, type(exc).__name__, str(exc)))
-    assert len(out) == 3 * (2 * 3 * 5 * 2 * 3 + 2 * 4 * 2 * 5)
-    assert hashlib.sha256(repr(out).encode()).hexdigest() == \
-        "ec2cc88234161561793d8a2d4e16825041ff7584fb00d79581f87008d062c483"
+    pins.check("elimination")
 
 
 def test_form_json_roundtrip(cfg5):

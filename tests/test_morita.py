@@ -1,4 +1,4 @@
-import hashlib
+import functools
 import random
 
 import pytest
@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hermiwitt.errors import (
     DegenerateForm,
+    EpsilonMismatch,
     HermiwittError,
     NotQuadratic,
     NotSkewAdjoint,
@@ -28,6 +29,7 @@ from hermiwitt.quaternion import QuaternionElement as Q
 from hermiwitt import morita as mo
 from hermiwitt import randgen as rg
 from hermiwitt import wittclass as wc
+import pins
 from oracle import (coords, digest, echelon_add, honest, htilde_tensor,
                     known_to, lift, matrix_of_tensor)
 
@@ -355,25 +357,21 @@ def _realized_pairs(p, N):
                 yield h, beta, hS, dmat_mul(dmat_inv(S), dmat_mul(beta, S))
 
 
+def _htilde_beta_outcomes():
+    return [(((p, N),), pins.outcome(lambda: tuple(
+                digest(x) for row in mo.compute_htilde_beta(form, b).edform.H
+                for x in row)))
+            for p, N in ((3, 8), (5, 10), (7, 20), (13, 40))
+            for pair in _realized_pairs(p, N) for form, b in (pair[:2], pair[2:])]
+
+
 def test_htilde_beta_pinned():
     """The (val, unit, prec) of every edform.H entry that compute_htilde_beta
     returns, or the class of the exception it raises, on the plain and
     conjugated pairs at (3, 8), (5, 10), (7, 20) and (13, 40), hashes to
     the recorded digest: a rewrite of the frame search or of the skew test
     keeps every digit and every refusal class."""
-    out = []
-    for p, N in ((3, 8), (5, 10), (7, 20), (13, 40)):
-        for h, beta, hS, bS in _realized_pairs(p, N):
-            for form, b in ((h, beta), (hS, bS)):
-                try:
-                    H = mo.compute_htilde_beta(form, b).edform.H
-                except HermiwittError as exc:
-                    out.append(type(exc).__name__)
-                    continue
-                out.append(tuple(digest(x) for row in H for x in row))
-    assert len(out) == 288
-    assert hashlib.sha256(repr(out).encode()).hexdigest() == \
-        "e40d6d7a3e49b1b12c53e1737caddf1e293a41d4645e9540b90f5dc9e626489c"
+    pins.check("htilde_beta")
 
 
 _ORACLE_CONFIGS = [FieldConfig(3, 8), FieldConfig(5, 10), FieldConfig(13, 40)]
@@ -403,13 +401,6 @@ def _field_draw(draw):
     delta = FElement._make(cfg, int(ramified), 1 if ramified else cfg.nonresidue_r,
                            cfg.precision - draw(st.integers(0, 2)))
     return cfg, QuadExtField(cfg, delta, "E")
-
-
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except HermiwittError as exc:
-        return type(exc), str(exc)
 
 
 @st.composite
@@ -464,16 +455,16 @@ def test_phi_on_triples_is_the_object_fold(case):
     coordinate is one _f_sum of the fold's products, formed in its order."""
     cfg, E, data, imgs, ten = case
     if data is not None:
-        ours = _outcome(data.to_matrix, ten)
+        ours = pins.outcome(data.to_matrix, ten)
     else:
-        ours = _outcome(mo._matrix_of_tensor, cfg, E.delta._t,
-                        [None] + [[[x.c for x in row] for row in g]
-                                  for g in imgs[1:]],
-                        [x.c for x in ten])
+        ours = pins.outcome(mo._matrix_of_tensor, cfg, E.delta._t,
+                            [None] + [[[x.c for x in row] for row in g]
+                                      for g in imgs[1:]],
+                            [x.c for x in ten])
         if isinstance(ours, list):
             ours = [[E.of(c) for c in row] for row in ours]
-    ref = _outcome(matrix_of_tensor, imgs, ten)
-    if isinstance(ref, tuple):
+    ref = pins.outcome(matrix_of_tensor, imgs, ten)
+    if isinstance(ref, pins.Refused):
         assert ours == ref
     else:
         assert digest(ours) == digest(ref)
@@ -496,9 +487,10 @@ def test_lift_tensor_on_triples_is_the_object_sum(case):
     that the sum over E-objects gives, triple for triple: among others the
     zero known to N + v(h1_k) digits that w (h1_k, 0) adds to h0_k."""
     cfg, E, h0, h1 = case
-    ours = _outcome(mo._htilde_tensor, cfg, [x._t for x in h0], [x._t for x in h1])
-    ref = _outcome(htilde_tensor, E, h0, h1)
-    if isinstance(ref, tuple):
+    ours = pins.outcome(mo._htilde_tensor, cfg, [x._t for x in h0],
+                        [x._t for x in h1])
+    ref = pins.outcome(htilde_tensor, E, h0, h1)
+    if isinstance(ref, pins.Refused):
         assert ours == ref
     else:
         assert digest([E.of(c) for c in ours]) == digest(ref)
@@ -535,9 +527,9 @@ def test_echelon_on_triples_is_the_object_search(case):
     cfg, vecs = case
     ref, ours = [], []
     for vec in vecs:
-        got = _outcome(mo._echelon_add, cfg, ours, [x._t for x in vec])
-        assert got == _outcome(echelon_add, ref, vec)
-        if isinstance(got, tuple):
+        got = pins.outcome(mo._echelon_add, cfg, ours, [x._t for x in vec])
+        assert got == pins.outcome(echelon_add, ref, vec)
+        if isinstance(got, pins.Refused):
             break
         if got:
             row, lead, inv = ours[-1]
@@ -583,55 +575,51 @@ def test_htilde_beta_is_precision_honest():
         assert answered >= 60, (p, N, answered)
 
 
-def _damaged_pairs(p, N, draws):
-    """The realized pairs built at 4N and their conjugates, each drawn
-    `draws` times with every Gram entry cut to N - 0..3 digits and every
-    beta entry to N - 0..2 (random.Random(5))."""
-    cfg, rnd = FieldConfig(p, N), random.Random(5)
-    for pair in _realized_pairs(p, 4 * N):
-        for form, b in (pair[:2], pair[2:]):
-            for _ in range(draws):
+@functools.cache
+def _damaged_inputs():
+    """(label, pair at 4N, pair cut to N), two cuts of each realized pair at 4N
+    and its conjugate at (3, 8), (5, 10), (7, 12) and (13, 40): Gram entries to
+    N - 0..3 digits, beta to N - 0..2.  Built once; nothing mutates them."""
+    out = []
+    for p, N in ((3, 8), (5, 10), (7, 12), (13, 40)):
+        cfg, rnd = FieldConfig(p, N), random.Random(5)
+        for pair in _realized_pairs(p, 4 * N):
+            for form, b in (pair[:2], pair[:2], pair[2:], pair[2:]):
                 low = HermitianForm.from_rows(form.epsilon, [
                     [_known_to(cfg, x, N - rnd.randint(0, 3)) for x in row]
                     for row in form.gram])
-                yield low, [[_known_to(cfg, x, N - rnd.randint(0, 2)) for x in row]
-                            for row in b]
-
-
-def _refusal(f, *args):
-    """f(*args), or the class and message of the HermiwittError it raises."""
-    try:
-        return f(*args)
-    except HermiwittError as exc:
-        return type(exc).__name__, str(exc)
-
-
-def _htilde_outcomes(p, N, draws):
-    """compute_htilde_beta on _damaged_pairs: per input the digests of H and
-    of the frame, or the exception's class and message."""
-    out = []
-    for low, lb in _damaged_pairs(p, N, draws):
-        ht = _refusal(mo.compute_htilde_beta, low, lb)
-        out.append(ht if isinstance(ht, tuple)
-                   else (digest(ht.edform.H), digest(ht.frame)))
+                lb = [[_known_to(cfg, x, N - rnd.randint(0, 2)) for x in row]
+                      for row in b]
+                out.append((((p, N),), (form, b), (low, lb)))
     return out
 
 
-def _tower_outcomes(p, N, draws):
-    """witt_tower_of on _damaged_pairs, then trace_class: per input the
-    tower's (rank_parity, i_is_norm, anisotropic_dim) at e1 and the trace
-    class's sorted names, each replaced by the class and message of its
-    refusal."""
-    out = []
-    for low, lb in _damaged_pairs(p, N, draws):
-        tower = _refusal(mo.witt_tower_of, low, lb)
-        if isinstance(tower, tuple):
-            out.append(tower)
-            continue
-        c = tower.class_at_e1
-        out.append(((c.rank_parity, c.i_is_norm, c.anisotropic_dim),
-                    _refusal(lambda: tower.trace_class().sorted_names())))
-    return out
+def _htilde_digests(h, beta):
+    """The digests of compute_htilde_beta's H and frame."""
+    ht = mo.compute_htilde_beta(h, beta)
+    return digest(ht.edform.H), digest(ht.frame)
+
+
+def _tower(h, beta):
+    """witt_tower_of's class at e1, and the outcome of its trace class."""
+    tower = mo.witt_tower_of(h, beta)
+    c = tower.class_at_e1
+    return ((c.rank_parity, c.i_is_norm, c.anisotropic_dim),
+            pins.outcome(lambda: tower.trace_class().sorted_names()))
+
+
+def _htilde_outcomes():
+    return [(label, pins.outcome(_htilde_digests, *low))
+            for label, _, low in _damaged_inputs()]
+
+
+def _tower_outcomes():
+    return [(label, pins.outcome(_tower, *low)) for label, _, low in _damaged_inputs()]
+
+
+# the outcomes at 4N of the pairs that the inputs at these indices were cut from
+_tower_outcomes.at_4N = lambda indices: [
+    pins.outcome(_tower, *_damaged_inputs()[i][1]) for i in indices]
 
 
 def test_htilde_beta_outcomes_pinned():
@@ -641,12 +629,7 @@ def test_htilde_beta_outcomes_pinned():
     (13, 40), hashes to the recorded digest: a rewrite of the lift, of Phi
     or of the frame search moves no digit, no frame vector and no
     refusal."""
-    out = []
-    for p, N in ((3, 8), (5, 10), (7, 12), (13, 40)):
-        out += _htilde_outcomes(p, N, 2)
-    assert len(out) == 576
-    assert hashlib.sha256(repr(out).encode()).hexdigest() == \
-        "d50825e1fcbc0dcd27fd16fcc7dccdf791c7cffcdbc505b89e667851bae53924"
+    pins.check("htilde_beta_outcomes")
 
 
 def test_tower_outcomes_pinned():
@@ -655,12 +638,7 @@ def test_tower_outcomes_pinned():
     test_htilde_beta_outcomes_pinned hashes to the recorded digest: a
     change to F_e or to the checks of its Gram moves no class and no
     refusal."""
-    out = []
-    for p, N in ((3, 8), (5, 10), (7, 12), (13, 40)):
-        out += _tower_outcomes(p, N, 2)
-    assert len(out) == 576
-    assert hashlib.sha256(repr(out).encode()).hexdigest() == \
-        "7c83c82a714be77d6b31fc2912aeb39bc9929a010a8ed3b1337494c6ff622978"
+    pins.check("tower_outcomes")
 
 
 def test_conjugated_pairs_keep_their_tower():
@@ -721,6 +699,12 @@ def test_trace_transfer_collapse(cfg5):
                 c1 = wc.class_of_form(mo.trace_transfer(ed))
                 c2 = wc.class_of_form(mo.trace_transfer(ed.orthogonal_sum(ma)))
                 assert c1 == c2
+            with pytest.raises(EpsilonMismatch,
+                               match="^cannot sum forms of different epsilon$"):
+                ma.orthogonal_sum(mo.max_anisotropic_edform(data, -eps))
+    with pytest.raises(ValueError, match="^cannot sum forms over different splits$"):
+        ma.orthogonal_sum(mo.max_anisotropic_edform(
+            mo.split(cfg5, cfg5.f(cfg5.nonresidue_r)), eps))
 
 
 def test_trace_transfer_lambda_independence(cfg5):
@@ -890,3 +874,12 @@ def test_e_witt_class_group_laws(p, gen, eps):
         padded += [[z] * t + list(row) for row in plane]
         assert mo.e_witt_class(padded, E, eps) == mo.e_witt_class(H, E, eps)
     assert mo.e_witt_class(plane, E, eps).is_hyperbolic()
+    # a sum needs one E and one eps: F(sqrt(p r)) is neither F(u) nor F(pi_D)
+    c = mo.EWittClass(E, eps, 1, True)
+    with pytest.raises(EpsilonMismatch,
+                       match="^cannot add Witt classes of different epsilon$"):
+        c + mo.EWittClass(E, -eps, 1, True)
+    other = QuadExtField(cfg, cfg.f(p * cfg.nonresidue_r), "E")
+    with pytest.raises(ValueError,
+                       match="^cannot add Witt classes over different fields$"):
+        c + mo.EWittClass(other, eps, 1, True)

@@ -1,5 +1,4 @@
 import functools
-import hashlib
 import pickle
 import random
 from fractions import Fraction
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 
 from hermiwitt.errors import (
     DivisionByIndistinguishableZero,
-    HermiwittError,
     IndistinguishableZero,
     NotASquare,
     PrecisionExhausted,
@@ -40,6 +38,7 @@ from hermiwitt.padic import (
     tau_conj,
 )
 from hermiwitt.quaternion import QuaternionElement as Q, congruent_mod_nuD
+import pins
 from oracle import (ExactD, coords, digest, exact_inverse, exact_rep, honest,
                     known_to, lift, rep_coords, truncated, vp_q)
 
@@ -379,7 +378,7 @@ def _element_ops(cfg, r, kind, x, y):
     return ops
 
 
-def _pinned_batch(pairs: int):
+def _pinned_batch():
     out = []
     for p, N in ((3, 10), (5, 32), (13, 128)):
         cfg = FieldConfig(p, N)
@@ -400,13 +399,10 @@ def _pinned_batch(pairs: int):
                 field, _pinned_f(cfg, r), _pinned_f(cfg, r))
         for name, new in make.items():
             kind = "E" if name in "ERS" else name
-            for _ in range(pairs):
+            for _ in range(30):
                 x, y = new(), new()
-                for op in _element_ops(cfg, r, kind, x, y):
-                    try:
-                        out.append(digest(op()))
-                    except Exception as exc:
-                        out.append(type(exc).__name__)
+                out += [(((p, N), name, i), pins.outcome(lambda: digest(op())))
+                        for i, op in enumerate(_element_ops(cfg, r, kind, x, y))]
     return out
 
 
@@ -414,10 +410,7 @@ def test_element_arithmetic_pinned():
     """Every F-coordinate that F, L, ramified and unramified E and D compute
     on a seeded batch, or the class of the exception raised, hashes to the
     recorded digest: a rewrite of the element layer keeps every digit."""
-    out = _pinned_batch(30)
-    assert len(out) == 11700
-    assert hashlib.sha256(repr(out).encode()).hexdigest() == \
-        "addfe90687c814a14eeb701f4a5709860c34017cbb5d45d3cf2fd00946f25c43"
+    pins.check("element_arithmetic")
 
 
 def _coarse_f(cfg, r, full=0.25):
@@ -434,11 +427,11 @@ def _coarse_f(cfg, r, full=0.25):
     return FElement._make(cfg, v, unit, prec)
 
 
-def _refusal_batch(count: int):
+def _refusal_batch():
     """Products, norms and inverses of L, unramified and ramified E and D on
     coarse draws, and D's dmat_solve on 2x2 systems of them, at (3, 10),
-    (5, 32) and (13, 128): each outcome's digest, or the class and message
-    of the refusal."""
+    (5, 32) and (13, 128): each outcome, a digest or a refusal, labelled by
+    its (p, N)."""
     from hermiwitt.hermitian import dmat_solve
 
     out = []
@@ -454,20 +447,16 @@ def _refusal_batch(count: int):
         make["D"] = lambda full=0.25: Q(make["L"](full=full), make["L"](full=full))
         thunks = []
         for new in make.values():
-            for _ in range(count):
+            for _ in range(40):
                 x, y = new(), new()
                 thunks += [lambda x=x, y=y: x * y, lambda x=x, y=y: y * x,
                            lambda x=x, y=y: x * y * x, lambda x=x: x.norm(),
                            lambda x=x: x.inv()]
-        for _ in range(count):
+        for _ in range(40):
             A = [[make["D"](0.8) for _ in range(2)] for _ in range(2)]
             B = [[make["D"](0.8)] for _ in range(2)]
             thunks.append(lambda A=A, B=B: dmat_solve(A, B))
-        for fn in thunks:
-            try:
-                out.append(digest(fn()))
-            except HermiwittError as exc:
-                out.append((type(exc).__name__, str(exc)))
+        out += [(((p, N),), pins.outcome(lambda: digest(fn()))) for fn in thunks]
     return out
 
 
@@ -477,24 +466,21 @@ def test_refusal_messages_pinned():
     and the message of each refusal (the CLI prints the message), hashes to
     the recorded digest: a rewrite of the product kernel keeps which
     refusal comes first and what it says."""
-    out = _refusal_batch(40)
-    assert len(out) == 3 * (4 * 5 + 1) * 40
-    refusals = [o for o in out if isinstance(o, tuple) and isinstance(o[0], str)]
+    out = pins.check("refusal_messages")
+    refusals = [o for o in out if isinstance(o, pins.Refused)]
     assert {"result precision <= 0", "zero known to <= 0 digits"} <= \
         {text for _, text in refusals}
     assert len(out) // 4 <= len(refusals) <= 3 * len(out) // 4
-    assert hashlib.sha256(repr(out).encode()).hexdigest() == \
-        "d987fcd8b5a2bf0e53434bf718bf8dddb39978f3eb6eb158b35de7cc971dab30"
 
 
-def _dot_refusal_batch(count: int):
-    """count length-2 to 4 D row_dots and count 2x2 by 2x2 D dmat_muls at
+def _dot_refusal_batch():
+    """150 length-2 to 4 D row_dots and 150 2x2 by 2x2 D dmat_muls at
     (3, 10), (5, 32) and (13, 128), each on coordinates drawn coarse by
     _coarse_f with a per-dot probability in {0, 0.05, 0.2, 0.5} and
     otherwise fine (valuation -1..2 known to N-3..N, or a zero known to 3
     or more digits, which no product refuses); one dot in five ends with
-    row[0] * -x[0], cancelling its first product.  Each outcome's digest,
-    or the class and message of the refusal."""
+    row[0] * -x[0], cancelling its first product.  Each outcome, a digest
+    or a refusal, labelled by its (p, N)."""
     from hermiwitt.hermitian import dmat_mul, row_dot
 
     out = []
@@ -516,7 +502,7 @@ def _dot_refusal_batch(count: int):
                      QuadExtElement(cfg.L_field, f(), f()))
 
         thunks = []
-        for _ in range(count):
+        for _ in range(150):
             n, coarse = r.randint(2, 4), r.choice((0, 0.05, 0.2, 0.5))
             row, x = [quat(coarse) for _ in range(n)], [quat(coarse) for _ in range(n)]
             if r.random() < 0.2:
@@ -526,11 +512,7 @@ def _dot_refusal_batch(count: int):
             A = [[quat(coarse) for _ in range(2)] for _ in range(2)]
             B = [[quat(coarse) for _ in range(2)] for _ in range(2)]
             thunks.append(lambda A=A, B=B: dmat_mul(A, B))
-        for fn in thunks:
-            try:
-                out.append(digest(fn()))
-            except HermiwittError as exc:
-                out.append((type(exc).__name__, str(exc)))
+        out += [(((p, N),), pins.outcome(lambda: digest(fn()))) for fn in thunks]
     return out
 
 
@@ -539,14 +521,11 @@ def test_dot_refusal_messages_pinned():
     the message of each refusal, hashes to the recorded digest: a dot that
     sums its products' terms in another bracketing keeps every digit, which
     refusal comes first and what it says."""
-    out = _dot_refusal_batch(150)
-    assert len(out) == 3 * 2 * 150
-    refusals = [o for o in out if isinstance(o, tuple) and isinstance(o[0], str)]
+    out = pins.check("dot_refusal_messages")
+    refusals = [o for o in out if isinstance(o, pins.Refused)]
     assert {"result precision <= 0", "zero known to <= 0 digits"} <= \
         {text for _, text in refusals}
     assert len(out) // 4 <= len(refusals) <= 3 * len(out) // 4
-    assert hashlib.sha256(repr(out).encode()).hexdigest() == \
-        "699c7af6d0fb19212e09034058ccd16c29ad2eeecf70f1a90514a96ccc6ca99a"
 
 
 def test_d_dot_scales_after_summing():
@@ -840,13 +819,6 @@ def _kernel_operands(draw):
     return cfg, kernel, tracked, const, x, y, e
 
 
-def _outcome(kernel, *args):
-    try:
-        return kernel(*args)
-    except HermiwittError as exc:
-        return type(exc), str(exc)
-
-
 @settings(deadline=None)
 @given(_kernel_operands())
 def test_integral_products_are_the_tracked_path(case):
@@ -856,7 +828,8 @@ def test_integral_products_are_the_tracked_path(case):
     F's precision rule keeps N digits on every term, and a sum's class mod
     p^N does not depend on its bracketing."""
     cfg, kernel, tracked, const, x, y, _ = case
-    assert _outcome(kernel, cfg, const, x, y) == _outcome(tracked, cfg, const, x, y)
+    assert pins.outcome(kernel, cfg, const, x, y) == \
+        pins.outcome(tracked, cfg, const, x, y)
 
 
 @settings(deadline=None)
@@ -872,7 +845,7 @@ def test_fused_update_is_the_two_step(case):
     def two_step():
         return tuple(_f_add(cfg, a, t) for a, t in zip(e, kernel(cfg, const, x, y)))
 
-    assert _outcome(kernel, cfg, const, x, y, e) == _outcome(two_step)
+    assert pins.outcome(kernel, cfg, const, x, y, e) == pins.outcome(two_step)
 
 
 # -- precision honesty of square roots and norm equations in L and E -------------

@@ -1,6 +1,7 @@
 import importlib.util
 from pathlib import Path
 
+import pins
 from hermiwitt import morita, padic
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -33,3 +34,45 @@ def test_kernel_timing_runs(monkeypatch):
     names = {name.split("/")[0] for cases in us.values() for name in cases}
     for workload in ("decompose", "towers", "isometries"):
         assert {f"{workload}_d_dot", f"{workload}_e_mul"} & names
+
+
+def test_pin_diff_names_each_moved_outcome(monkeypatch, capsys):
+    """tools/pin_diff.py's rows and report on refusal_messages's outcomes,
+    built here as its child processes build them.  The table against itself
+    moves nothing.  An answer turned into a refusal, and a tower answer into
+    one whose trace class is refused, move under those kinds; the other way
+    round, each new answer is compared with its outcome at 4N.  A changed
+    count is reported as one."""
+    pd = _load("pin_diff")
+    pairs = pins.builder(pins.PINS["refusal_messages"][0])()
+    old = pd.rows(pairs)
+    assert pd.report({"r": old}, {"r": old}) == (
+        ["r: 0 of 2520 moved", "0 of 1 pins changed"], 0)
+    assert pd.report({"r": old}, {"r": old[1:]}) == (
+        ["r: count 2520 → 2519", "1 of 1 pins changed"], 1)
+
+    i, j = [k for k, (_, o) in enumerate(pairs) if not isinstance(o, pins.Refused)][:2]
+    refused = pins.Refused(("PrecisionExhausted", "result precision <= 0"))
+    answered, moved = list(pairs), list(pairs)
+    answered[j] = (pairs[j][0], ((1, True, 1), ["g1"]))
+    moved[i] = (pairs[i][0], refused)
+    moved[j] = (pairs[j][0], ((1, True, 1), refused))
+    answered, moved = pd.rows(answered), pd.rows(moved)
+    assert pd.report({"r": answered}, {"r": moved}) == ([
+        "r: 2 of 2520 moved",
+        "  answer → PrecisionExhausted: 1", f"    #{i} (3, 10)",
+        "  answer → (answer, PrecisionExhausted): 1", f"    #{j} (3, 10)",
+        "1 of 1 pins changed"], 1)
+    # at 4N, input i is refused and input j gets the answer at N
+    at_4N = {"r": lambda idx: [moved[i] if k == i else answered[k] for k in idx]}
+    assert pd.report({"r": moved}, {"r": answered}, at_4N)[0][1:5] == [
+        "  PrecisionExhausted → answer: 1",
+        f"    #{i} (3, 10); at 4N: PrecisionExhausted, not equal",
+        "  (answer, PrecisionExhausted) → answer: 1",
+        f"    #{j} (3, 10); equals the answer at 4N"]
+
+    # a child that prints something other than JSON is a failure of the
+    # tool, exit 2, never exit 1 for a moved outcome
+    monkeypatch.setattr(pd, "CHILD", "print({!r})")
+    assert pd.main([str(TOOLS.parent)]) == 2
+    assert "JSONDecodeError" in capsys.readouterr().err
