@@ -44,6 +44,8 @@ PINS = {
         "d987fcd8b5a2bf0e53434bf718bf8dddb39978f3eb6eb158b35de7cc971dab30"),
     "dot_refusal_messages": ("test_padic._dot_refusal_batch", 3 * 2 * 150, "outcome",
         "699c7af6d0fb19212e09034058ccd16c29ad2eeecf70f1a90514a96ccc6ca99a"),
+    "workload_outputs": ("test_cli._workload_outputs", 3 * (18 + 12 + 17 + 25), "outcome",
+        "93012c7e7ab27af9cba2a9a6d6763719549b7adfbe8213d0697ee8d30b62f21d"),
 }
 
 

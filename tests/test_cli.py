@@ -9,6 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
+import pins
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
@@ -345,6 +346,47 @@ def test_decompose_hyperbolic_pinned(capsys, name):
     doc = json.loads(out)
     assert (doc["witt_index"], doc["witt_class"]) == (index, cls)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _workload_outputs():
+    """(workload, seed, index, subcommand) and outcome of every warm-up and
+    timed operation of the four benchmark workloads at seeds 1-3, read from
+    this checkout's perfbench/gen.py and run one at a time through
+    perfbench/worker.py's Runner, as the benchmark runs them.  The outcome
+    is the output text; a nonzero exit is the Refused of ("exit <code>", its
+    stderr), where an escaped exception (exit -1) keeps only the last line
+    of its traceback, which names the checkout's paths."""
+    root = Path(os.path.abspath(cli.__file__)).parents[2]
+    path = sys.path[:]
+    sys.path.insert(0, str(root / "perfbench"))
+    try:
+        import gen
+        from worker import Runner
+
+        out = []
+        for workload in ("decompose", "towers", "isometries", "small"):
+            p, N, _ = gen.CONFIGS[workload]
+            runner = Runner(str(root), p, N)
+            for seed in (1, 2, 3):
+                warmup, ops, _ = gen.make(workload, seed)
+                for i, op in enumerate(warmup + ops):
+                    rc, raw = runner.run(runner.prepare(op))
+                    text = runner.render(raw)
+                    if rc == -1:
+                        text = text.rstrip().splitlines()[-1]
+                    out.append(((workload, seed, i, op["kind"]), text if rc == 0
+                                else pins.Refused((f"exit {rc}", text.rstrip("\n")))))
+        return out
+    finally:
+        sys.path[:] = path
+
+
+def test_workload_outputs_pinned():
+    """Every answer and every refusal (exit code and stderr) of the
+    operations that the benchmark's workloads run at seeds 1-3 hashes to the
+    recorded digest: a change that moves a digit or a message the workloads
+    print shows here, and tools/pin_diff.py names the operations."""
+    pins.check("workload_outputs")
 
 
 def test_decompose_lost_digits_exits_3(capsys):
