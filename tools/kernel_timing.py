@@ -22,15 +22,14 @@ case runs on two kinds of seeded operands:
 
 The cases named ``<workload>_d_dot`` and ``<workload>_e_mul`` replay the
 kernel calls that a benchmark workload makes itself: its warm-up and one
-round at seed 1 run once through ``perfbench/worker.py``'s ``Runner`` (as
-``tools/workload_digest.py`` runs them; nothing under ``perfbench/`` is
-written), every ``_d_dot`` and ``_e_mul`` call that answers is recorded,
-and a seeded sample of BATCH calls of each group is timed.  A call is
-``negative_val`` when an operand, constant or addend has a coordinate of
-negative valuation, else ``integral`` when every one is known to N digits,
-else ``prec_below_N``; a group the workload never calls is left out.  The
-synthetic operands alone can mislead: a kernel can read faster on them and
-slower on what the workloads pass.
+round at seed 1 run once through ``perfbench/worker.py``'s ``Runner``
+(nothing under ``perfbench/`` is written), every ``_d_dot`` and ``_e_mul``
+call that answers is recorded, and a seeded sample of BATCH calls of each
+group is timed.  A call is ``negative_val`` when an operand, constant or
+addend has a coordinate of negative valuation, else ``integral`` when every
+one is known to N digits, else ``prec_below_N``; a group the workload never
+calls is left out.  The synthetic operands alone can mislead: a kernel can
+read faster on them and slower on what the workloads pass.
 
 A round times one batch of calls of every case in turn, so that a drift in
 the machine's speed falls on all cases alike, and the printed figure is the
@@ -211,7 +210,7 @@ def timings(padic, morita) -> dict:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
-        print(__doc__.split("\n\n")[1].strip(), file=sys.stderr)
+        print("\n\n".join(__doc__.split("\n\n")[1:3]), file=sys.stderr)
         return 2
     root = os.path.abspath(argv[0])
     if not os.path.isfile(os.path.join(root, "src", "hermiwitt", "__init__.py")):
