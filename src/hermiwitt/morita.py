@@ -177,6 +177,11 @@ class SplitData:
         E = self.E
         return [[E.from_f(self.u1), E.zero()], [E.zero(), E.from_f(self.u2)]]
 
+    def u_sigma_t(self, x) -> list:
+        """u_mat sigma(x)^T for a row x of E^2, as a pair: a product, since
+        u_mat's zero entries cap the digits when v(x) < 0."""
+        return [c for c, in dmat_mul(self.u_mat, dmat_bar_t([list(x)]))]
+
     def theta_is(self, X, Y) -> bool:
         """Whether theta(X) = Y, tested as u_mat sigma(X)^T = Y u_mat."""
         u = self.u_mat
@@ -201,15 +206,12 @@ class SplitData:
     def idempotent_from_line(self, x) -> IdempotentE:
         """b-orthogonal projection onto the anisotropic line spanned by the
         row vector x."""
-        u = self.u_mat
-        col = dmat_mul(u, dmat_bar_t([list(x)]))      # 2x1
-        q = row_dot(list(x), [col[0][0], col[1][0]])
+        col = self.u_sigma_t(x)
+        q = row_dot(list(x), col)
         if q.is_zero():
             raise DegenerateForm("line is isotropic for the reference form")
         qi = q.inv()
-        mat = [[col[0][0] * qi * x[0], col[0][0] * qi * x[1]],
-               [col[1][0] * qi * x[0], col[1][0] * qi * x[1]]]
-        return IdempotentE(self, tuple(tuple(r) for r in mat))
+        return IdempotentE(self, tuple((c * qi * x[0], c * qi * x[1]) for c in col))
 
     def validate(self) -> bool:
         E, cfg = self.E, self.cfg
@@ -429,12 +431,8 @@ class IdempotentE:
 
     def validate(self) -> bool:
         X = [list(r) for r in self.mat]
-        if not dmat_is_zero(dmat_sub(dmat_mul(X, X), X)):
-            return False
-        if not self.split.theta_is(X, X):
-            return False
-        tr = X[0][0] + X[1][1]
-        return (tr - self.split.E.one()).is_zero()
+        return (dmat_is_zero(dmat_sub(dmat_mul(X, X), X)) and self.split.theta_is(X, X)
+                and (X[0][0] + X[1][1] - self.split.E.one()).is_zero())
 
 
 @dataclass(frozen=True)
@@ -616,12 +614,11 @@ def similitude_scale(e: IdempotentE, f: IdempotentE):
     u = data.u_mat
 
     def b(x, y):
-        col = dmat_mul(u, dmat_bar_t([y]))
-        return row_dot(x, [col[0][0], col[1][0]])
+        return row_dot(x, data.u_sigma_t(y))
 
     def perp(x):
-        col = dmat_mul(u, dmat_bar_t([x]))
-        return [col[1][0], -col[0][0]]
+        c0, c1 = data.u_sigma_t(x)
+        return [c1, -c0]
 
     x, y = e.line(), f.line()
     qx, qy = _fixed_to_f(b(x, x)), _fixed_to_f(b(y, y))

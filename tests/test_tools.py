@@ -36,6 +36,13 @@ def test_kernel_timing_runs(monkeypatch):
         assert {f"{workload}_d_dot", f"{workload}_e_mul"} & names
 
 
+def test_kernel_timing_usage(capsys):
+    """On a wrong argument count, tools/kernel_timing.py exits 2 and prints
+    its usage: the heading and the command line under it."""
+    assert _load("kernel_timing").main([]) == 2
+    assert "python3 tools/kernel_timing.py ROOT" in capsys.readouterr().err
+
+
 def test_pin_diff_names_each_moved_outcome(monkeypatch, capsys):
     """tools/pin_diff.py's rows and report on refusal_messages's outcomes,
     built here as its child processes build them.  The table against itself
@@ -76,3 +83,18 @@ def test_pin_diff_names_each_moved_outcome(monkeypatch, capsys):
     monkeypatch.setattr(pd, "CHILD", "print({!r})")
     assert pd.main([str(TOOLS.parent)]) == 2
     assert "JSONDecodeError" in capsys.readouterr().err
+
+
+def test_pin_diff_names_a_moved_workload_operation():
+    """tools/pin_diff.py's report on workload_outputs's rows: an operation
+    whose answer turns into exit 3 is listed under answer → exit 3 by its
+    workload, seed, index and subcommand."""
+    pd = _load("pin_diff")
+    pairs = pins.builder(pins.PINS["workload_outputs"][0])()
+    i = next(k for k, (label, _) in enumerate(pairs) if label[:3] == ("towers", 2, 5))
+    moved = list(pairs)
+    moved[i] = (pairs[i][0], pins.Refused(
+        ("exit 3", "inconclusive: remaining block is indistinguishable from zero")))
+    assert pd.report({"w": pd.rows(pairs)}, {"w": pd.rows(moved)}) == ([
+        "w: 1 of 216 moved", "  answer → exit 3: 1", f"    #{i} towers 2 5 tower",
+        "1 of 1 pins changed"], 1)
