@@ -9,7 +9,6 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
-import pins
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
@@ -23,6 +22,7 @@ from hermiwitt.cli import run
 from hermiwitt.hermitian import HermitianForm
 from hermiwitt.padic import FieldConfig, QuadExtElement
 from hermiwitt.quaternion import QuaternionElement as Q
+import pins
 from oracle import ExactD, known_to
 
 
